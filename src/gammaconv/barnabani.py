@@ -17,9 +17,9 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as sp
 
-from .errors import ConvergenceError, DomainError, FitFailureError
+from .errors import DomainError, FitFailureError
+from .methods import check_point, mixture_cdf, mixture_density
 from .model import ConvolutionSpec, EvalResult, canonicalize
-from .moschopoulos import gamma_kernel_bound
 from .specfun import SeriesControl
 
 __all__ = [
@@ -239,42 +239,14 @@ def _approx_weights(params: GnbdParams, ctrl: SeriesControl) -> np.ndarray:
 
 
 def _approx_eval(
-    spec: ConvolutionSpec, point: float, ctrl: SeriesControl, kind: str
+    spec: ConvolutionSpec, point: float, ctrl: SeriesControl, quantity: str
 ) -> EvalResult:
-    spec = canonicalize(spec)
-    rho = spec.total_shape
-    beta1 = float(spec.scales[0])
-    if len(spec) == 1:
-        (comp,) = spec.components
-        if kind == "cdf":
-            return EvalResult(float(sp.gammainc(comp.shape, point / comp.scale)), 1, 0.0)
-        log_g = (
-            (comp.shape - 1.0) * math.log(point)
-            - point / comp.scale
-            - math.lgamma(comp.shape)
-            - comp.shape * math.log(comp.scale)
-        )
-        return EvalResult(math.exp(log_g), 1, 0.0)
-
-    params = _fit_for_spec(spec)
-    w = _approx_weights(params, ctrl)
-    k = np.arange(w.shape[0], dtype=float)
-    remaining = max(1.0 - float(w.sum()), 0.0)
-    if kind == "cdf":
-        value = float(w @ sp.gammainc(rho + k, point / beta1))
-        tail = remaining * float(sp.gammainc(rho + k[-1] + 1.0, point / beta1))
-        return EvalResult(min(value, 1.0), w.shape[0], tail)
-    with np.errstate(divide="ignore"):
-        log_terms = (
-            np.log(w)
-            + (rho + k - 1.0) * math.log(point)
-            - point / beta1
-            - sp.gammaln(rho + k)
-            - (rho + k) * math.log(beta1)
-        )
-    m = float(log_terms.max())
-    value = math.exp(m) * float(np.exp(log_terms - m).sum()) if m > -math.inf else 0.0
-    tail = remaining * gamma_kernel_bound(point, rho + k[-1] + 1.0, beta1)
+    spec, done = check_point(spec, point, quantity)
+    if done is not None:
+        return done
+    w = _approx_weights(_fit_for_spec(spec), ctrl)
+    mixture = mixture_cdf if quantity == "cdf" else mixture_density
+    value, tail = mixture(w, spec.total_shape, float(spec.scales[0]), point)
     return EvalResult(value, w.shape[0], tail)
 
 
@@ -282,14 +254,6 @@ def density_approx(
     spec: ConvolutionSpec, x: float, ctrl: SeriesControl = CONTROL_APPROX
 ) -> EvalResult:
     """Approximate density sum_k gnbd_pmf(k) g(x; rho + k, b1)."""
-    if x < 0:
-        raise DomainError(f"density requires x >= 0, got {x}")
-    if x == 0.0:
-        spec = canonicalize(spec)
-        rho = spec.total_shape
-        if rho > 1.0:
-            return EvalResult(0.0, 1, 0.0)
-        raise DomainError("density at x = 0 unsupported in the approximation")
     return _approx_eval(spec, x, ctrl, "density")
 
 
@@ -297,8 +261,4 @@ def cdf_approx(
     spec: ConvolutionSpec, y: float, ctrl: SeriesControl = CONTROL_APPROX
 ) -> EvalResult:
     """Approximate CDF sum_k gnbd_pmf(k) G(y; rho + k, b1)."""
-    if y < 0:
-        raise DomainError(f"cdf requires y >= 0, got {y}")
-    if y == 0.0:
-        return EvalResult(0.0, 1, 0.0)
     return _approx_eval(spec, y, ctrl, "cdf")

@@ -10,17 +10,16 @@ seed; only timings vary between runs.
 
 from __future__ import annotations
 
-import csv
 import os
 import platform
 import statistics
 import sys
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from . import barnabani, mathai, moschopoulos, renewal
+from . import barnabani, methods, moschopoulos, renewal
 from .model import ConvolutionSpec, MixtureExpSpec, canonicalize
 from .oracle import sample_convolution
 
@@ -34,7 +33,6 @@ __all__ = [
     "median_time_ns",
     "run_suite",
     "figure_error_rows",
-    "write_csv",
     "default_seed",
 ]
 
@@ -123,21 +121,11 @@ def _grid_eval(fn, grid) -> list[float]:
     return [fn(float(x)).value for x in grid]
 
 
-def _coga_methods(n: int):
-    if n == 2:
-        return {
-            "moschopoulos": (moschopoulos.density, moschopoulos.cdf),
-            "mathai": (mathai.density2, mathai.cdf2),
-        }
-    return {
-        "moschopoulos": (moschopoulos.density, moschopoulos.cdf),
-        "mathai": (mathai.density_n, mathai.cdf_n),
-        "approx": (barnabani.density_approx, barnabani.cdf_approx),
-    }
+#: Methods each table compares; the approximation is exact for n = 2.
+_COGA_METHODS = {2: ("moschopoulos", "mathai"), 3: ("moschopoulos", "mathai", "approx")}
 
 
 def _run_coga(settings, n: int, replicates: int, n_samples: int, seed: int):
-    methods = _coga_methods(n)
     rows = []
     for alpha, scales in settings:
         spec = spec_for(alpha, scales)
@@ -145,7 +133,8 @@ def _run_coga(settings, n: int, replicates: int, n_samples: int, seed: int):
         row: dict = {"alpha": alpha}
         for i, b in enumerate(scales, start=1):
             row[f"beta{i}"] = b
-        for name, (dens, dist) in methods.items():
+        for name in _COGA_METHODS[n]:
+            _, dens, dist, _ = methods.lookup(name, n)
             d_fn = lambda x, f=dens, s=spec: f(s, x)
             c_fn = lambda y, f=dist, s=spec: f(s, y)
             row[f"density_{name}_ns"] = median_time_ns(
@@ -160,40 +149,35 @@ def _run_coga(settings, n: int, replicates: int, n_samples: int, seed: int):
     return rows
 
 
-def _renewal_methods(s: int):
-    def proposition(mix, q):
-        if mix.size <= 2:
-            return renewal.pmf_s2(mix, q)
-        return renewal.pmf_general(mix, q, "moschopoulos")
-
-    if s == 2:
-        return {
-            "mathai": lambda mix, q: renewal.pmf_raw_s2(mix, q, "mathai"),
-            "moschopoulos": lambda mix, q: renewal.pmf_raw_s2(mix, q, "moschopoulos"),
-            "proposed": proposition,
-        }
-    return {
-        "mathai": lambda mix, q: renewal.pmf_general(mix, q, "mathai"),
-        "moschopoulos": lambda mix, q: renewal.pmf_general(mix, q, "moschopoulos"),
-        "approx": lambda mix, q: renewal.pmf_general(mix, q, "approx"),
-        "proposed": proposition,
-    }
+#: Report column -> renewal route; the approximation only for S >= 3.
+_RENEWAL_ROUTES = {
+    "mathai": "raw-mathai",
+    "moschopoulos": "raw-moschopoulos",
+    "approx": "approx",
+    "proposed": "proposition",
+}
 
 
 def _run_renewal(settings, replicates: int):
     rows = []
     for scales, n_values in settings:
         mix = equal_mixture(scales)
-        methods = _renewal_methods(len(scales))
+        routes = [
+            (name, route)
+            for name, route in _RENEWAL_ROUTES.items()
+            if name != "approx" or len(scales) > 2
+        ]
         for n in n_values:
             q = renewal.RenewalQuery(RENEWAL_T, n)
             row: dict = {}
             for i, b in enumerate(scales, start=1):
                 row[f"beta{i}"] = b
             row["n"] = n
-            for name, fn in methods.items():
-                row[f"{name}_ns"] = median_time_ns(lambda: fn(mix, q), replicates)
-                row[f"{name}_pmf"] = fn(mix, q)
+            for name, route in routes:
+                row[f"{name}_ns"] = median_time_ns(
+                    lambda: renewal.pmf(mix, q, route), replicates
+                )
+                row[f"{name}_pmf"] = renewal.pmf(mix, q, route)
             rows.append(row)
     return rows
 
@@ -258,18 +242,3 @@ def figure_error_rows(setup: int, seed: int | None = None) -> list[dict]:
         )
     return rows
 
-
-def _format(value):
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return value
-
-
-def write_csv(rows: Iterable[dict], stream) -> None:
-    rows = list(rows)
-    if not rows:
-        return
-    writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _format(v) for k, v in row.items()})

@@ -7,16 +7,18 @@ non-convergence, 4 approximation fit failure.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import json
 import sys
 import time
+from typing import Iterable
 
 import numpy as np
 
-from . import barnabani, bench, mathai, moschopoulos, renewal
+from . import barnabani, mathai, methods, moschopoulos, renewal
 from .errors import ConvergenceError, DomainError, FitFailureError
 from .model import ConvolutionSpec, MixtureExpSpec, canonicalize, validate_mixture
-from .specfun import SeriesControl
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,6 +50,32 @@ def _grid_spec(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+def _format(value):
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return value
+
+
+def write_csv(rows: Iterable[dict], stream) -> None:
+    rows = list(rows)
+    if not rows:
+        return
+    writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()), lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: _format(v) for k, v in row.items()})
+
+
+def _write_rows(rows: list[dict], out: str | None) -> None:
+    """CSV to the file `out`, or to stdout when it is None."""
+    if out:
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            write_csv(rows, handle)
+        print(f"wrote {len(rows)} rows to {out}")
+    else:
+        write_csv(rows, sys.stdout)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gammaconv",
@@ -64,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--grid", type=_grid_spec)
     p_eval.add_argument(
         "--method",
-        choices=["mathai", "moschopoulos", "approx", "auto"],
+        choices=[*methods.METHODS, "auto"],
         default="auto",
     )
     p_eval.add_argument("--tol", type=float, default=None)
@@ -78,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_renew.add_argument("--n", type=_int_list, required=True)
     p_renew.add_argument(
         "--method",
-        choices=["proposition", "raw-mathai", "raw-moschopoulos", "approx"],
+        choices=renewal.RENEWAL_METHODS,
         default="proposition",
     )
 
@@ -102,21 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _eval_control(args) -> SeriesControl | None:
-    if args.tol is None and args.max_terms is None:
-        return None
-    return SeriesControl(
-        rel_tol=args.tol if args.tol is not None else 1e-15,
-        max_terms=args.max_terms if args.max_terms is not None else 10_000,
-    )
-
-
-def _pick_method(method: str, n: int) -> str:
-    if method != "auto":
-        return method
-    return "mathai" if n <= 2 else "moschopoulos"
-
-
 def _cmd_eval(args) -> int:
     if len(args.shape) != len(args.scale):
         print(
@@ -125,40 +138,18 @@ def _cmd_eval(args) -> int:
         )
         return EXIT_USAGE
     spec = canonicalize(ConvolutionSpec.of(*zip(args.shape, args.scale)))
-    ctrl = _eval_control(args)
-    method = _pick_method(args.method, len(spec))
+    chosen = methods.lookup(args.method, len(spec))
+    fn = getattr(chosen, args.quantity)
+    given = {"rel_tol": args.tol, "max_terms": args.max_terms}
+    ctrl = dataclasses.replace(
+        chosen.control, **{k: v for k, v in given.items() if v is not None}
+    )
     points = args.at if args.at is not None else list(args.grid)
-
-    fns = {
-        ("density", "mathai"): lambda x: (
-            mathai.density2(spec, x, ctrl or mathai.DEFAULT_CONTROL)
-            if len(spec) <= 2
-            else mathai.density_n(spec, x, ctrl)
-        ),
-        ("cdf", "mathai"): lambda y: (
-            mathai.cdf2(spec, y, ctrl or mathai.DEFAULT_CONTROL)
-            if len(spec) <= 2
-            else mathai.cdf_n(spec, y, ctrl)
-        ),
-        ("density", "moschopoulos"): lambda x: moschopoulos.density(
-            spec, x, ctrl or mathai.DEFAULT_CONTROL
-        ),
-        ("cdf", "moschopoulos"): lambda y: moschopoulos.cdf(
-            spec, y, ctrl or mathai.DEFAULT_CONTROL
-        ),
-        ("density", "approx"): lambda x: barnabani.density_approx(
-            spec, x, ctrl or barnabani.CONTROL_APPROX
-        ),
-        ("cdf", "approx"): lambda y: barnabani.cdf_approx(
-            spec, y, ctrl or barnabani.CONTROL_APPROX
-        ),
-    }
-    fn = fns[(args.quantity, method)]
 
     rows = []
     for point in points:
         start = time.perf_counter_ns()
-        result = fn(float(point))
+        result = fn(spec, float(point), ctrl)
         elapsed = time.perf_counter_ns() - start
         rows.append(
             {
@@ -166,14 +157,14 @@ def _cmd_eval(args) -> int:
                 "value": result.value,
                 "terms_used": result.terms_used,
                 "tail_bound": result.tail_bound,
-                "method": method,
+                "method": chosen.name,
                 "wall_time_ns": elapsed,
             }
         )
     if args.format == "json":
         print(json.dumps(rows, default=float))
     else:
-        bench.write_csv(rows, sys.stdout)
+        write_csv(rows, sys.stdout)
     return EXIT_OK
 
 
@@ -183,116 +174,98 @@ def _cmd_renewal(args) -> int:
     for n in args.n:
         q = renewal.RenewalQuery(args.t, n)
         start = time.perf_counter_ns()
-        if args.method == "proposition":
-            if mix.size <= 2:
-                pmf = renewal.pmf_s2(mix, q)
-            else:
-                pmf = renewal.pmf_general(mix, q, "moschopoulos")
-        elif args.method == "raw-mathai":
-            pmf = (
-                renewal.pmf_raw_s2(mix, q, "mathai")
-                if mix.size <= 2
-                else renewal.pmf_general(mix, q, "mathai")
-            )
-        elif args.method == "raw-moschopoulos":
-            pmf = (
-                renewal.pmf_raw_s2(mix, q, "moschopoulos")
-                if mix.size <= 2
-                else renewal.pmf_general(mix, q, "moschopoulos")
-            )
-        else:
-            pmf = renewal.pmf_general(mix, q, "approx")
+        pmf = renewal.pmf(mix, q, args.method)
         elapsed = time.perf_counter_ns() - start
         rows.append(
             {"n": n, "pmf": pmf, "method": args.method, "wall_time_ns": elapsed}
         )
-    bench.write_csv(rows, sys.stdout)
+    write_csv(rows, sys.stdout)
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
+    from . import bench
+
     rows = bench.run_suite(
         args.suite,
         replicates=args.replicates,
         n_samples=args.samples,
         seed=args.seed,
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            bench.write_csv(rows, handle)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        bench.write_csv(rows, sys.stdout)
+    _write_rows(rows, args.out)
     return EXIT_OK
 
 
 def _cmd_figure_error(args) -> int:
+    from . import bench
+
     try:
         rows = bench.figure_error_rows(args.setup, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            bench.write_csv(rows, handle)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        bench.write_csv(rows, sys.stdout)
+    _write_rows(rows, args.out)
     return EXIT_OK
 
 
 def _cmd_selftest() -> int:
-    from math import isclose
-
     failures = 0
 
-    def check(name: str, ok: bool) -> None:
+    def check(name: str, ok: bool, measured: str) -> None:
         nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name} ({measured})")
         failures += 0 if ok else 1
+
+    def agree(name: str, got: float, want: float, rel_tol: float) -> None:
+        err = abs(got - want) / abs(want)
+        check(name, err <= rel_tol, f"rel err {err:.3e}, tol {rel_tol:g}")
 
     spec2 = ConvolutionSpec.of((1.0, 1.0), (1.0, 2.0))
     d = mathai.density2(spec2, 1.0).value
-    check(
+    agree(
         "n=2 density matches hypoexponential closed form",
-        isclose(d, np.exp(-0.5) - np.exp(-1.0), rel_tol=1e-12),
+        d, np.exp(-0.5) - np.exp(-1.0), 1e-12,
     )
-    check(
+    agree(
         "n=2 Mathai/Moschopoulos density agreement",
-        isclose(d, moschopoulos.density(spec2, 1.0).value, rel_tol=1e-12),
+        moschopoulos.density(spec2, 1.0).value, d, 1e-12,
     )
     spec3 = ConvolutionSpec.of((0.2, 4.0), (0.2, 0.3), (0.2, 0.2))
     for x in (0.3, 1.0, 3.0):
-        lhs = mathai.density_n(spec3, x).value
-        rhs = moschopoulos.density(spec3, x).value
-        check(
+        agree(
             f"n=3 cross-method density agreement at x={x}",
-            isclose(lhs, rhs, rel_tol=1e-10),
+            mathai.density_n(spec3, x).value,
+            moschopoulos.density(spec3, x).value,
+            1e-10,
         )
     w = moschopoulos.build_weights(spec3, 400)
     mass = w.c * float(w.deltas.sum())
-    check("weight mass near one", 1.0 - 5e-4 < mass <= 1.0 + 1e-12)
+    check(
+        "weight mass near one",
+        1.0 - 5e-4 < mass <= 1.0 + 1e-12,
+        f"1 - mass {1.0 - mass:.3e}",
+    )
     mix = MixtureExpSpec((0.5, 0.5), (1.0, 2.0))
-    q = renewal.RenewalQuery(1.0, 0)
-    check(
+    agree(
         "renewal n=0 equals mixture survival",
-        isclose(
-            renewal.pmf_s2(mix, q),
-            0.5 * np.exp(-1.0) + 0.5 * np.exp(-0.5),
-            rel_tol=1e-12,
-        ),
+        renewal.pmf_s2(mix, renewal.RenewalQuery(1.0, 0)),
+        0.5 * np.exp(-1.0) + 0.5 * np.exp(-0.5),
+        1e-12,
     )
-    check(
+    agree(
         "proposition equals raw formula",
-        isclose(
-            renewal.pmf_s2(mix, renewal.RenewalQuery(1.0, 2)),
-            renewal.pmf_raw_s2(mix, renewal.RenewalQuery(1.0, 2), "mathai"),
-            rel_tol=1e-10,
-        ),
+        renewal.pmf_s2(mix, renewal.RenewalQuery(1.0, 2)),
+        renewal.pmf_raw_s2(mix, renewal.RenewalQuery(1.0, 2), "mathai"),
+        1e-10,
     )
-    ad = barnabani.density_approx(spec3, 1.0).value
-    ed = moschopoulos.density(spec3, 1.0).value
-    check("approximation close to exact", abs(ad - ed) < 1e-2)
+    # Criterion 7's envelope: the approximation is relatively accurate,
+    # and the density diverges at the origin for this spec (rho = 0.6).
+    agree(
+        "approximation close to exact",
+        barnabani.density_approx(spec3, 1.0).value,
+        moschopoulos.density(spec3, 1.0).value,
+        5e-2,
+    )
     return EXIT_OK if failures == 0 else 1
 
 

@@ -16,7 +16,8 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import ConvergenceError, DomainError
-from .model import ConvolutionSpec, EvalResult, canonicalize
+from .methods import check_point, log_gamma_pdf, mixture_cdf
+from .model import ConvolutionSpec, EvalResult
 from .specfun import DEFAULT_CONTROL, SeriesControl, kummer_1f1_terms
 
 __all__ = ["density2", "cdf2", "density_n", "cdf_n", "CONTROL_N"]
@@ -28,31 +29,6 @@ CONTROL_N = SeriesControl(rel_tol=1e-13, max_terms=10_000)
 _LOG_TINY = math.log(4.9e-324)
 
 
-def _log_gamma_pdf(x: float, shape: float, scale: float) -> float:
-    return (
-        (shape - 1.0) * math.log(x)
-        - x / scale
-        - math.lgamma(shape)
-        - shape * math.log(scale)
-    )
-
-
-def _density_at_zero(spec: ConvolutionSpec) -> EvalResult:
-    """Analytic x -> 0 limit of the convolution density."""
-    gamma = spec.total_shape
-    if gamma > 1.0:
-        return EvalResult(0.0, 1, 0.0)
-    if gamma == 1.0:
-        beta1 = spec.components[0].scale
-        log_c = float(
-            np.sum(spec.shapes * (math.log(beta1) - np.log(spec.scales)))
-        )
-        return EvalResult(math.exp(log_c) / beta1, 1, 0.0)
-    raise DomainError(
-        f"density diverges at x = 0 for total shape {gamma} < 1"
-    )
-
-
 def density2(
     spec: ConvolutionSpec, x: float, ctrl: SeriesControl = DEFAULT_CONTROL
 ) -> EvalResult:
@@ -62,26 +38,33 @@ def density2(
     with b1 the smaller scale; fully assembled in log space.  A spec whose
     components merged to a single gamma is evaluated directly.
     """
-    spec = canonicalize(spec)
+    spec, done = check_point(spec, x, "density")
+    if done is not None:
+        return done
     if len(spec) > 2:
         raise DomainError(f"density2 requires n <= 2 components, got {len(spec)}")
-    if x < 0:
-        raise DomainError(f"density requires x >= 0, got {x}")
-    if x == 0.0:
-        return _density_at_zero(spec)
-    if len(spec) == 1:
-        (c,) = spec.components
-        return EvalResult(math.exp(_log_gamma_pdf(x, c.shape, c.scale)), 1, 0.0)
     c1, c2 = spec.components
     gamma = c1.shape + c2.shape
     z = (1.0 / c1.scale - 1.0 / c2.scale) * x
     f1, terms = kummer_1f1_terms(c2.shape, gamma, z, ctrl)
     log_f = (
         c2.shape * (math.log(c1.scale) - math.log(c2.scale))
-        + _log_gamma_pdf(x, gamma, c1.scale)
+        + log_gamma_pdf(x, gamma, c1.scale)
         + f1.log_magnitude
     )
     return EvalResult(0.0 if log_f < _LOG_TINY else math.exp(log_f), terms, None)
+
+
+def _nb_masses(a: float, q: float, count: int) -> np.ndarray:
+    """Negative-binomial masses (size a, success probability q) at k < count."""
+    k = np.arange(count, dtype=float)
+    return np.exp(
+        a * math.log(q)
+        + sp.gammaln(a + k)
+        - math.lgamma(a)
+        - sp.gammaln(k + 1.0)
+        + k * math.log1p(-q)
+    )
 
 
 def cdf2(
@@ -94,56 +77,34 @@ def cdf2(
     remaining weight mass gives the truncation bound
     (1 - sum w_k) G(y/b1; K+1+gamma), valid because G decreases in shape.
     """
-    spec = canonicalize(spec)
+    spec, done = check_point(spec, y, "cdf")
+    if done is not None:
+        return done
     if len(spec) > 2:
         raise DomainError(f"cdf2 requires n <= 2 components, got {len(spec)}")
-    if y < 0:
-        raise DomainError(f"cdf requires y >= 0, got {y}")
-    if y == 0.0:
-        return EvalResult(0.0, 1, 0.0)
-    if len(spec) == 1:
-        (c,) = spec.components
-        return EvalResult(float(sp.gammainc(c.shape, y / c.scale)), 1, 0.0)
     c1, c2 = spec.components
-    gamma = c1.shape + c2.shape
     a2 = c2.shape
     q = c1.scale / c2.scale
-    log_q = math.log(c1.scale) - math.log(c2.scale)
-    log_1mq = math.log1p(-q)
-    u = y / c1.scale
-
-    value = 0.0
-    cum_w = 0.0
-    k0 = 0
     # NB bulk estimate: mean + 12 sd covers the weight mass far below any
-    # practical tolerance; extend geometrically if the bound disagrees.
+    # practical tolerance; extend if the bound disagrees.  The table is an
+    # exact prefix of the weight law, so the value-relative stop is valid.
     mean = a2 * (1.0 - q) / q
     sd = math.sqrt(a2 * (1.0 - q)) / q
-    block = max(int(mean + 12.0 * sd) + 32, 32)
+    count = step = max(int(mean + 12.0 * sd) + 32, 32)
     while True:
-        k = np.arange(k0, k0 + block, dtype=float)
-        log_w = (
-            a2 * log_q
-            + sp.gammaln(a2 + k)
-            - math.lgamma(a2)
-            - sp.gammaln(k + 1.0)
-            + k * log_1mq
-        )
-        w = np.exp(log_w)
-        value += float(w @ sp.gammainc(gamma + k, u))
-        cum_w += float(w.sum())
-        k0 += block
-        tail = max(1.0 - cum_w, 0.0) * float(sp.gammainc(gamma + k0, u))
+        w = _nb_masses(a2, q, count)
+        value, tail = mixture_cdf(w, c1.shape + a2, c1.scale, y)
         if tail <= ctrl.rel_tol * max(value, 5e-324):
-            return EvalResult(min(value, 1.0), k0, tail)
-        if k0 >= ctrl.max_terms:
+            return EvalResult(value, count, tail)
+        if count >= ctrl.max_terms:
             raise ConvergenceError(
-                f"cdf2 weight series not converged after {k0} terms "
-                f"(remaining weight mass {1.0 - cum_w:.3e})",
-                terms_used=k0,
-                last_term=1.0 - cum_w,
+                f"cdf2 weight series not converged after {count} terms "
+                f"(remaining weight mass {1.0 - w.sum():.3e})",
+                terms_used=count,
+                last_term=1.0 - float(w.sum()),
             )
-        block = max(block // 2, 64)
+        step = max(step // 2, 64)
+        count += step
 
 
 class _ScaledAccumulator:
@@ -199,16 +160,11 @@ def density_n(
     r exceeds roughly max_j z_j.  Terminates when two consecutive shells
     contribute less than rel_tol relative to the accumulated sum.
     """
-    spec = canonicalize(spec)
+    spec, done = check_point(spec, x, "density")
+    if done is not None:
+        return done
     if ctrl is None:
         ctrl = DEFAULT_CONTROL if len(spec) <= 2 else CONTROL_N
-    if x < 0:
-        raise DomainError(f"density requires x >= 0, got {x}")
-    if x == 0.0:
-        return _density_at_zero(spec)
-    if len(spec) == 1:
-        (c,) = spec.components
-        return EvalResult(math.exp(_log_gamma_pdf(x, c.shape, c.scale)), 1, 0.0)
 
     shapes = spec.shapes
     scales = spec.scales
@@ -250,7 +206,6 @@ def density_n(
     log_tol = math.log(ctrl.rel_tol)
     below_prev = False
     terms_used = 0
-    shells_done = r_max
     best_log_shell = -math.inf
     for r in range(r_max + 1):
         lo = max(0, r - n_tail + 1)
@@ -271,7 +226,6 @@ def density_n(
         best_log_shell = max(best_log_shell, log_shell)
         below = past_peak and log_shell < acc.log_sum() + log_tol
         if below and below_prev and r >= 1:
-            shells_done = r
             break
         below_prev = below
         if r + 1 >= ctrl.max_terms:
@@ -297,7 +251,6 @@ def density_n(
         - x / beta1
         + log_phi
     )
-    _ = shells_done
     return EvalResult(0.0 if log_f < _LOG_TINY else math.exp(log_f), terms_used, None)
 
 
@@ -308,77 +261,36 @@ def cdf_n(
 
     F(y) = sum_r W_r G(y/b1; gamma + r) where W_r, the shell weights, are
     convolutions of negative-binomial masses and therefore sum to one.
-    The reported tail bound is (1 - accumulated mass) G(y/b1; gamma+R+1).
+    Each NB table is completed to mass 1 - rel_tol/10 before the
+    convolution: a convolution of shorter tables would miss mass at every
+    index past the shortest table, not only past its end.  The reported
+    tail bound is (1 - sum W) G(y/b1; gamma + R + 1); terms_used counts
+    the shell weights W_0..W_R.
     """
-    spec = canonicalize(spec)
+    spec, done = check_point(spec, y, "cdf")
+    if done is not None:
+        return done
     if ctrl is None:
         ctrl = DEFAULT_CONTROL if len(spec) <= 2 else CONTROL_N
-    if y < 0:
-        raise DomainError(f"cdf requires y >= 0, got {y}")
-    if y == 0.0:
-        return EvalResult(0.0, 1, 0.0)
-    if len(spec) == 1:
-        (c,) = spec.components
-        return EvalResult(float(sp.gammainc(c.shape, y / c.scale)), 1, 0.0)
-
-    shapes = spec.shapes
-    scales = spec.scales
-    beta1 = scales[0]
-    gamma = spec.total_shape
-    qs = beta1 / scales[1:]
-    alphas = shapes[1:]
-    u = y / beta1
-
-    # Negative-binomial weight sequence per dimension (size a_j, success
-    # probability q_j); masses, so no scaling is needed.
-    seqs = []
-    for a, q in zip(alphas, qs):
+    beta1 = float(spec.scales[0])
+    weights = np.ones(1)
+    for a, q in zip(spec.shapes[1:], beta1 / spec.scales[1:]):
         mean = a * (1.0 - q) / q
         sd = math.sqrt(a * (1.0 - q)) / q
         kj = int(min(ctrl.max_terms, mean + 12.0 * sd + 60.0)) + 1
         while True:
-            k = np.arange(kj, dtype=float)
-            log_b = (
-                a * math.log(q)
-                + sp.gammaln(a + k)
-                - math.lgamma(a)
-                - sp.gammaln(k + 1.0)
-                + k * math.log1p(-q)
-            )
-            b = np.exp(log_b)
+            b = _nb_masses(a, q, kj)
             if 1.0 - b.sum() <= 0.1 * ctrl.rel_tol or kj >= ctrl.max_terms:
                 break
             kj = min(2 * kj, ctrl.max_terms)
-        seqs.append(b)
-
-    head = seqs[0]
-    for s in seqs[1:-1]:
-        head = np.convolve(head, s)
-    tail_seq = seqs[-1] if len(seqs) > 1 else np.ones(1)
-
-    n_head = head.shape[0]
-    n_tail = tail_seq.shape[0]
-    r_max = n_head + n_tail - 2
-
-    value = 0.0
-    mass = 0.0
-    terms_used = 0
-    tail_bound = float("inf")
-    for r in range(r_max + 1):
-        lo = max(0, r - n_tail + 1)
-        hi = min(r, n_head - 1)
-        w_r = float(head[lo : hi + 1] @ tail_seq[r - hi : r - lo + 1][::-1])
-        terms_used += hi - lo + 1
-        value += w_r * float(sp.gammainc(gamma + r, u))
-        mass += w_r
-        tail_bound = max(1.0 - mass, 0.0) * float(sp.gammainc(gamma + r + 1, u))
-        if tail_bound <= ctrl.rel_tol * max(value, 5e-324):
-            return EvalResult(min(value, 1.0), terms_used, tail_bound)
-        if r + 1 >= ctrl.max_terms:
-            break
+        weights = np.convolve(weights, b)
+    weights = weights[: ctrl.max_terms]
+    value, tail = mixture_cdf(weights, spec.total_shape, beta1, y)
+    if tail <= ctrl.rel_tol * max(value, 5e-324):
+        return EvalResult(value, weights.shape[0], tail)
     raise ConvergenceError(
-        f"cdf shell series not converged (remaining mass {1.0 - mass:.3e}, "
-        f"tail bound {tail_bound:.3e})",
-        terms_used=terms_used,
-        last_term=tail_bound,
+        f"cdf shell series not converged (remaining mass "
+        f"{1.0 - weights.sum():.3e}, tail bound {tail:.3e})",
+        terms_used=weights.shape[0],
+        last_term=tail,
     )

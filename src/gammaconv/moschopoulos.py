@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import ConvergenceError, DomainError
+from .methods import check_point, gamma_kernel_bound, mixture_cdf, mixture_density
 from .model import ConvolutionSpec, EvalResult, canonicalize
 from .specfun import DEFAULT_CONTROL, SeriesControl
 
@@ -126,30 +126,31 @@ def _weight_count_estimate(spec: ConvolutionSpec) -> int:
     return int(mean + 10.0 * math.sqrt(var) + 60.0)
 
 
-def gamma_kernel_bound(x: float, shape_min: float, beta: float) -> float:
-    """Upper bound on g(x; s, beta) over shapes s >= shape_min.
-
-    The kernel is unimodal in s for fixed x, peaking near s = x/beta + 1/2
-    (where digamma(s) = log(x/beta)); evaluating a bracket of candidate
-    shapes around the peak, clamped to shape_min, dominates every integer
-    shift the series can use.  A factor 2 protects against the peak
-    approximation.
-    """
-    s_star = x / beta + 0.5
-    candidates = [shape_min]
-    for s in (s_star - 1.0, s_star, s_star + 1.0, s_star + 2.0):
-        if s > shape_min:
-            candidates.append(s)
-    best = max(
-        (s - 1.0) * math.log(x) - x / beta - math.lgamma(s) - s * math.log(beta)
-        for s in candidates
-    )
-    return 2.0 * math.exp(best) if best > -700.0 else math.exp(best + math.log(2.0))
-
-
-def _log_weights(weights: WeightDistribution, upto: int) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return math.log(weights.c) + np.log(weights.deltas[: upto + 1])
+def _series(
+    spec: ConvolutionSpec,
+    x: float,
+    ctrl: SeriesControl,
+    weights: WeightDistribution | None,
+    quantity: str,
+) -> EvalResult:
+    """Evaluate the mixture, extending the weights until the tail is small."""
+    spec, done = check_point(spec, x, quantity)
+    if done is not None:
+        return done
+    mixture = mixture_cdf if quantity == "cdf" else mixture_density
+    w = weights if weights is not None else build_weights(spec, _weight_count_estimate(spec))
+    while True:
+        value, tail = mixture(w.c * w.deltas, w.rho, w.beta1, x)
+        if tail <= ctrl.rel_tol * max(value, 5e-324):
+            return EvalResult(value, w.upto + 1, tail)
+        if w.upto >= ctrl.max_terms:
+            raise ConvergenceError(
+                f"gamma series {quantity} not converged after {w.upto + 1} terms "
+                f"(tail bound {tail:.3e})",
+                terms_used=w.upto + 1,
+                last_term=tail,
+            )
+        w = extend_weights(w, spec, min(int(w.upto * 1.5) + 64, ctrl.max_terms))
 
 
 def density(
@@ -164,53 +165,7 @@ def density(
     kernel value falls below rel_tol relative to the partial sum.  Pass a
     prebuilt `weights` snapshot to amortize the recursion across calls.
     """
-    spec = canonicalize(spec)
-    if x < 0:
-        raise DomainError(f"density requires x >= 0, got {x}")
-    if x == 0.0:
-        rho = spec.total_shape
-        if rho > 1.0:
-            return EvalResult(0.0, 1, 0.0)
-        if rho == 1.0:
-            w = weights if weights is not None else build_weights(spec, 0)
-            return EvalResult(w.c / w.beta1, 1, 0.0)
-        raise DomainError(f"density diverges at x = 0 for total shape {rho} < 1")
-    if len(spec) == 1:
-        (c,) = spec.components
-        log_g = (
-            (c.shape - 1.0) * math.log(x)
-            - x / c.scale
-            - math.lgamma(c.shape)
-            - c.shape * math.log(c.scale)
-        )
-        return EvalResult(math.exp(log_g), 1, 0.0)
-
-    k_target = _weight_count_estimate(spec)
-    w = weights if weights is not None else build_weights(spec, k_target)
-    while True:
-        k_cap = w.upto
-        k = np.arange(k_cap + 1, dtype=float)
-        log_terms = (
-            _log_weights(w, k_cap)
-            + (w.rho + k - 1.0) * math.log(x)
-            - x / w.beta1
-            - sp.gammaln(w.rho + k)
-            - (w.rho + k) * math.log(w.beta1)
-        )
-        m = float(log_terms.max())
-        value = math.exp(m) * float(np.exp(log_terms - m).sum())
-        remaining = max(1.0 - w.c * float(w.deltas.sum()), 0.0)
-        tail = remaining * gamma_kernel_bound(x, w.rho + k_cap + 1.0, w.beta1)
-        if tail <= ctrl.rel_tol * max(value, 5e-324):
-            return EvalResult(value, k_cap + 1, tail)
-        if k_cap >= ctrl.max_terms:
-            raise ConvergenceError(
-                f"gamma series not converged after {k_cap + 1} terms "
-                f"(tail bound {tail:.3e})",
-                terms_used=k_cap + 1,
-                last_term=tail,
-            )
-        w = extend_weights(w, spec, min(int(k_cap * 1.5) + 64, ctrl.max_terms))
+    return _series(spec, x, ctrl, weights, "density")
 
 
 def cdf(
@@ -224,35 +179,7 @@ def cdf(
     tail_bound = (1 - C sum_{k<=K} delta_k) G(y/b1; rho + K + 1), valid
     since G decreases in the shape argument.
     """
-    spec = canonicalize(spec)
-    if y < 0:
-        raise DomainError(f"cdf requires y >= 0, got {y}")
-    if y == 0.0:
-        return EvalResult(0.0, 1, 0.0)
-    if len(spec) == 1:
-        (c,) = spec.components
-        return EvalResult(float(sp.gammainc(c.shape, y / c.scale)), 1, 0.0)
-
-    k_target = _weight_count_estimate(spec)
-    w = weights if weights is not None else build_weights(spec, k_target)
-    u = y / spec.scales[0]
-    while True:
-        k_cap = w.upto
-        k = np.arange(k_cap + 1, dtype=float)
-        masses = w.c * w.deltas
-        value = float(masses @ sp.gammainc(w.rho + k, u))
-        remaining = max(1.0 - float(masses.sum()), 0.0)
-        tail = remaining * float(sp.gammainc(w.rho + k_cap + 1.0, u))
-        if tail <= ctrl.rel_tol * max(value, 5e-324):
-            return EvalResult(min(value, 1.0), k_cap + 1, tail)
-        if k_cap >= ctrl.max_terms:
-            raise ConvergenceError(
-                f"gamma series CDF not converged after {k_cap + 1} terms "
-                f"(tail bound {tail:.3e})",
-                terms_used=k_cap + 1,
-                last_term=tail,
-            )
-        w = extend_weights(w, spec, min(int(k_cap * 1.5) + 64, ctrl.max_terms))
+    return _series(spec, y, ctrl, weights, "cdf")
 
 
 def weight_pmf(

@@ -8,6 +8,8 @@ Three evaluation routes for Pr(N(t) = n):
   (``pmf_raw_s2``), kept as an independent oracle and timing baseline;
 * the general mixture route over compositions of n (``pmf_general``),
   which reduces to ``pmf_s2`` for two components.
+
+``pmf`` selects one of them by the route name the CLI uses.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ from math import comb
 import numpy as np
 from scipy import special as sp
 
-from . import barnabani, mathai, moschopoulos
+from . import methods, moschopoulos
 from .errors import BudgetError, DomainError, FitFailureError
 from .model import (
     ConvolutionSpec,
-    EvalResult,
     GammaComponent,
     MixtureExpSpec,
     canonicalize,
@@ -37,6 +38,7 @@ __all__ = [
     "pmf_s2",
     "pmf_raw_s2",
     "pmf_general",
+    "pmf",
     "pmf_normalization",
     "COMPOSITION_BUDGET",
 ]
@@ -44,7 +46,8 @@ __all__ = [
 #: Default cap on the number of compositions pmf_general may enumerate.
 COMPOSITION_BUDGET = 1_000_000
 
-_CDF_METHODS = ("mathai", "moschopoulos", "approx")
+#: Route names of ``pmf``, as the CLI offers them.
+RENEWAL_METHODS = ("proposition", "raw-mathai", "raw-moschopoulos", "approx")
 
 _NEG_INF = float("-inf")
 
@@ -97,14 +100,6 @@ def h_diff(
         + f1.log_magnitude
     )
     return math.exp(log_h)
-
-
-def _psi_log(b_first: float, b_second: float, t: float, k: int, n: int,
-             ctrl: SeriesControl) -> float:
-    """log psi(b_first, b_second, t, k, n) from the direct pmf formula."""
-    z = t * (1.0 / b_first - 1.0 / b_second)
-    f1 = kummer_1f1(n - k, n + 1.0, z, ctrl)
-    return -t / b_first + f1.log_magnitude
 
 
 def _log_f1_family(n: int, z: float, ctrl: SeriesControl) -> "np.ndarray | list":
@@ -256,28 +251,13 @@ def _conv_cdf(
     spec = canonicalize(
         ConvolutionSpec(tuple(GammaComponent(float(a), b) for a, b in kept))
     )
-    if len(spec) == 1:
-        (c,) = spec.components
-        value = float(sp.gammainc(c.shape, y / c.scale))
-    elif method == "mathai":
-        value = (
-            mathai.cdf2(spec, y, ctrl or DEFAULT_CONTROL).value
-            if len(spec) == 2
-            else mathai.cdf_n(spec, y, ctrl).value
-        )
-    elif method == "moschopoulos":
+    chosen = methods.lookup(method, len(spec))
+    try:
+        value = chosen.cdf(spec, y, ctrl or chosen.control).value
+    except FitFailureError:
+        # Some compositions have weight cumulants no GNBD can match;
+        # fall back to the exact series for those terms only.
         value = moschopoulos.cdf(spec, y, ctrl or DEFAULT_CONTROL).value
-    elif method == "approx":
-        try:
-            value = barnabani.cdf_approx(
-                spec, y, ctrl or barnabani.CONTROL_APPROX
-            ).value
-        except FitFailureError:
-            # Some compositions have weight cumulants no GNBD can match;
-            # fall back to the exact series for those terms only.
-            value = moschopoulos.cdf(spec, y, ctrl or DEFAULT_CONTROL).value
-    else:
-        raise DomainError(f"unknown CDF method {method!r}; use one of {_CDF_METHODS}")
     if cache is not None:
         cache[kept] = value
     return value
@@ -384,6 +364,31 @@ def pmf_general(
     return min(total, 1.0)
 
 
+def pmf(
+    mix: MixtureExpSpec,
+    q: RenewalQuery,
+    method: str = "proposition",
+    ctrl: SeriesControl | None = None,
+) -> float:
+    """Pr(N(t) = n) by a named route.
+
+    "proposition" is pmf_s2 for S <= 2, else pmf_general over moschopoulos
+    CDFs; "raw-<m>" is pmf_raw_s2 for S <= 2, else pmf_general; "<m>" is
+    pmf_general.  <m> is one of ``methods.METHODS``.
+    """
+    mix = validate_mixture(mix)
+    if method == "proposition":
+        if mix.size <= 2:
+            return pmf_s2(mix, q, ctrl or DEFAULT_CONTROL)
+        return pmf_general(mix, q, "moschopoulos", ctrl)
+    cdf_method = method.removeprefix("raw-")
+    if cdf_method not in methods.METHODS:
+        raise DomainError(f"unknown renewal method {method!r}; use one of {RENEWAL_METHODS}")
+    if method.startswith("raw-") and mix.size <= 2:
+        return pmf_raw_s2(mix, q, cdf_method, ctrl)
+    return pmf_general(mix, q, cdf_method, ctrl)
+
+
 def pmf_normalization(
     mix: MixtureExpSpec,
     t: float,
@@ -395,20 +400,15 @@ def pmf_normalization(
     """Sum Pr(N(t) = n) over n until the running tail estimate drops.
 
     Returns (accumulated probability, largest n evaluated).  Stops once
-    the pmf has passed its mode and fallen below tail_tol.
+    the pmf has passed its mode and fallen below tail_tol.  `method` is a
+    route name of ``pmf``.
     """
     mix = validate_mixture(mix)
     total = 0.0
     peak = 0.0
     n = 0
     while n <= n_cap:
-        if method == "proposition":
-            if mix.size <= 2:
-                p_n = pmf_s2(mix, RenewalQuery(t, n), ctrl or DEFAULT_CONTROL)
-            else:
-                p_n = pmf_general(mix, RenewalQuery(t, n), "moschopoulos", ctrl)
-        else:
-            p_n = pmf_general(mix, RenewalQuery(t, n), method, ctrl)
+        p_n = pmf(mix, RenewalQuery(t, n), method, ctrl)
         total += p_n
         peak = max(peak, p_n)
         if p_n < tail_tol and peak > 0.0 and p_n < peak:
@@ -419,8 +419,3 @@ def pmf_normalization(
                 return total, n
         n += 1
     return total, n_cap
-
-
-def eval_result(value: float, terms: int = 0) -> EvalResult:
-    """Wrap a bare probability in the shared result record."""
-    return EvalResult(value, terms, None)

@@ -14,8 +14,9 @@ from gammaconv.cli import (
     EXIT_USAGE,
     main,
 )
-from gammaconv.mathai import density2
+from gammaconv import barnabani, mathai
 from gammaconv.model import ConvolutionSpec
+from gammaconv.specfun import SeriesControl
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +116,39 @@ class TestEval:
         )
         assert code == EXIT_FIT_FAILURE
         assert "fit" in err
+
+
+    @pytest.mark.parametrize(
+        "method,shapes,flag,value,want",
+        [
+            # --tol alone keeps the approximation's own max_terms.
+            ("approx", "2,2,2", "--tol", "1e-10",
+             SeriesControl(rel_tol=1e-10, max_terms=200_000)),
+            # --max-terms alone keeps the n >= 3 series' own rel_tol.
+            ("mathai", "2,2,2", "--max-terms", "5000",
+             SeriesControl(rel_tol=1e-13, max_terms=5000)),
+        ],
+    )
+    def test_control_flags_override_one_field(
+        self, capsys, monkeypatch, method, shapes, flag, value, want
+    ):
+        seen = []
+        name = "density_approx" if method == "approx" else "density_n"
+        module = barnabani if method == "approx" else mathai
+        real = getattr(module, name)
+
+        def spy(spec, x, ctrl):
+            seen.append(ctrl)
+            return real(spec, x, ctrl)
+
+        monkeypatch.setattr(module, name, spy)
+        code, _, _ = run_cli(
+            capsys,
+            "eval", "density", "--shape", shapes, "--scale", "2,3,5",
+            "--at", "10", "--method", method, flag, value,
+        )
+        assert code == EXIT_OK
+        assert seen == [want]
 
 
 class TestRenewal:
