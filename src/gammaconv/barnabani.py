@@ -227,6 +227,8 @@ def _fit_for_spec(spec: ConvolutionSpec) -> GnbdParams:
 
 
 def _approx_weights(params: GnbdParams, ctrl: SeriesControl) -> np.ndarray:
+    """GNBD masses from 0 to the mean + 14 sd, doubled until their mass is
+    within rel_tol/10 of one or the count reaches ctrl.max_terms."""
     denom = 1.0 - params.theta * params.beta_g
     mean_est = params.m * params.theta / denom
     sd_est = math.sqrt(max(params.m * params.theta, 1e-12)) / denom**1.5
@@ -238,27 +240,47 @@ def _approx_weights(params: GnbdParams, ctrl: SeriesControl) -> np.ndarray:
         k_max = min(2 * k_max, ctrl.max_terms)
 
 
+def approx_masses(spec: ConvolutionSpec, ctrl: SeriesControl) -> np.ndarray:
+    """The fitted GNBD masses of a canonical spec of two or more components."""
+    return _approx_weights(_fit_for_spec(spec), ctrl)
+
+
 def _approx_eval(
-    spec: ConvolutionSpec, point: float, ctrl: SeriesControl, quantity: str
+    spec: ConvolutionSpec,
+    point: float,
+    ctrl: SeriesControl,
+    quantity: str,
+    masses: np.ndarray | None,
 ) -> EvalResult:
+    """The GNBD mixture at `point`, returned whatever its tail bound: the
+    approximation's own error dominates any truncation."""
     spec, done = check_point(spec, point, quantity)
     if done is not None:
         return done
-    w = _approx_weights(_fit_for_spec(spec), ctrl)
+    w = masses if masses is not None else approx_masses(spec, ctrl)
     mixture = mixture_cdf if quantity == "cdf" else mixture_density
     value, tail = mixture(w, spec.total_shape, float(spec.scales[0]), point)
     return EvalResult(value, w.shape[0], tail)
 
 
 def density_approx(
-    spec: ConvolutionSpec, x: float, ctrl: SeriesControl = CONTROL_APPROX
+    spec: ConvolutionSpec,
+    x: float,
+    ctrl: SeriesControl = CONTROL_APPROX,
+    masses: np.ndarray | None = None,
 ) -> EvalResult:
-    """Approximate density sum_k gnbd_pmf(k) g(x; rho + k, b1)."""
-    return _approx_eval(spec, x, ctrl, "density")
+    """Approximate density sum_k gnbd_pmf(k) g(x; rho + k, b1).
+
+    Pass prebuilt `masses` (`approx_masses`) to share one fit and one GNBD
+    table across calls."""
+    return _approx_eval(spec, x, ctrl, "density", masses)
 
 
 def cdf_approx(
-    spec: ConvolutionSpec, y: float, ctrl: SeriesControl = CONTROL_APPROX
+    spec: ConvolutionSpec,
+    y: float,
+    ctrl: SeriesControl = CONTROL_APPROX,
+    masses: np.ndarray | None = None,
 ) -> EvalResult:
     """Approximate CDF sum_k gnbd_pmf(k) G(y; rho + k, b1)."""
-    return _approx_eval(spec, y, ctrl, "cdf")
+    return _approx_eval(spec, y, ctrl, "cdf", masses)

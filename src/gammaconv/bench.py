@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import barnabani, methods, moschopoulos, renewal
+from . import methods, renewal
 from .model import ConvolutionSpec, MixtureExpSpec, canonicalize
 from .oracle import sample_convolution
 
@@ -134,7 +134,8 @@ def _run_coga(settings, n: int, replicates: int, n_samples: int, seed: int):
         for i, b in enumerate(scales, start=1):
             row[f"beta{i}"] = b
         for name in _COGA_METHODS[n]:
-            _, dens, dist, _ = methods.lookup(name, n)
+            chosen = methods.lookup(name, n)
+            dens, dist = chosen.density, chosen.cdf
             d_fn = lambda x, f=dens, s=spec: f(s, x)
             c_fn = lambda y, f=dist, s=spec: f(s, y)
             row[f"density_{name}_ns"] = median_time_ns(
@@ -216,22 +217,18 @@ def figure_error_rows(setup: int, seed: int | None = None) -> list[dict]:
     if setup not in FIGURE_SETUPS:
         raise ValueError(f"unknown setup {setup!r}; available: {sorted(FIGURE_SETUPS)}")
     alphas, scales = FIGURE_SETUPS[setup]
-    # _weight_count_estimate assumes the minimum scale comes first
     spec = canonicalize(ConvolutionSpec.of(*zip(alphas, scales)))
     grid = bulk_grid(spec, seed=seed)
-    weights = moschopoulos.build_weights(
-        spec, moschopoulos._weight_count_estimate(spec)
-    )
+    columns = [
+        [r.value for r in methods.evaluate(method, quantity, spec, grid)]
+        for method in ("moschopoulos", "approx")
+        for quantity in ("density", "cdf")
+    ]
     rows = []
-    for x in grid:
-        x = float(x)
-        ed = moschopoulos.density(spec, x, weights=weights).value
-        ec = moschopoulos.cdf(spec, x, weights=weights).value
-        ad = barnabani.density_approx(spec, x).value
-        ac = barnabani.cdf_approx(spec, x).value
+    for x, ed, ec, ad, ac in zip(grid, *columns):
         rows.append(
             {
-                "x": x,
+                "x": float(x),
                 "exact_density": ed,
                 "approx_density": ad,
                 "density_diff": ad - ed,
@@ -241,4 +238,3 @@ def figure_error_rows(setup: int, seed: int | None = None) -> list[dict]:
             }
         )
     return rows
-

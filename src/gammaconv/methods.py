@@ -3,18 +3,20 @@
 The series methods all evaluate a gamma-kernel mixture
 sum_k w_k g(x; rho + k, b1), b1 the minimum scale, and differ only in how
 they build the masses w_k.  Here are the entry check every method runs
-first, the gamma kernel, the mixture evaluator, and the method registry.
+first, the gamma kernel, the mixture evaluator, the one convergence loop
+over a weight table, the method registry, and `evaluate`, which answers
+many points of one spec from one weight table.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .model import ConvolutionSpec, EvalResult, canonicalize
 from .specfun import DEFAULT_CONTROL, SeriesControl
 
@@ -26,7 +28,10 @@ __all__ = [
     "gamma_kernel_bound",
     "mixture_density",
     "mixture_cdf",
+    "WeightTable",
+    "converge",
     "lookup",
+    "evaluate",
 ]
 
 #: Method names ``lookup`` accepts besides "auto".
@@ -74,6 +79,16 @@ def log_gamma_pdf(x: float, shape: float, scale: float) -> float:
     )
 
 
+def _log_kernel_peak(x: float, shape_min: float, beta: float) -> float:
+    """log of half of `gamma_kernel_bound`, finite where that underflows."""
+    s_star = x / beta + 0.5
+    candidates = [shape_min]
+    for s in (s_star - 1.0, s_star, s_star + 1.0, s_star + 2.0):
+        if s > shape_min:
+            candidates.append(s)
+    return max(log_gamma_pdf(x, s, beta) for s in candidates)
+
+
 def gamma_kernel_bound(x: float, shape_min: float, beta: float) -> float:
     """Upper bound on g(x; s, beta) over shapes s >= shape_min.
 
@@ -83,24 +98,22 @@ def gamma_kernel_bound(x: float, shape_min: float, beta: float) -> float:
     shift the series can use.  A factor 2 protects against the peak
     approximation.
     """
-    s_star = x / beta + 0.5
-    candidates = [shape_min]
-    for s in (s_star - 1.0, s_star, s_star + 1.0, s_star + 2.0):
-        if s > shape_min:
-            candidates.append(s)
-    best = max(log_gamma_pdf(x, s, beta) for s in candidates)
+    best = _log_kernel_peak(x, shape_min, beta)
     return 2.0 * math.exp(best) if best > -700.0 else math.exp(best + math.log(2.0))
 
 
 def mixture_density(
-    masses: np.ndarray, rho: float, beta1: float, x: float
+    masses: np.ndarray, rho: float, beta1: float, x: float, log_rest: float | None = None
 ) -> tuple[float, float]:
     """sum_k masses[k] g(x; rho + k, b1) at x > 0, and its tail bound.
 
     The sum is taken in log space, so kernels and masses far outside the
-    double range still combine.  The bound is the mass the table leaves
-    out, 1 - sum(masses), times the largest kernel value a later term
-    could take.
+    double range still combine.  The bound is exp(log_rest), a bound on
+    the mass the table leaves out, times the largest kernel value a later
+    term could take.  log_rest defaults to log(1 - sum(masses)), which
+    is zero mass below about 1e-16: past the kernel peak, where each
+    left-out term can carry a larger kernel than any in the table, an
+    exact weight law must pass a bound that does not round away.
     """
     k = np.arange(masses.shape[0], dtype=float)
     with np.errstate(divide="ignore"):
@@ -113,8 +126,11 @@ def mixture_density(
         )
     m = float(log_terms.max())
     value = math.exp(m) * float(np.exp(log_terms - m).sum()) if m > -math.inf else 0.0
-    remaining = max(1.0 - float(masses.sum()), 0.0)
-    return value, remaining * gamma_kernel_bound(x, rho + masses.shape[0], beta1)
+    if log_rest is None:
+        rest = 1.0 - float(masses.sum())
+        log_rest = math.log(rest) if rest > 0.0 else -math.inf
+    log_tail = log_rest + math.log(2.0) + _log_kernel_peak(x, rho + masses.shape[0], beta1)
+    return value, math.exp(log_tail) if log_tail < 709.0 else math.inf
 
 
 def mixture_cdf(
@@ -124,7 +140,9 @@ def mixture_cdf(
 
     G is the regularized lower incomplete gamma function.  It decreases in
     the shape, so the left-out mass times G(y/b1; rho + K + 1) bounds the
-    terms past the table's last index K.
+    terms past the table's last index K.  The left-out mass is taken as
+    1 - sum(masses): G <= 1, so where that rounds to zero the terms it
+    misses are below the double spacing at the value.
     """
     u = y / beta1
     value = float(masses @ sp.gammainc(rho + np.arange(masses.shape[0], dtype=float), u))
@@ -132,13 +150,70 @@ def mixture_cdf(
     return min(value, 1.0), remaining * float(sp.gammainc(rho + masses.shape[0], u))
 
 
+class WeightTable(NamedTuple):
+    """One stage of a route's weight law: masses[k] of g(.; rho + k, b1).
+
+    source: what the route grows the next stage from.
+    """
+
+    masses: np.ndarray
+    rho: float
+    beta1: float
+    source: object = None
+
+
+def converge(
+    quantity: str,
+    spec: ConvolutionSpec,
+    x: float,
+    ctrl: SeriesControl,
+    table: WeightTable,
+    grow: Callable[[ConvolutionSpec, SeriesControl, WeightTable], WeightTable | None]
+    | None = None,
+    log_rest: Callable[[ConvolutionSpec, np.ndarray], float] | None = None,
+) -> EvalResult:
+    """The mixture `quantity` ("density" or "cdf") at x > 0 from `table`.
+
+    While the tail bound exceeds rel_tol times the value, the table is
+    replaced by grow(spec, ctrl, table), the route's next, longer stage.
+    terms_used is the size of the stage that converged.  When grow is
+    None or returns None (the route can grow no further) the point raises
+    ConvergenceError.  log_rest(spec, masses) gives the density's tail
+    bound the log of a bound on the mass the table leaves out (see
+    `mixture_density`).
+    """
+    while True:
+        masses, rho, beta1 = table.masses, table.rho, table.beta1
+        if quantity == "cdf":
+            value, tail = mixture_cdf(masses, rho, beta1, x)
+        else:
+            rest = log_rest(spec, masses) if log_rest is not None else None
+            value, tail = mixture_density(masses, rho, beta1, x, rest)
+        if tail <= ctrl.rel_tol * max(value, 5e-324):
+            return EvalResult(value, masses.shape[0], tail)
+        table = grow(spec, ctrl, table) if grow is not None else None
+        if table is None:
+            raise ConvergenceError(
+                f"{quantity} series not converged after {masses.shape[0]} terms "
+                f"(remaining weight mass {1.0 - float(masses.sum()):.3e}, "
+                f"tail bound {tail:.3e})",
+                terms_used=masses.shape[0],
+                last_term=tail,
+            )
+
+
 class Method(NamedTuple):
-    """A method's name, density and CDF functions, and default control."""
+    """A method's name, per-point density and CDF, default control, and
+    for each quantity whose weight law does not depend on the point, the
+    builder of the table its per-point function takes as a fourth
+    argument: density_table / cdf_table(spec, ctrl)."""
 
     name: str
     density: Callable[..., EvalResult]
     cdf: Callable[..., EvalResult]
     control: SeriesControl
+    density_table: Callable[[ConvolutionSpec, SeriesControl], object] | None = None
+    cdf_table: Callable[[ConvolutionSpec, SeriesControl], object] | None = None
 
 
 def lookup(method: str, n: int) -> Method:
@@ -154,13 +229,55 @@ def lookup(method: str, n: int) -> Method:
     if method == "auto":
         method = "mathai" if n <= 2 else "moschopoulos"
     if method == "mathai" and n <= 2:
-        return Method(method, mathai.density2, mathai.cdf2, DEFAULT_CONTROL)
-    if method == "mathai":
-        return Method(method, mathai.density_n, mathai.cdf_n, mathai.CONTROL_N)
-    if method == "moschopoulos":
-        return Method(method, moschopoulos.density, moschopoulos.cdf, DEFAULT_CONTROL)
-    if method == "approx":
         return Method(
-            method, barnabani.density_approx, barnabani.cdf_approx, barnabani.CONTROL_APPROX
+            method, mathai.density2, mathai.cdf2, DEFAULT_CONTROL,
+            cdf_table=mathai.cdf2_table,
+        )
+    if method == "mathai":
+        return Method(
+            method, mathai.density_n, mathai.cdf_n, mathai.CONTROL_N,
+            cdf_table=mathai.cdf_n_table,
+        )
+    if method == "moschopoulos":
+        table = moschopoulos.first_weights
+        return Method(
+            method, moschopoulos.density, moschopoulos.cdf, DEFAULT_CONTROL, table, table
+        )
+    if method == "approx":
+        table = barnabani.approx_masses
+        return Method(
+            method, barnabani.density_approx, barnabani.cdf_approx,
+            barnabani.CONTROL_APPROX, table, table,
         )
     raise DomainError(f"unknown method {method!r}; use one of {METHODS}")
+
+
+def evaluate(
+    method: str,
+    quantity: str,
+    spec: ConvolutionSpec,
+    points: Sequence[float],
+    ctrl: SeriesControl | None = None,
+) -> list[EvalResult]:
+    """`quantity` ("density" or "cdf") of `spec` at every point, in order.
+
+    Every point passes the entry check first, so a bad point raises
+    before any work.  Where the weight law does not depend on the point
+    (the moschopoulos series, the approximation, the mathai CDFs) its
+    table is built once and handed to the per-point function at each
+    point, which grows a copy only where that point needs more terms; so
+    each result equals the per-point call on that point alone.  The
+    mathai densities sum a series in x and run per point.  `ctrl`
+    defaults to the method's own control.
+    """
+    spec = canonicalize(spec)
+    chosen = lookup(method, len(spec))
+    ctrl = chosen.control if ctrl is None else ctrl
+    xs = [float(x) for x in points]
+    open_points = [check_point(spec, x, quantity)[1] is None for x in xs]
+    fn = getattr(chosen, quantity)
+    build = getattr(chosen, f"{quantity}_table")
+    if build is None or not any(open_points):
+        return [fn(spec, x, ctrl) for x in xs]
+    table = build(spec, ctrl)
+    return [fn(spec, x, ctrl, table) for x in xs]

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
-from .methods import check_point, gamma_kernel_bound, mixture_cdf, mixture_density
+from .errors import DomainError
+from .methods import WeightTable, check_point, converge, gamma_kernel_bound
 from .model import ConvolutionSpec, EvalResult, canonicalize
 from .specfun import DEFAULT_CONTROL, SeriesControl
 
@@ -120,10 +120,71 @@ def extend_weights(
 
 def _weight_count_estimate(spec: ConvolutionSpec) -> int:
     """Initial truncation point from the negative-binomial weight cumulants."""
-    qs = spec.scales[0] / spec.scales
-    mean = float(np.sum(spec.shapes * (1.0 - qs) / qs))
-    var = float(np.sum(spec.shapes * (1.0 - qs) / qs**2))
+    b1 = spec.components[0].scale
+    mean = var = 0.0
+    for c in spec.components:
+        q = b1 / c.scale
+        mean += c.shape * (1.0 - q) / q
+        var += c.shape * (1.0 - q) / q**2
     return int(mean + 10.0 * math.sqrt(var) + 60.0)
+
+
+_LOG_1E_8 = math.log(1e-8)
+
+
+def _log_mass_past(spec: ConvolutionSpec, masses: np.ndarray) -> float:
+    """log of a bound on the weight mass past the table `masses`.
+
+    The weights are the law of a sum of negative binomials NB(a_i, q_i),
+    q_i = b1/b_i, whose generating function
+    P(t) = prod_i (q_i / (1 - (1 - q_i) t))^a_i is finite for t < 1/r,
+    r = max_i (1 - q_i).  Each mass w_k is at most P(t) t^-k, so those past
+    index K sum to at most P(t) t^-(K+1) / (1 - 1/t) for every
+    1 < t < 1/r; t is the minimizer for one NB of size sum a_i and ratio
+    r.  That bound does not round to zero below 1e-16, as 1 - sum(masses)
+    does.  Where 1 - sum(masses) exceeds 1e-8 it is exact to far better
+    than 1 % (its rounding error is near K * 1e-16), and 1.01 times it is
+    the tighter bound.
+    """
+    b1 = spec.components[0].scale
+    others = spec.components[1:]
+    k = float(masses.shape[0])
+    r = max(1.0 - b1 / c.scale for c in others)
+    t = k / ((k + sum(c.shape for c in others)) * r)
+    log_bound = 0.0
+    if t > 1.0:
+        log_p = sum(
+            c.shape * (math.log(b1 / c.scale) - math.log1p((b1 / c.scale - 1.0) * t))
+            for c in others
+        )
+        log_bound = min(0.0, log_p - k * math.log(t) - math.log1p(-1.0 / t))
+    if log_bound > _LOG_1E_8:
+        rest = 1.0 - float(masses.sum())
+        if rest > 1e-8:
+            return min(log_bound, math.log(1.01 * rest))
+    return log_bound
+
+
+def first_weights(spec: ConvolutionSpec, ctrl: SeriesControl) -> WeightDistribution:
+    """The weights `density` and `cdf` start from: delta_0..delta_K with K
+    from the weight cumulants.  (`ctrl` is unused; it keeps the signature
+    of the other routes' table builders.)"""
+    return build_weights(spec, _weight_count_estimate(spec))
+
+
+def _table(w: WeightDistribution) -> WeightTable:
+    return WeightTable(w.c * w.deltas, w.rho, w.beta1, w)
+
+
+def _grow(
+    spec: ConvolutionSpec, ctrl: SeriesControl, table: WeightTable
+) -> WeightTable | None:
+    """The next stage: half the table's size plus 64 more weights, up to
+    ctrl.max_terms."""
+    w = table.source
+    if w.upto >= ctrl.max_terms:
+        return None
+    return _table(extend_weights(w, spec, min(int(w.upto * 1.5) + 64, ctrl.max_terms)))
 
 
 def _series(
@@ -137,20 +198,8 @@ def _series(
     spec, done = check_point(spec, x, quantity)
     if done is not None:
         return done
-    mixture = mixture_cdf if quantity == "cdf" else mixture_density
-    w = weights if weights is not None else build_weights(spec, _weight_count_estimate(spec))
-    while True:
-        value, tail = mixture(w.c * w.deltas, w.rho, w.beta1, x)
-        if tail <= ctrl.rel_tol * max(value, 5e-324):
-            return EvalResult(value, w.upto + 1, tail)
-        if w.upto >= ctrl.max_terms:
-            raise ConvergenceError(
-                f"gamma series {quantity} not converged after {w.upto + 1} terms "
-                f"(tail bound {tail:.3e})",
-                terms_used=w.upto + 1,
-                last_term=tail,
-            )
-        w = extend_weights(w, spec, min(int(w.upto * 1.5) + 64, ctrl.max_terms))
+    w = weights if weights is not None else first_weights(spec, ctrl)
+    return converge(quantity, spec, x, ctrl, _table(w), _grow, _log_mass_past)
 
 
 def density(
@@ -161,9 +210,10 @@ def density(
 ) -> EvalResult:
     """Density f(x) = C sum_k delta_k g(x; rho + k, b1).
 
-    Stops once the remaining weight mass times the maximum achievable
-    kernel value falls below rel_tol relative to the partial sum.  Pass a
-    prebuilt `weights` snapshot to amortize the recursion across calls.
+    Stops once a bound on the remaining weight mass times the maximum
+    achievable kernel value falls below rel_tol relative to the partial
+    sum.  Pass a prebuilt `weights` snapshot to amortize the recursion
+    across calls (`methods.evaluate` does, once per request).
     """
     return _series(spec, x, ctrl, weights, "density")
 

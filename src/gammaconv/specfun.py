@@ -126,6 +126,80 @@ def pochhammer_log(x: float, m: int) -> ScaledValue:
     return ScaledValue(log_mag, 1)
 
 
+def _stirling_rest(x: float) -> float:
+    """lgamma(x) - ((x - 1/2) log x - x + log(2 pi)/2), to 2e-15 for x >= 20."""
+    y = 1.0 / (x * x)
+    return (1.0 / 12.0 - y * (1.0 / 360.0 - y * (1.0 / 1260.0 - y / 1680.0))) / x
+
+
+def _kummer_log_term_direct(a: float, b: float, z: float, k: float) -> float:
+    """log of the term (a)_k z^k / ((b)_k k!) of the Kummer series, from
+    lgamma values near k log k; their differences lose about k log k
+    times 1e-16."""
+    return (
+        math.lgamma(a + k)
+        - math.lgamma(a)
+        + k * math.log(z)
+        - math.lgamma(b + k)
+        + math.lgamma(b)
+        - math.lgamma(k + 1.0)
+    )
+
+
+def _kummer_log_term(a: float, b: float, z: float, k: int) -> float:
+    """`_kummer_log_term_direct` to about 1e-15 absolute for k >= 20
+    (so a+k, b+k > 20 too), where the Stirling series gives each lgamma
+    difference from small, well-conditioned parts."""
+    if k < 20:
+        return _kummer_log_term_direct(a, b, z, k)
+    x, y = a + k, b + k
+    # lgamma(x) - lgamma(y) = (x - 1/2) log(x/y) + (x - y)(log y - 1) + ...
+    log_ratio = (
+        (x - 0.5) * math.log1p((a - b) / y)
+        + (a - b) * (math.log(y) - 1.0)
+        + _stirling_rest(x)
+        - _stirling_rest(y)
+    )
+    # k log z - lgamma(k + 1) = k (1 - log(k/z)) - log(2 pi k)/2 - ...
+    log_power = (
+        k * (1.0 - math.log(k / z)) - 0.5 * math.log(2.0 * math.pi * k) - _stirling_rest(k)
+    )
+    return log_ratio - math.lgamma(a) + math.lgamma(b) + log_power
+
+
+def _kummer_head(
+    a: float, b: float, z: float, c: float, log_tol: float
+) -> tuple[int, float, float] | None:
+    """Where the summation of a z > 0 Kummer series may start, the width
+    of its term peak and the log of the term there; None when no head can
+    be skipped.
+
+    The term ratio (a+k) z / ((b+k)(k+1)) falls through 1 at the positive
+    root k* of (a+k) z = (b+k)(k+1), where the terms peak; near it log t_k
+    is a parabola of width 1/sqrt(d/dk log ratio).  The start lies c
+    widths below k*.  The terms before it rise to the peak, after at most
+    one dip, so each is at most max(t_0, t_start): the start is taken only
+    if k_start times that is under rel_tol times the peak term.
+    """
+    p = b + 1.0 - z
+    disc = p * p - 4.0 * (b - a * z)
+    if disc < 0.0:
+        return None
+    peak = 0.5 * (math.sqrt(disc) - p)
+    curvature = 1.0 / (peak + 1.0) + 1.0 / (b + peak) - 1.0 / (a + peak)
+    if not (peak > 0.0 and curvature > 0.0):
+        return None
+    width = 1.0 / math.sqrt(curvature)
+    k_start = int(peak - c * width)
+    if k_start <= 0:
+        return None
+    log_t = _kummer_log_term(a, b, z, k_start)
+    log_peak = _kummer_log_term_direct(a, b, z, int(peak))
+    if math.log(k_start) + max(0.0, log_t) > log_peak + log_tol:
+        return None
+    return k_start, width, log_t
+
+
 def _kummer_series_pos(a: float, b: float, z: float, ctrl: SeriesControl):
     """Sum sum_k (a)_k z^k / ((b)_k k!) for z > 0, a > 0.
 
@@ -136,26 +210,17 @@ def _kummer_series_pos(a: float, b: float, z: float, ctrl: SeriesControl):
     """
     log_tol = math.log(ctrl.rel_tol)
     sqrt_z = math.sqrt(z)
-    # Terms peak near k ~ z and fall off like exp(-c^2/2) at k = z +/- c
-    # sqrt(z).  For large z, anchor the recurrence just below the peak
-    # window: the skipped head contributes at most ~z exp(-c^2/2) of the
-    # peak term, kept under rel_tol by the choice of c.  This makes the
-    # cost O(sqrt(z)) instead of O(z).
     c = math.sqrt(2.0 * (-log_tol + math.log1p(z) + 5.0))
-    k_start = int(z - c * sqrt_z)
-    if z > 256.0 and k_start > 0:
-        log_t = (
-            math.lgamma(a + k_start)
-            - math.lgamma(a)
-            + k_start * math.log(z)
-            - math.lgamma(b + k_start)
-            + math.lgamma(b)
-            - math.lgamma(k_start + 1.0)
-        )
+    head = _kummer_head(a, b, z, c, log_tol) if z > 256.0 else None
+    if head is not None:
+        # Start the recurrence c widths below the term peak; the skipped
+        # head is under rel_tol of the peak term (see _kummer_head).  This
+        # makes the cost O(width) instead of O(z).
+        k_start, width, log_t = head
         log_sum = log_t
         k0 = k_start
         terms = k_start + 1
-        first = max(int(min(ctrl.max_terms, 2.2 * c * sqrt_z + 64.0)), 4)
+        first = max(int(min(ctrl.max_terms, 2.2 * c * width + 64.0)), 4)
     else:
         log_sum = 0.0  # log of partial sum; starts at t_0 = 1
         log_t = 0.0  # log of the most recent term
@@ -176,12 +241,12 @@ def _kummer_series_pos(a: float, b: float, z: float, ctrl: SeriesControl):
         terms += block
         threshold = log_sum + log_tol
         if log_terms[-1] < threshold and log_terms[-2] < threshold:
-            # Trim the reported term count to the first index at which two
-            # consecutive terms fell under tolerance.
-            below = log_terms < threshold
-            idx = np.flatnonzero(below[1:] & below[:-1])
-            if idx.size:
-                terms = k0 + int(idx[0]) + 3  # +1 for t_0, +2 for the pair
+            # Trim the reported term count to the first two terms under
+            # tolerance after the last one above it (terms before the
+            # peak can be as small).
+            above = np.flatnonzero(log_terms >= threshold)
+            last = int(above[-1]) if above.size else -1
+            terms = k0 + last + 4  # +1 for t_0, +1 past `last`, +2 for the pair
             return log_sum, terms
         if terms >= ctrl.max_terms:
             raise ConvergenceError(

@@ -14,7 +14,7 @@ from gammaconv.cli import (
     EXIT_USAGE,
     main,
 )
-from gammaconv import barnabani, mathai
+from gammaconv import methods
 from gammaconv.model import ConvolutionSpec
 from gammaconv.specfun import SeriesControl
 
@@ -133,15 +133,13 @@ class TestEval:
         self, capsys, monkeypatch, method, shapes, flag, value, want
     ):
         seen = []
-        name = "density_approx" if method == "approx" else "density_n"
-        module = barnabani if method == "approx" else mathai
-        real = getattr(module, name)
+        real = methods.evaluate
 
-        def spy(spec, x, ctrl):
+        def spy(method, quantity, spec, points, ctrl):
             seen.append(ctrl)
-            return real(spec, x, ctrl)
+            return real(method, quantity, spec, points, ctrl)
 
-        monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(methods, "evaluate", spy)
         code, _, _ = run_cli(
             capsys,
             "eval", "density", "--shape", shapes, "--scale", "2,3,5",

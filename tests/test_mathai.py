@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -165,6 +166,19 @@ class TestBoundaryAndDomain:
             density2(spec, 1.0)
         with pytest.raises(DomainError):
             cdf2(spec, 1.0)
+
+
+class TestLargeKummerArgument:
+    def test_density2_far_from_equal_shapes(self):
+        # z = (1 - 1/1.5) 1250 = 416.67 > 256 with b = 2a: the Kummer terms
+        # peak near k = 249, not near z.
+        mp.mp.dps = 40
+        a, b1, b2, x = 500, 1, mp.mpf("1.5"), 1250
+        gamma_pdf = x ** (2 * a - 1) * mp.exp(-x / b1) / (mp.gamma(2 * a) * b1 ** (2 * a))
+        want = (b1 / b2) ** a * gamma_pdf * mp.hyp1f1(a, 2 * a, (1 / b1 - 1 / b2) * x)
+        assert abs(float(want) - 0.009896) < 1e-6
+        spec = ConvolutionSpec.of((500.0, 1.0), (500.0, 1.5))
+        assert rel_err(density2(spec, 1250.0).value, float(want)) < 1e-10
 
 
 class TestCdfShape:

@@ -12,9 +12,10 @@ import pytest
 from scipy import stats
 
 import gammaconv
-from gammaconv import cli, mathai, methods
-from gammaconv.errors import DomainError
+from gammaconv import bench, cli, mathai, methods, moschopoulos
+from gammaconv.errors import ConvergenceError, DomainError
 from gammaconv.model import ConvolutionSpec, EvalResult
+from gammaconv.specfun import DEFAULT_CONTROL, SeriesControl
 
 from conftest import rel_err
 
@@ -128,6 +129,88 @@ class TestRegistry:
         assert code == cli.EXIT_OK
         assert calls == [1.0, 2.0]
         assert [row["value"] for row in json.loads(capsys.readouterr().out)] == [0.25, 0.25]
+
+
+def paper_points(spec, count=12):
+    """`count` points across mean +- 3 sd, kept positive."""
+    mean = float(spec.shapes @ spec.scales)
+    sd = math.sqrt(float(spec.shapes @ spec.scales**2))
+    lo = max(mean - 3.0 * sd, 0.05 * mean)
+    return [float(x) for x in np.linspace(lo, mean + 3.0 * sd, count)]
+
+
+def cli_rows(capsys, method, quantity, spec, points):
+    code = cli.main(["eval", quantity,
+                     "--shape", ",".join(repr(float(a)) for a in spec.shapes),
+                     "--scale", ",".join(repr(float(b)) for b in spec.scales),
+                     "--method", method, "--format", "json",
+                     "--at", ",".join(repr(x) for x in points)])
+    assert code == cli.EXIT_OK
+    return json.loads(capsys.readouterr().out)
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("quantity", ["density", "cdf"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cli_rows_equal_per_point_calls(self, capsys, n, quantity):
+        settings = bench.TABLE1_SETTINGS if n == 2 else bench.TABLE2_SETTINGS
+        for alpha, scales in settings:
+            spec = bench.spec_for(alpha, scales)
+            points = paper_points(spec)
+            # the paper compares the approximation on n = 3 only
+            for method in ("moschopoulos", "mathai") + (("approx",) if n == 3 else ()):
+                fn = route_fn(method, n, quantity)
+                rows = cli_rows(capsys, method, quantity, spec, points)
+                for x, row in zip(points, rows):
+                    want = fn(spec, x)
+                    assert (row["value"], row["terms_used"]) == (want.value, want.terms_used)
+
+    def test_one_weight_build_per_request(self, capsys, monkeypatch):
+        builds = []
+        real = moschopoulos.build_weights
+
+        def counted(spec, upto):
+            builds.append(upto)
+            return real(spec, upto)
+
+        monkeypatch.setattr(moschopoulos, "build_weights", counted)
+        spec = bench.spec_for(2.0, (4.0, 3.0, 0.2))
+        for quantity in ("density", "cdf"):
+            rows = cli_rows(capsys, "moschopoulos", quantity, spec, paper_points(spec, 40))
+            assert len(rows) == 40
+        assert len(builds) == 2
+
+    @pytest.mark.parametrize("quantity", ["density", "cdf"])
+    def test_mixed_grid_matches_per_point(self, quantity):
+        # x = 0 is answered by the entry check, 3 and 8 converge on the
+        # first table, 200 and 500 need it grown past their kernel peaks.
+        spec = ConvolutionSpec.of((2.0, 1.0), (2.0, 2.0))
+        points = [0.0, 3.0, 500.0, 8.0, 200.0]
+        fn = route_fn("moschopoulos", 2, quantity)
+        got = methods.evaluate("moschopoulos", quantity, spec, points)
+        assert got == [fn(spec, x) for x in points]
+        if quantity == "density":
+            assert len({r.terms_used for r in got}) == 4
+
+    def test_nan_last_point_exits_before_any_row(self, capsys):
+        code = cli.main(["eval", "density", "--shape", "1,2,3", "--scale", "1,2,3",
+                         "--method", "moschopoulos", "--at", "1,2,nan"])
+        assert code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
+    def test_convergence_failure_matches_per_point(self):
+        # At x = 1000 the kernel peaks near k = 5000, past a table capped at
+        # 8 terms beyond its first size.
+        spec = ConvolutionSpec.of((2.0, 0.2), (2.0, 40.0))
+        first = moschopoulos.first_weights(spec, DEFAULT_CONTROL).upto + 1
+        tight = SeriesControl(rel_tol=1e-13, max_terms=first + 8)
+        with pytest.raises(ConvergenceError) as per_point:
+            moschopoulos.density(spec, 1000.0, tight)
+        with pytest.raises(ConvergenceError) as shared:
+            methods.evaluate("moschopoulos", "density", spec, [1.0, 1000.0], tight)
+        assert shared.value.terms_used == per_point.value.terms_used == first + 9
 
 
 def test_request_path_does_not_import_bench():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -10,9 +11,10 @@ from scipy.optimize import minimize_scalar
 
 from gammaconv.errors import ConvergenceError, DomainError
 from gammaconv.mathai import cdf2, density2
-from gammaconv.model import ConvolutionSpec
+from gammaconv.model import ConvolutionSpec, canonicalize
 from gammaconv.moschopoulos import (
     WeightDistribution,
+    _log_mass_past,
     build_weights,
     cdf,
     density,
@@ -177,3 +179,55 @@ class TestDensityAndCdf:
             short = density(spec, x, ctrl=loose)
             ref = density(spec, x).value
             assert abs(short.value - ref) <= short.tail_bound + 1e-15 * ref
+
+    @pytest.mark.parametrize("x", [200.0, 500.0])
+    def test_right_tail_density(self, x):
+        # Gamma(2, 1) + Gamma(2, 2): the kernel peaks near k = x - 4, far past
+        # the first table (83 terms), whose left-out mass rounds to zero.
+        # f(x) = e^{-x/2} / 4 * int_0^x t (x - t) e^{-t/2} dt in closed form.
+        mp.mp.dps = 40
+        xm = mp.mpf(x)
+        moment = lambda k: 2 ** (k + 1) * mp.gammainc(k + 1, 0, xm / 2)  # noqa: E731
+        want = float(mp.exp(-xm / 2) / 4 * (xm * moment(1) - moment(2)))
+        got = density(ConvolutionSpec.of((2.0, 1.0), (2.0, 2.0)), x)
+        assert rel_err(got.value, want) < 1e-12
+        assert got.terms_used > 83
+        assert got.tail_bound <= 1e-15 * got.value
+
+    @pytest.mark.parametrize("x", [500.0, 12000.0])
+    def test_far_tail_with_fast_decaying_weights(self, x):
+        # Gamma(1, 1) + Gamma(1, 1.1) + Gamma(1, 1.2): the weights fall like
+        # (1/6)^k, so a few hundred terms bound the tail although the kernel
+        # peaks near k = x.  The closed form is a sum of exponentials; at
+        # x = 12000 the density (about e^-10000) underflows to zero.
+        rates = [1.0, 1.0 / 1.1, 1.0 / 1.2]
+        want = sum(
+            r * math.prod(s / (s - r) for s in rates if s != r) * math.exp(-r * x)
+            for r in rates
+        )
+        got = density(ConvolutionSpec.of((1.0, 1.0), (1.0, 1.1), (1.0, 1.2)), x)
+        assert got.terms_used < 1000
+        if x < 1000.0:
+            assert rel_err(got.value, want) < 1e-12
+        else:
+            assert got.value == want == 0.0
+            assert got.tail_bound == 0.0
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            ((2.0, 1.0), (2.0, 2.0)),
+            ((0.2, 4.0), (0.2, 0.3)),
+            ((10.0, 1.0), (0.3, 1.5), (2.0, 8.0)),
+        ],
+    )
+    def test_left_out_mass_bound(self, pairs):
+        # The density's tail bound needs the weight mass past a table where
+        # 1 - sum(table) rounds to zero.
+        spec = canonicalize(ConvolutionSpec.of(*pairs))
+        w = build_weights(spec, 3000)
+        masses = w.c * w.deltas
+        past = np.cumsum(masses[::-1])[::-1]  # past[k]: mass at indices >= k
+        for k in range(10, 2500, 23):
+            if past[k] > 1e-300:
+                assert past[k] <= math.exp(_log_mass_past(spec, masses[:k]))

@@ -129,6 +129,28 @@ class TestKummer:
             want = mp.log(mp.hyp1f1(a, b, z))
             assert abs(got.log_magnitude - float(want)) < 5e-11
 
+    @pytest.mark.parametrize("a,b,z", [(500.0, 1000.0, 416.67), (1.0, 100.0, 300.0)])
+    def test_large_z_peak_far_below_z(self, a, b, z):
+        # For b >> a the terms peak far below z, where the z > 256 branch
+        # must start its summation.
+        mp.mp.dps = 40
+        got = kummer_1f1(a, b, z).log_magnitude
+        want = float(mp.log(mp.hyp1f1(a, b, z)))
+        assert abs(math.expm1(got - want)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "a,b,z",
+        [(13.8, 15.0, 694.1), (5.0, 6.0, 800.0), (20.0, 21.0, 1000.0), (50.0, 52.0, 700.0)],
+    )
+    def test_large_z_start_term_is_accurate(self, a, b, z):
+        # The z > 256 branch sums from a start term near k = 350-900, whose
+        # log taken as a difference of lgamma values of size k log k is off
+        # by up to 1e-12; the log's own spacing here is 1-2e-13.
+        mp.mp.dps = 40
+        got = kummer_1f1(a, b, z).log_magnitude
+        want = float(mp.log(mp.hyp1f1(a, b, z)))
+        assert abs(math.expm1(got - want)) < 3.5e-13
+
     def test_term_count_reported(self):
         val, terms = kummer_1f1_terms(2.0, 5.0, 30.0)
         assert terms > 10
