@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, FitFailureError
-from .methods import check_point, mixture_cdf, mixture_density
+from .methods import WeightLaw, check_point, mixture_cdf, mixture_density
 from .model import ConvolutionSpec, EvalResult, canonicalize
 from .specfun import SeriesControl
 
@@ -240,9 +240,11 @@ def _approx_weights(params: GnbdParams, ctrl: SeriesControl) -> np.ndarray:
         k_max = min(2 * k_max, ctrl.max_terms)
 
 
-def approx_masses(spec: ConvolutionSpec, ctrl: SeriesControl) -> np.ndarray:
-    """The fitted GNBD masses of a canonical spec of two or more components."""
-    return _approx_weights(_fit_for_spec(spec), ctrl)
+def approx_law(spec: ConvolutionSpec, ctrl: SeriesControl) -> WeightLaw:
+    """The fitted GNBD law of a canonical spec of two or more components;
+    it never extends."""
+    masses = _approx_weights(_fit_for_spec(spec), ctrl)
+    return WeightLaw(masses, spec.total_shape, float(spec.scales[0]))
 
 
 def _approx_eval(
@@ -250,37 +252,37 @@ def _approx_eval(
     point: float,
     ctrl: SeriesControl,
     quantity: str,
-    masses: np.ndarray | None,
+    weights: WeightLaw | None,
 ) -> EvalResult:
     """The GNBD mixture at `point`, returned whatever its tail bound: the
     approximation's own error dominates any truncation."""
     spec, done = check_point(spec, point, quantity)
     if done is not None:
         return done
-    w = masses if masses is not None else approx_masses(spec, ctrl)
+    law = weights if weights is not None else approx_law(spec, ctrl)
     mixture = mixture_cdf if quantity == "cdf" else mixture_density
-    value, tail = mixture(w, spec.total_shape, float(spec.scales[0]), point)
-    return EvalResult(value, w.shape[0], tail)
+    value, tail = mixture(law, point)
+    return EvalResult(value, law.masses.shape[0], tail)
 
 
 def density_approx(
     spec: ConvolutionSpec,
     x: float,
     ctrl: SeriesControl = CONTROL_APPROX,
-    masses: np.ndarray | None = None,
+    weights: WeightLaw | None = None,
 ) -> EvalResult:
     """Approximate density sum_k gnbd_pmf(k) g(x; rho + k, b1).
 
-    Pass prebuilt `masses` (`approx_masses`) to share one fit and one GNBD
-    table across calls."""
-    return _approx_eval(spec, x, ctrl, "density", masses)
+    Pass a prebuilt law (`approx_law`) as `weights` to share one fit and
+    one GNBD table across calls."""
+    return _approx_eval(spec, x, ctrl, "density", weights)
 
 
 def cdf_approx(
     spec: ConvolutionSpec,
     y: float,
     ctrl: SeriesControl = CONTROL_APPROX,
-    masses: np.ndarray | None = None,
+    weights: WeightLaw | None = None,
 ) -> EvalResult:
     """Approximate CDF sum_k gnbd_pmf(k) G(y; rho + k, b1)."""
-    return _approx_eval(spec, y, ctrl, "cdf", masses)
+    return _approx_eval(spec, y, ctrl, "cdf", weights)

@@ -252,6 +252,10 @@ def _cmd_selftest() -> int:
         1.0 - 5e-4 < mass <= 1.0 + 1e-12,
         f"1 - mass {1.0 - mass:.3e}",
     )
+    convolved = methods.nb_sum_law(canonicalize(spec3), count=401).masses
+    worst = float(np.max(np.abs(convolved - w.masses) / w.masses))
+    check("NB-sum law equals recursion weights", worst <= 1e-12,
+          f"worst rel diff {worst:.3e}, tol 1e-12")
     mix = MixtureExpSpec((0.5, 0.5), (1.0, 2.0))
     agree(
         "renewal n=0 equals mixture survival",

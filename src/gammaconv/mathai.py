@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import ConvergenceError, DomainError
-from .methods import WeightTable, check_point, converge, log_gamma_pdf
+from .methods import WeightLaw, check_point, converge, log_gamma_pdf, nb_sum_law
 from .model import ConvolutionSpec, EvalResult
 from .specfun import DEFAULT_CONTROL, SeriesControl, kummer_1f1_terms
 
@@ -55,72 +55,28 @@ def density2(
     return EvalResult(0.0 if log_f < _LOG_TINY else math.exp(log_f), terms, None)
 
 
-def _nb_masses(a: float, q: float, count: int) -> np.ndarray:
-    """Negative-binomial masses (size a, success probability q) at k < count."""
-    k = np.arange(count, dtype=float)
-    return np.exp(
-        a * math.log(q)
-        + sp.gammaln(a + k)
-        - math.lgamma(a)
-        - sp.gammaln(k + 1.0)
-        + k * math.log1p(-q)
-    )
-
-
-def _cdf2_stage(spec: ConvolutionSpec, count: int, step: int) -> WeightTable:
-    c1, c2 = spec.components
-    masses = _nb_masses(c2.shape, c1.scale / c2.scale, count)
-    return WeightTable(masses, c1.shape + c2.shape, c1.scale, source=step)
-
-
-def cdf2_table(spec: ConvolutionSpec, ctrl: SeriesControl) -> WeightTable:
-    """The first negative-binomial weight table of cdf2.
-
-    Sized at the NB mean + 12 sd, which covers the weight mass far below
-    any practical tolerance.  Every stage is an exact prefix of the
-    weight law, so the value-relative stop is valid.
-    """
-    if len(spec) > 2:
-        raise DomainError(f"cdf2 requires n <= 2 components, got {len(spec)}")
-    c1, c2 = spec.components
-    q = c1.scale / c2.scale
-    mean = c2.shape * (1.0 - q) / q
-    sd = math.sqrt(c2.shape * (1.0 - q)) / q
-    count = max(int(mean + 12.0 * sd) + 32, 32)
-    return _cdf2_stage(spec, count, count)
-
-
-def _cdf2_grow(
-    spec: ConvolutionSpec, ctrl: SeriesControl, table: WeightTable
-) -> WeightTable | None:
-    """Half the previous step more, at least 64 terms, while the table is
-    below ctrl.max_terms."""
-    count = table.masses.shape[0]
-    if count >= ctrl.max_terms:
-        return None
-    step = max(table.source // 2, 64)
-    return _cdf2_stage(spec, count + step, step)
-
-
 def cdf2(
     spec: ConvolutionSpec,
     y: float,
     ctrl: SeriesControl = DEFAULT_CONTROL,
-    table: WeightTable | None = None,
+    weights: WeightLaw | None = None,
 ) -> EvalResult:
     """CDF of a two-component gamma convolution.
 
     F(y) = sum_k w_k G(y/b1; k + a1 + a2) where the w_k are the masses of a
-    negative binomial with size a2 and success probability b1/b2.  The
-    remaining weight mass gives the truncation bound
-    (1 - sum w_k) G(y/b1; K+1+gamma), valid because G decreases in shape.
-    Pass a prebuilt `table` (`cdf2_table`) to share it across calls.
+    negative binomial with size a2 and success probability b1/b2
+    (`methods.nb_sum_law`).  The remaining weight mass gives the
+    truncation bound (1 - sum w_k) G(y/b1; K+1+gamma), valid because G
+    decreases in shape.  Pass a prebuilt law as `weights` to share it
+    across calls.
     """
     spec, done = check_point(spec, y, "cdf")
     if done is not None:
         return done
-    first = table if table is not None else cdf2_table(spec, ctrl)
-    return converge("cdf", spec, y, ctrl, first, _cdf2_grow)
+    if len(spec) > 2:
+        raise DomainError(f"cdf2 requires n <= 2 components, got {len(spec)}")
+    law = weights if weights is not None else nb_sum_law(spec)
+    return converge("cdf", y, ctrl, law)
 
 
 class _ScaledAccumulator:
@@ -270,48 +226,25 @@ def density_n(
     return EvalResult(0.0 if log_f < _LOG_TINY else math.exp(log_f), terms_used, None)
 
 
-def cdf_n_table(spec: ConvolutionSpec, ctrl: SeriesControl) -> WeightTable:
-    """The shell weights W_r of cdf_n.
-
-    Each NB table is completed to mass 1 - rel_tol/10 before the
-    convolution: a convolution of shorter tables would miss mass at every
-    index past the shortest table, not only past its end.  The table is
-    cut at ctrl.max_terms and never grows.
-    """
-    beta1 = float(spec.scales[0])
-    weights = np.ones(1)
-    for a, q in zip(spec.shapes[1:], beta1 / spec.scales[1:]):
-        mean = a * (1.0 - q) / q
-        sd = math.sqrt(a * (1.0 - q)) / q
-        kj = int(min(ctrl.max_terms, mean + 12.0 * sd + 60.0)) + 1
-        while True:
-            b = _nb_masses(a, q, kj)
-            if 1.0 - b.sum() <= 0.1 * ctrl.rel_tol or kj >= ctrl.max_terms:
-                break
-            kj = min(2 * kj, ctrl.max_terms)
-        weights = np.convolve(weights, b)
-    return WeightTable(weights[: ctrl.max_terms], spec.total_shape, beta1)
-
-
 def cdf_n(
     spec: ConvolutionSpec,
     y: float,
     ctrl: SeriesControl | None = None,
-    table: WeightTable | None = None,
+    weights: WeightLaw | None = None,
 ) -> EvalResult:
     """CDF via term-by-term integration of the multiple series, any n >= 1.
 
     F(y) = sum_r W_r G(y/b1; gamma + r) where W_r, the shell weights, are
-    convolutions of negative-binomial masses and therefore sum to one
-    (see cdf_n_table).  The reported tail bound is
+    convolutions of negative-binomial masses and therefore sum to one:
+    the law `methods.nb_sum_law` builds.  The reported tail bound is
     (1 - sum W) G(y/b1; gamma + R + 1); terms_used counts the shell
-    weights W_0..W_R.  Pass a prebuilt `table` (`cdf_n_table`) to share it
-    across calls.
+    weights W_0..W_R.  Pass a prebuilt law as `weights` to share it across
+    calls.
     """
     spec, done = check_point(spec, y, "cdf")
     if done is not None:
         return done
     if ctrl is None:
         ctrl = DEFAULT_CONTROL if len(spec) <= 2 else CONTROL_N
-    first = table if table is not None else cdf_n_table(spec, ctrl)
-    return converge("cdf", spec, y, ctrl, first)
+    law = weights if weights is not None else nb_sum_law(spec)
+    return converge("cdf", y, ctrl, law)

@@ -2,15 +2,17 @@
 
 The series methods all evaluate a gamma-kernel mixture
 sum_k w_k g(x; rho + k, b1), b1 the minimum scale, and differ only in how
-they build the masses w_k.  Here are the entry check every method runs
-first, the gamma kernel, the mixture evaluator, the one convergence loop
-over a weight table, the method registry, and `evaluate`, which answers
-many points of one spec from one weight table.
+they build the masses w_k, their weight law.  Here are the entry check
+every method runs first, the gamma kernel, the weight law and its exact
+negative-binomial-sum constructor, the mixture evaluator, the one
+convergence loop, the method registry, and `evaluate`, which answers
+many points of one spec from one weight law.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -26,9 +28,11 @@ __all__ = [
     "check_point",
     "log_gamma_pdf",
     "gamma_kernel_bound",
+    "WeightLaw",
+    "NBSumLaw",
+    "nb_sum_law",
     "mixture_density",
     "mixture_cdf",
-    "WeightTable",
     "converge",
     "lookup",
     "evaluate",
@@ -102,41 +106,181 @@ def gamma_kernel_bound(x: float, shape_min: float, beta: float) -> float:
     return 2.0 * math.exp(best) if best > -700.0 else math.exp(best + math.log(2.0))
 
 
-def mixture_density(
-    masses: np.ndarray, rho: float, beta1: float, x: float, log_rest: float | None = None
-) -> tuple[float, float]:
-    """sum_k masses[k] g(x; rho + k, b1) at x > 0, and its tail bound.
+class WeightLaw:
+    """The masses w_0..w_K of the mixture sum_k w_k g(.; rho + k, b1).
+
+    Built from masses directly, as Barnabani's GNBD fit is, the law is
+    fixed at its size: `extend` gives None and the mass it leaves out is
+    taken as 1 - sum(masses).  The exact law (`NBSumLaw`) extends.  The
+    x-free parts of the density's log terms are computed once per law,
+    on its first density evaluation.
+    """
+
+    def __init__(self, masses: np.ndarray, rho: float, beta1: float):
+        self.masses = masses
+        self.rho = rho
+        self.beta1 = beta1
+
+    def extend(self, ctrl: SeriesControl) -> WeightLaw | None:
+        """The next, longer stage of the law, or None if there is none."""
+        return None
+
+    @cached_property
+    def log_mass_past(self) -> float:
+        """log of a bound on the mass past the table: log(1 - sum(masses)),
+        -inf where that rounds to zero."""
+        rest = 1.0 - float(self.masses.sum())
+        return math.log(rest) if rest > 0.0 else -math.inf
+
+    @cached_property
+    def log_density_terms(self) -> tuple[np.ndarray, ...]:
+        """log w_k, rho + k - 1, lgamma(rho + k) and (rho + k) log b1: the
+        x-free parts of the density's log terms."""
+        shapes = self.rho + np.arange(self.masses.shape[0], dtype=float)
+        with np.errstate(divide="ignore"):
+            log_m = np.log(self.masses)
+        return log_m, shapes - 1.0, sp.gammaln(shapes), shapes * math.log(self.beta1)
+
+
+def _nb_masses(a: float, q: float, count: int) -> np.ndarray:
+    """Negative-binomial masses (size a, success probability q) at k < count.
+
+    lgamma(a + k) - lgamma(k + 1) is the plain difference for k < 128 and
+    comes from the Stirling series past that: there both lgamma values are
+    near k log k, and their difference would lose about k log k times
+    1e-16 (2e-12 relative on a mass at k = 750).
+    """
+    k = np.arange(count, dtype=float)
+    log_ratio = sp.gammaln(a + k[:128]) - sp.gammaln(k[:128] + 1.0)
+    if count > 128:
+        # lgamma(z) - (z - 1/2) log z + z - log(2 pi)/2 at z = a + k and
+        # z = k + 1; the series' next term is below 1e-18 for z > 128.
+        y = k[128:] + 1.0
+        u = 1.0 / np.concatenate((y + (a - 1.0), y))
+        u2 = u * u
+        rest = u * (1.0 / 12.0 - u2 * (1.0 / 360.0 - u2 / 1260.0))
+        tail = (y + (a - 1.5)) * np.log1p((a - 1.0) / y) + (a - 1.0) * (np.log(y) - 1.0)
+        n = y.shape[0]
+        log_ratio = np.concatenate((log_ratio, tail + (rest[:n] - rest[n:])))
+    return np.exp((a * math.log(q) - math.lgamma(a)) + log_ratio + k * math.log1p(-q))
+
+
+class NBSumLaw(WeightLaw):
+    """A prefix of the exact weight law of a canonical spec of two or more
+    components: the law of a sum of independent negative binomials
+    NB(a_i, q_i), q_i = b1/b_i, over the components past the first.
+
+    Every stage is an exact prefix: a longer stage repeats this one's
+    masses bit for bit.  `stage(upto)` builds w_0..w_upto by convolving
+    the NB pmfs cut at upto + 1 terms; `moschopoulos.WeightDistribution`
+    builds them by the recursion instead.
+    """
+
+    def __init__(self, masses: np.ndarray, spec: ConvolutionSpec):
+        super().__init__(masses, spec.total_shape, spec.components[0].scale)
+        self.spec = spec
+
+    def stage(self, upto: int) -> NBSumLaw:
+        """The stage w_0..w_upto."""
+        return nb_sum_law(self.spec, count=upto + 1)
+
+    def extend(self, ctrl: SeriesControl) -> NBSumLaw | None:
+        """The stage whose last index is 1.5 K + 64, K this stage's, capped
+        at ctrl.max_terms; None once K has reached it."""
+        upto = self.masses.shape[0] - 1
+        if upto >= ctrl.max_terms:
+            return None
+        return self.stage(min(int(upto * 1.5) + 64, ctrl.max_terms))
+
+    @cached_property
+    def log_mass_past(self) -> float:
+        """log of a bound on the mass past the table.
+
+        The law's generating function P(t) = prod_i (q_i / (1 - (1 - q_i)
+        t))^a_i is finite for t < 1/r, r = max_i (1 - q_i).  Each mass w_k
+        is at most P(t) t^-k, so those past index K sum to at most
+        P(t) t^-(K+1) / (1 - 1/t) for every 1 < t < 1/r; t is the
+        minimizer for one NB of size sum a_i and ratio r.  That bound does
+        not round to zero below 1e-16, as 1 - sum(masses) does.  Where
+        1 - sum(masses) exceeds 1e-8 it is exact to far better than 1 %
+        (its rounding error is near K * 1e-16), and 1.01 times it is the
+        tighter bound.
+        """
+        b1 = self.beta1
+        others = self.spec.components[1:]
+        k = float(self.masses.shape[0])
+        r = max(1.0 - b1 / c.scale for c in others)
+        t = k / ((k + sum(c.shape for c in others)) * r)
+        log_bound = 0.0
+        if t > 1.0:
+            log_p = sum(
+                c.shape * (math.log(b1 / c.scale) - math.log1p((b1 / c.scale - 1.0) * t))
+                for c in others
+            )
+            log_bound = min(0.0, log_p - k * math.log(t) - math.log1p(-1.0 / t))
+        if log_bound > math.log(1e-8):
+            rest = 1.0 - float(self.masses.sum())
+            if rest > 1e-8:
+                return min(log_bound, math.log(1.01 * rest))
+        return log_bound
+
+
+def nb_sum_cumulants(spec: ConvolutionSpec) -> tuple[float, float]:
+    """The mean and variance of the exact weight law."""
+    b1 = spec.components[0].scale
+    mean = var = 0.0
+    for c in spec.components:
+        q = b1 / c.scale
+        mean += c.shape * (1.0 - q) / q
+        var += c.shape * (1.0 - q) / q**2
+    return mean, var
+
+
+def nb_sum_law(
+    spec: ConvolutionSpec, ctrl: SeriesControl | None = None, count: int | None = None
+) -> NBSumLaw:
+    """The exact weight law of a canonical spec of two or more components
+    at k < count, by convolving the NB pmfs cut at count terms.
+
+    count defaults to kappa_1 + 12 sqrt(kappa_2) + 32, kappa the law's
+    cumulants, which leaves out mass far below any practical tolerance.
+    (`ctrl` is unused; it keeps the signature of the other first laws.)
+    """
+    if count is None:
+        mean, var = nb_sum_cumulants(spec)
+        count = int(mean + 12.0 * math.sqrt(var)) + 32
+    b1 = spec.components[0].scale
+    masses = None
+    for c in spec.components[1:]:
+        pmf = _nb_masses(c.shape, b1 / c.scale, count)
+        masses = pmf if masses is None else np.convolve(masses, pmf)[:count]
+    return NBSumLaw(masses, spec)
+
+
+def mixture_density(law: WeightLaw, x: float) -> tuple[float, float]:
+    """sum_k w_k g(x; rho + k, b1) at x > 0 over `law`, and its tail bound.
 
     The sum is taken in log space, so kernels and masses far outside the
-    double range still combine.  The bound is exp(log_rest), a bound on
-    the mass the table leaves out, times the largest kernel value a later
-    term could take.  log_rest defaults to log(1 - sum(masses)), which
-    is zero mass below about 1e-16: past the kernel peak, where each
-    left-out term can carry a larger kernel than any in the table, an
-    exact weight law must pass a bound that does not round away.
+    double range still combine.  The bound is the law's bound on the mass
+    it leaves out times the largest kernel value a later term could take.
+    Past the kernel peak each left-out term can carry a larger kernel than
+    any in the table, so an exact law bounds that mass in log space: 1 -
+    sum(masses) rounds to zero below about 1e-16.
     """
-    k = np.arange(masses.shape[0], dtype=float)
-    with np.errstate(divide="ignore"):
-        log_terms = (
-            np.log(masses)
-            + (rho + k - 1.0) * math.log(x)
-            - x / beta1
-            - sp.gammaln(rho + k)
-            - (rho + k) * math.log(beta1)
-        )
+    log_m, powers, log_gammas, log_scales = law.log_density_terms
+    log_terms = log_m + powers * math.log(x) - x / law.beta1 - log_gammas - log_scales
     m = float(log_terms.max())
     value = math.exp(m) * float(np.exp(log_terms - m).sum()) if m > -math.inf else 0.0
-    if log_rest is None:
-        rest = 1.0 - float(masses.sum())
-        log_rest = math.log(rest) if rest > 0.0 else -math.inf
-    log_tail = log_rest + math.log(2.0) + _log_kernel_peak(x, rho + masses.shape[0], beta1)
+    log_tail = (
+        law.log_mass_past
+        + math.log(2.0)
+        + _log_kernel_peak(x, law.rho + law.masses.shape[0], law.beta1)
+    )
     return value, math.exp(log_tail) if log_tail < 709.0 else math.inf
 
 
-def mixture_cdf(
-    masses: np.ndarray, rho: float, beta1: float, y: float
-) -> tuple[float, float]:
-    """sum_k masses[k] G(y/b1; rho + k), clamped to 1, and its tail bound.
+def mixture_cdf(law: WeightLaw, y: float) -> tuple[float, float]:
+    """sum_k w_k G(y/b1; rho + k) over `law`, clamped to 1, and its tail bound.
 
     G is the regularized lower incomplete gamma function.  It decreases in
     the shape, so the left-out mass times G(y/b1; rho + K + 1) bounds the
@@ -144,76 +288,48 @@ def mixture_cdf(
     1 - sum(masses): G <= 1, so where that rounds to zero the terms it
     misses are below the double spacing at the value.
     """
-    u = y / beta1
+    masses, rho = law.masses, law.rho
+    u = y / law.beta1
     value = float(masses @ sp.gammainc(rho + np.arange(masses.shape[0], dtype=float), u))
     remaining = max(1.0 - float(masses.sum()), 0.0)
     return min(value, 1.0), remaining * float(sp.gammainc(rho + masses.shape[0], u))
 
 
-class WeightTable(NamedTuple):
-    """One stage of a route's weight law: masses[k] of g(.; rho + k, b1).
+def converge(quantity: str, x: float, ctrl: SeriesControl, law: WeightLaw) -> EvalResult:
+    """The mixture `quantity` ("density" or "cdf") at x > 0 over `law`.
 
-    source: what the route grows the next stage from.
+    While the tail bound exceeds rel_tol times the value, the law is
+    replaced by law.extend(ctrl), its next, longer stage.  terms_used is
+    the size of the stage that converged.  When the law extends no
+    further the point raises ConvergenceError.
     """
-
-    masses: np.ndarray
-    rho: float
-    beta1: float
-    source: object = None
-
-
-def converge(
-    quantity: str,
-    spec: ConvolutionSpec,
-    x: float,
-    ctrl: SeriesControl,
-    table: WeightTable,
-    grow: Callable[[ConvolutionSpec, SeriesControl, WeightTable], WeightTable | None]
-    | None = None,
-    log_rest: Callable[[ConvolutionSpec, np.ndarray], float] | None = None,
-) -> EvalResult:
-    """The mixture `quantity` ("density" or "cdf") at x > 0 from `table`.
-
-    While the tail bound exceeds rel_tol times the value, the table is
-    replaced by grow(spec, ctrl, table), the route's next, longer stage.
-    terms_used is the size of the stage that converged.  When grow is
-    None or returns None (the route can grow no further) the point raises
-    ConvergenceError.  log_rest(spec, masses) gives the density's tail
-    bound the log of a bound on the mass the table leaves out (see
-    `mixture_density`).
-    """
+    mixture = mixture_cdf if quantity == "cdf" else mixture_density
     while True:
-        masses, rho, beta1 = table.masses, table.rho, table.beta1
-        if quantity == "cdf":
-            value, tail = mixture_cdf(masses, rho, beta1, x)
-        else:
-            rest = log_rest(spec, masses) if log_rest is not None else None
-            value, tail = mixture_density(masses, rho, beta1, x, rest)
+        value, tail = mixture(law, x)
         if tail <= ctrl.rel_tol * max(value, 5e-324):
-            return EvalResult(value, masses.shape[0], tail)
-        table = grow(spec, ctrl, table) if grow is not None else None
-        if table is None:
+            return EvalResult(value, law.masses.shape[0], tail)
+        longer, size = law.extend(ctrl), law.masses.shape[0]
+        if longer is None:
             raise ConvergenceError(
-                f"{quantity} series not converged after {masses.shape[0]} terms "
-                f"(remaining weight mass {1.0 - float(masses.sum()):.3e}, "
-                f"tail bound {tail:.3e})",
-                terms_used=masses.shape[0],
-                last_term=tail,
+                f"{quantity} series not converged after {size} terms (remaining weight "
+                f"mass {1.0 - float(law.masses.sum()):.3e}, tail bound {tail:.3e})",
+                terms_used=size, last_term=tail,
             )
+        law = longer
 
 
 class Method(NamedTuple):
     """A method's name, per-point density and CDF, default control, and
     for each quantity whose weight law does not depend on the point, the
-    builder of the table its per-point function takes as a fourth
-    argument: density_table / cdf_table(spec, ctrl)."""
+    builder of the law its per-point function takes as `weights`:
+    density_law / cdf_law(spec, ctrl)."""
 
     name: str
     density: Callable[..., EvalResult]
     cdf: Callable[..., EvalResult]
     control: SeriesControl
-    density_table: Callable[[ConvolutionSpec, SeriesControl], object] | None = None
-    cdf_table: Callable[[ConvolutionSpec, SeriesControl], object] | None = None
+    density_law: Callable[[ConvolutionSpec, SeriesControl], WeightLaw] | None = None
+    cdf_law: Callable[[ConvolutionSpec, SeriesControl], WeightLaw] | None = None
 
 
 def lookup(method: str, n: int) -> Method:
@@ -229,25 +345,21 @@ def lookup(method: str, n: int) -> Method:
     if method == "auto":
         method = "mathai" if n <= 2 else "moschopoulos"
     if method == "mathai" and n <= 2:
-        return Method(
-            method, mathai.density2, mathai.cdf2, DEFAULT_CONTROL,
-            cdf_table=mathai.cdf2_table,
-        )
+        fns = mathai.density2, mathai.cdf2, DEFAULT_CONTROL
+        return Method(method, *fns, cdf_law=nb_sum_law)
     if method == "mathai":
-        return Method(
-            method, mathai.density_n, mathai.cdf_n, mathai.CONTROL_N,
-            cdf_table=mathai.cdf_n_table,
-        )
+        fns = mathai.density_n, mathai.cdf_n, mathai.CONTROL_N
+        return Method(method, *fns, cdf_law=nb_sum_law)
     if method == "moschopoulos":
-        table = moschopoulos.first_weights
+        law = moschopoulos.first_weights
         return Method(
-            method, moschopoulos.density, moschopoulos.cdf, DEFAULT_CONTROL, table, table
+            method, moschopoulos.density, moschopoulos.cdf, DEFAULT_CONTROL, law, law
         )
     if method == "approx":
-        table = barnabani.approx_masses
+        law = barnabani.approx_law
         return Method(
             method, barnabani.density_approx, barnabani.cdf_approx,
-            barnabani.CONTROL_APPROX, table, table,
+            barnabani.CONTROL_APPROX, law, law,
         )
     raise DomainError(f"unknown method {method!r}; use one of {METHODS}")
 
@@ -264,10 +376,10 @@ def evaluate(
     Every point passes the entry check first, so a bad point raises
     before any work.  Where the weight law does not depend on the point
     (the moschopoulos series, the approximation, the mathai CDFs) its
-    table is built once and handed to the per-point function at each
-    point, which grows a copy only where that point needs more terms; so
-    each result equals the per-point call on that point alone.  The
-    mathai densities sum a series in x and run per point.  `ctrl`
+    first stage is built once and handed to the per-point function at
+    each point as `weights`; a point that needs more terms extends it for
+    itself, so each result equals the per-point call on that point alone.
+    The mathai densities sum a series in x and run per point.  `ctrl`
     defaults to the method's own control.
     """
     spec = canonicalize(spec)
@@ -276,8 +388,8 @@ def evaluate(
     xs = [float(x) for x in points]
     open_points = [check_point(spec, x, quantity)[1] is None for x in xs]
     fn = getattr(chosen, quantity)
-    build = getattr(chosen, f"{quantity}_table")
+    build = getattr(chosen, f"{quantity}_law")
     if build is None or not any(open_points):
         return [fn(spec, x, ctrl) for x in xs]
-    table = build(spec, ctrl)
-    return [fn(spec, x, ctrl, table) for x in xs]
+    law = build(spec, ctrl)
+    return [fn(spec, x, ctrl, weights=law) for x in xs]

@@ -11,12 +11,12 @@ G(y/b1; rho + K + 1) since G decreases in the shape argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .methods import WeightTable, check_point, converge, gamma_kernel_bound
+from .methods import NBSumLaw, WeightLaw, check_point, converge, nb_sum_cumulants
+from .methods import gamma_kernel_bound
 from .model import ConvolutionSpec, EvalResult, canonicalize
 from .specfun import DEFAULT_CONTROL, SeriesControl
 
@@ -31,21 +31,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightDistribution:
-    """Immutable snapshot of the series weights C*delta_k.
+class WeightDistribution(NBSumLaw):
+    """The series weights C*delta_k from the exact recursion: a stage of
+    the exact weight law whose extension runs the recursion on.
 
     c: the constant C = prod (b1/b_i)^{a_i}, in (0, 1].
     deltas: delta_0..delta_K from the exact recursion (delta_0 = 1).
     gammas: the recursion inputs gamma_1..gamma_K (index 0 unused, = 0).
-    rho: total shape; beta1: minimum scale.
+    masses = c * deltas; rho: total shape; beta1: minimum scale.
     """
 
-    c: float
-    deltas: np.ndarray
-    gammas: np.ndarray
-    rho: float
-    beta1: float
+    def __init__(
+        self, c: float, deltas: np.ndarray, gammas: np.ndarray, spec: ConvolutionSpec
+    ):
+        super().__init__(c * deltas, spec)
+        self.c = c
+        self.deltas = deltas
+        self.gammas = gammas
 
     @property
     def upto(self) -> int:
@@ -56,6 +58,9 @@ class WeightDistribution:
 
     def cumulative_mass(self) -> np.ndarray:
         return self.c * np.cumsum(self.deltas)
+
+    def stage(self, upto: int) -> WeightDistribution:
+        return extend_weights(self, self.spec, upto)
 
 
 def _log_one_minus_q(spec: ConvolutionSpec) -> np.ndarray:
@@ -84,9 +89,7 @@ def build_weights(spec: ConvolutionSpec, upto: int) -> WeightDistribution:
         raise DomainError(f"upto must be >= 0, got {upto}")
     shapes = spec.shapes
     scales = spec.scales
-    beta1 = float(scales[0])
-    rho = spec.total_shape
-    c = math.exp(float(np.sum(shapes * (math.log(beta1) - np.log(scales)))))
+    c = math.exp(float(np.sum(shapes * (math.log(scales[0]) - np.log(scales)))))
 
     gammas = np.zeros(upto + 1)
     if upto >= 1:
@@ -96,7 +99,7 @@ def build_weights(spec: ConvolutionSpec, upto: int) -> WeightDistribution:
     ig = np.arange(upto + 1, dtype=float) * gammas  # i * gamma_i
     for k in range(upto):
         deltas[k + 1] = (ig[1 : k + 2] @ deltas[k::-1]) / (k + 1)
-    return WeightDistribution(c, deltas, gammas, rho, beta1)
+    return WeightDistribution(c, deltas, gammas, spec)
 
 
 def extend_weights(
@@ -115,105 +118,50 @@ def extend_weights(
     ig = np.arange(upto + 1, dtype=float) * gammas
     for k in range(old, upto):
         deltas[k + 1] = (ig[1 : k + 2] @ deltas[k::-1]) / (k + 1)
-    return WeightDistribution(weights.c, deltas, gammas, weights.rho, weights.beta1)
+    return WeightDistribution(weights.c, deltas, gammas, spec)
 
 
 def _weight_count_estimate(spec: ConvolutionSpec) -> int:
     """Initial truncation point from the negative-binomial weight cumulants."""
-    b1 = spec.components[0].scale
-    mean = var = 0.0
-    for c in spec.components:
-        q = b1 / c.scale
-        mean += c.shape * (1.0 - q) / q
-        var += c.shape * (1.0 - q) / q**2
+    mean, var = nb_sum_cumulants(spec)
     return int(mean + 10.0 * math.sqrt(var) + 60.0)
-
-
-_LOG_1E_8 = math.log(1e-8)
-
-
-def _log_mass_past(spec: ConvolutionSpec, masses: np.ndarray) -> float:
-    """log of a bound on the weight mass past the table `masses`.
-
-    The weights are the law of a sum of negative binomials NB(a_i, q_i),
-    q_i = b1/b_i, whose generating function
-    P(t) = prod_i (q_i / (1 - (1 - q_i) t))^a_i is finite for t < 1/r,
-    r = max_i (1 - q_i).  Each mass w_k is at most P(t) t^-k, so those past
-    index K sum to at most P(t) t^-(K+1) / (1 - 1/t) for every
-    1 < t < 1/r; t is the minimizer for one NB of size sum a_i and ratio
-    r.  That bound does not round to zero below 1e-16, as 1 - sum(masses)
-    does.  Where 1 - sum(masses) exceeds 1e-8 it is exact to far better
-    than 1 % (its rounding error is near K * 1e-16), and 1.01 times it is
-    the tighter bound.
-    """
-    b1 = spec.components[0].scale
-    others = spec.components[1:]
-    k = float(masses.shape[0])
-    r = max(1.0 - b1 / c.scale for c in others)
-    t = k / ((k + sum(c.shape for c in others)) * r)
-    log_bound = 0.0
-    if t > 1.0:
-        log_p = sum(
-            c.shape * (math.log(b1 / c.scale) - math.log1p((b1 / c.scale - 1.0) * t))
-            for c in others
-        )
-        log_bound = min(0.0, log_p - k * math.log(t) - math.log1p(-1.0 / t))
-    if log_bound > _LOG_1E_8:
-        rest = 1.0 - float(masses.sum())
-        if rest > 1e-8:
-            return min(log_bound, math.log(1.01 * rest))
-    return log_bound
 
 
 def first_weights(spec: ConvolutionSpec, ctrl: SeriesControl) -> WeightDistribution:
     """The weights `density` and `cdf` start from: delta_0..delta_K with K
     from the weight cumulants.  (`ctrl` is unused; it keeps the signature
-    of the other routes' table builders.)"""
+    of the other routes' first laws.)"""
     return build_weights(spec, _weight_count_estimate(spec))
-
-
-def _table(w: WeightDistribution) -> WeightTable:
-    return WeightTable(w.c * w.deltas, w.rho, w.beta1, w)
-
-
-def _grow(
-    spec: ConvolutionSpec, ctrl: SeriesControl, table: WeightTable
-) -> WeightTable | None:
-    """The next stage: half the table's size plus 64 more weights, up to
-    ctrl.max_terms."""
-    w = table.source
-    if w.upto >= ctrl.max_terms:
-        return None
-    return _table(extend_weights(w, spec, min(int(w.upto * 1.5) + 64, ctrl.max_terms)))
 
 
 def _series(
     spec: ConvolutionSpec,
     x: float,
     ctrl: SeriesControl,
-    weights: WeightDistribution | None,
+    weights: WeightLaw | None,
     quantity: str,
 ) -> EvalResult:
     """Evaluate the mixture, extending the weights until the tail is small."""
     spec, done = check_point(spec, x, quantity)
     if done is not None:
         return done
-    w = weights if weights is not None else first_weights(spec, ctrl)
-    return converge(quantity, spec, x, ctrl, _table(w), _grow, _log_mass_past)
+    law = weights if weights is not None else first_weights(spec, ctrl)
+    return converge(quantity, x, ctrl, law)
 
 
 def density(
     spec: ConvolutionSpec,
     x: float,
     ctrl: SeriesControl = DEFAULT_CONTROL,
-    weights: WeightDistribution | None = None,
+    weights: WeightLaw | None = None,
 ) -> EvalResult:
     """Density f(x) = C sum_k delta_k g(x; rho + k, b1).
 
     Stops once a bound on the remaining weight mass times the maximum
     achievable kernel value falls below rel_tol relative to the partial
-    sum.  Pass a prebuilt `weights` snapshot to amortize the recursion
-    across calls (`methods.evaluate` does, once per request).
+    sum.  Pass a prebuilt law as `weights` (a `build_weights` snapshot) to
+    amortize the recursion across calls (`methods.evaluate` does, once per
+    request).
     """
     return _series(spec, x, ctrl, weights, "density")
 
@@ -222,7 +170,7 @@ def cdf(
     spec: ConvolutionSpec,
     y: float,
     ctrl: SeriesControl = DEFAULT_CONTROL,
-    weights: WeightDistribution | None = None,
+    weights: WeightLaw | None = None,
 ) -> EvalResult:
     """CDF F(y) = C sum_k delta_k G(y; rho + k, b1) with a rigorous tail.
 

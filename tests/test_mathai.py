@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from gammaconv import bench, moschopoulos
 from gammaconv.errors import DomainError
-from gammaconv.mathai import cdf2, cdf_n, density2, density_n
+from gammaconv.mathai import CONTROL_N, cdf2, cdf_n, density2, density_n
 from gammaconv.model import ConvolutionSpec
 from gammaconv.oracle import (
     hypoexp_closed_form,
@@ -196,3 +197,25 @@ class TestCdfShape:
         res = cdf_n(spec, 20.0)
         assert res.tail_bound is not None
         assert 0.0 <= res.tail_bound <= 1e-10 * max(res.value, 1e-300)
+
+
+class TestNegativeBinomialSumLaw:
+    """Both CDFs sum the exact NB-sum weight law (`methods.nb_sum_law`)."""
+
+    def test_cdf_n_stops_short_of_max_terms(self):
+        # The NB(20, 0.05) factor's 1 - sum stays near 4e-14 at any length,
+        # so a table completed to mass 1 - rel_tol/10 runs to max_terms.
+        spec = bench.spec_for(20.0, (4.0, 3.0, 0.2))
+        for y in bench.bulk_grid(spec):
+            got = cdf_n(spec, float(y))
+            assert got.terms_used < CONTROL_N.max_terms
+            assert rel_err(got.value, moschopoulos.cdf(spec, float(y)).value) < 1e-12
+
+    @pytest.mark.parametrize("alpha,scales", bench.TABLE1_SETTINGS)
+    def test_cdf2_first_law_size(self, alpha, scales):
+        # kappa_1 + 12 sqrt(kappa_2) + 32 terms of NB(a2, b1/b2)
+        spec = bench.spec_for(alpha, scales)
+        q = min(scales) / max(scales)
+        mean, var = alpha * (1.0 - q) / q, alpha * (1.0 - q) / q**2
+        count = int(mean + 12.0 * math.sqrt(var)) + 32
+        assert cdf2(spec, alpha * sum(scales)).terms_used == count

@@ -14,7 +14,7 @@ from scipy import stats
 import gammaconv
 from gammaconv import bench, cli, mathai, methods, moschopoulos
 from gammaconv.errors import ConvergenceError, DomainError
-from gammaconv.model import ConvolutionSpec, EvalResult
+from gammaconv.model import ConvolutionSpec, EvalResult, canonicalize
 from gammaconv.specfun import DEFAULT_CONTROL, SeriesControl
 
 from conftest import rel_err
@@ -82,14 +82,15 @@ class TestMixture:
         masses = stats.nbinom.pmf(np.arange(40), 2.0, 0.6)
         rho, beta1 = 1.7, 0.8
         for x in (0.3, 2.0, 9.0):
-            value, tail = methods.mixture_density(masses, rho, beta1, x)
+            law = methods.WeightLaw(masses, rho, beta1)
+            value, tail = methods.mixture_density(law, x)
             want = sum(
                 w * stats.gamma.pdf(x, rho + k, scale=beta1)
                 for k, w in enumerate(masses)
             )
             assert rel_err(value, want) < 1e-12
             assert 0.0 <= tail < 1e-12
-            value, tail = methods.mixture_cdf(masses, rho, beta1, x)
+            value, tail = methods.mixture_cdf(law, x)
             want = sum(
                 w * stats.gamma.cdf(x, rho + k, scale=beta1)
                 for k, w in enumerate(masses)
@@ -100,9 +101,48 @@ class TestMixture:
         masses = stats.nbinom.pmf(np.arange(60), 2.0, 0.6)
         for x in (0.5, 4.0, 20.0):
             for mixture in (methods.mixture_density, methods.mixture_cdf):
-                full, _ = mixture(masses, 1.2, 1.0, x)
-                short, tail = mixture(masses[:6], 1.2, 1.0, x)
+                full, _ = mixture(methods.WeightLaw(masses, 1.2, 1.0), x)
+                short, tail = mixture(methods.WeightLaw(masses[:6], 1.2, 1.0), x)
                 assert 0.0 <= full - short <= tail
+
+
+#: The paper settings and two specs with scale ratio 100.
+LAW_SPECS = [bench.spec_for(alpha, scales)
+             for alpha, scales in bench.TABLE1_SETTINGS + bench.TABLE2_SETTINGS] + [
+    ConvolutionSpec.of((2.0, 0.01), (3.0, 1.0)),
+    ConvolutionSpec.of((0.5, 1.0), (1.5, 10.0), (4.0, 100.0)),
+]
+
+
+class TestWeightLaw:
+    @pytest.mark.parametrize("spec", LAW_SPECS)
+    def test_nb_sum_law_equals_recursion(self, spec):
+        # The recursion is the oracle for the convolved NB pmfs.
+        law = methods.nb_sum_law(canonicalize(spec))
+        want = moschopoulos.build_weights(spec, law.masses.shape[0] - 1).masses
+        assert np.max(np.abs(law.masses - want) / want) < 1e-12
+
+    @pytest.mark.parametrize("spec", LAW_SPECS)
+    def test_extended_stage_keeps_head(self, spec):
+        # The CDF's value-relative stop needs every stage to be an exact
+        # prefix of the next.
+        spec = canonicalize(spec)
+        recursion = moschopoulos.first_weights(spec, DEFAULT_CONTROL)
+        for law in (methods.nb_sum_law(spec), recursion):
+            for _ in range(3):
+                longer = law.extend(DEFAULT_CONTROL)
+                size = law.masses.shape[0]
+                assert longer.masses.shape[0] == int((size - 1) * 1.5) + 65
+                assert np.array_equal(longer.masses[:size], law.masses)
+                law = longer
+
+    def test_extension_stops_at_max_terms(self):
+        spec = canonicalize(SPEC3)
+        ctrl = SeriesControl(max_terms=120)
+        law = methods.nb_sum_law(spec, count=100).extend(ctrl)
+        assert law.masses.shape[0] == 121
+        assert law.extend(ctrl) is None
+        assert methods.WeightLaw(law.masses, 1.0, 1.0).extend(ctrl) is None
 
 
 class TestRegistry:

@@ -11,10 +11,10 @@ from scipy.optimize import minimize_scalar
 
 from gammaconv.errors import ConvergenceError, DomainError
 from gammaconv.mathai import cdf2, density2
+from gammaconv.methods import NBSumLaw
 from gammaconv.model import ConvolutionSpec, canonicalize
 from gammaconv.moschopoulos import (
     WeightDistribution,
-    _log_mass_past,
     build_weights,
     cdf,
     density,
@@ -230,4 +230,4 @@ class TestDensityAndCdf:
         past = np.cumsum(masses[::-1])[::-1]  # past[k]: mass at indices >= k
         for k in range(10, 2500, 23):
             if past[k] > 1e-300:
-                assert past[k] <= math.exp(_log_mass_past(spec, masses[:k]))
+                assert past[k] <= math.exp(NBSumLaw(masses[:k], spec).log_mass_past)
