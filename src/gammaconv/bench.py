@@ -151,6 +151,8 @@ def _run_coga(settings, n: int, replicates: int, n_samples: int, seed: int):
 
 
 #: Report column -> renewal route; the approximation only for S >= 3.
+#: "proposed" times pmf_s2 on renew2 and uniformization (one pmf_vector
+#: pass up to n) on renew3.
 _RENEWAL_ROUTES = {
     "mathai": "raw-mathai",
     "moschopoulos": "raw-moschopoulos",

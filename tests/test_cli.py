@@ -168,6 +168,26 @@ class TestRenewal:
         for a, b in zip(parse_csv(out_p), parse_csv(out_r)):
             assert abs(float(a["pmf"]) - float(b["pmf"])) < 1e-11
 
+    def test_s3_proposition_rows_from_one_pass(self, capsys):
+        # All 41 rows come from one uniformization pass; each matches the
+        # per-n route, and the pass time is split evenly over the rows.
+        from gammaconv import renewal
+        from gammaconv.model import MixtureExpSpec
+
+        code, out, _ = run_cli(
+            capsys,
+            "renewal", "--weights", "0.1,0.2,0.7", "--scales", "0.4,0.3,0.2",
+            "--t", "10", "--n", ",".join(str(n) for n in range(41)),
+        )
+        assert code == EXIT_OK
+        rows = parse_csv(out)
+        mix = MixtureExpSpec((0.1, 0.2, 0.7), (0.4, 0.3, 0.2))
+        for row in rows:
+            want = renewal.pmf(mix, renewal.RenewalQuery(10.0, int(row["n"])))
+            assert abs(float(row["pmf"]) - want) <= 1e-14 * want
+        assert [int(row["n"]) for row in rows] == list(range(41))
+        assert len({row["wall_time_ns"] for row in rows}) == 1
+
     def test_bad_weights_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys,

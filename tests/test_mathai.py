@@ -211,6 +211,23 @@ class TestNegativeBinomialSumLaw:
             assert got.terms_used < CONTROL_N.max_terms
             assert rel_err(got.value, moschopoulos.cdf(spec, float(y)).value) < 1e-12
 
+    def test_cdf2_matches_mpmath_at_large_shapes(self):
+        # Gamma(200, 1) + Gamma(300, 2) at its mean: sum_k w_k G(800; 500 + k)
+        # with NB(300, 1/2) masses, at 30 digits.
+        with mp.workdps(30):
+            a, total, k = mp.mpf(300), mp.mpf(0), 0
+            while True:
+                w = mp.exp(mp.loggamma(a + k) - mp.loggamma(a) - mp.loggamma(k + 1)
+                           - (a + k) * mp.log(2))
+                term = w * mp.gammainc(500 + k, 0, 800, regularized=True)
+                total += term
+                if k > 300 and term < mp.mpf(10) ** -40:
+                    break
+                k += 1
+            want = float(total)
+        got = cdf2(ConvolutionSpec.of((200.0, 1.0), (300.0, 2.0)), 800.0).value
+        assert rel_err(got, want) < 5e-14
+
     @pytest.mark.parametrize("alpha,scales", bench.TABLE1_SETTINGS)
     def test_cdf2_first_law_size(self, alpha, scales):
         # kappa_1 + 12 sqrt(kappa_2) + 32 terms of NB(a2, b1/b2)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -135,6 +136,32 @@ class TestWeightLaw:
                 assert longer.masses.shape[0] == int((size - 1) * 1.5) + 65
                 assert np.array_equal(longer.masses[:size], law.masses)
                 law = longer
+
+    def test_nb_sum_law_matches_mpmath_at_large_shapes(self):
+        # NB(500, 2/3): a log q - lgamma(a) + lgamma(a + k) cancels terms
+        # near a log a = 3100 unless the log-mass is taken as one form.
+        spec = canonicalize(ConvolutionSpec.of((500.0, 1.0), (500.0, 1.5)))
+        masses = methods.nb_sum_law(spec).masses
+        a, q = mp.mpf(500), mp.mpf(1.0 / 1.5)
+        with mp.workdps(40):
+            want = [
+                float(mp.exp(mp.loggamma(a + k) - mp.loggamma(a) - mp.loggamma(k + 1)
+                             + a * mp.log(q) + k * mp.log(1 - q)))
+                for k in range(masses.shape[0])
+            ]
+        assert np.max(np.abs(masses - want) / want) < 1e-13
+
+    def test_poisson_masses_match_mpmath(self):
+        # Each mass is within a few units of rounding of its logarithm.
+        with mp.workdps(30):
+            for mean in (0.3, 5.0, 7.7, 80.0, 2000.0):
+                got = methods.poisson_masses(mean, int(mean + 12 * math.sqrt(mean)) + 40)
+                lam = mp.mpf(mean)
+                want = np.array([float(mp.exp(m * mp.log(lam) - lam - mp.loggamma(m + 1)))
+                                 for m in range(got.shape[0])])
+                kept = want > 1e-300
+                err = np.abs(got[kept] - want[kept]) / want[kept]
+                assert np.all(err < 32 * 2.2e-16 / 2 * (1.0 + np.abs(np.log(want[kept]))))
 
     def test_extension_stops_at_max_terms(self):
         spec = canonicalize(SPEC3)

@@ -1,20 +1,27 @@
 """Tests for the renewal-count pmf under mixture-of-exponential holding times."""
 
+import itertools
 import math
+import random
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
 
+from gammaconv import bench, moschopoulos
 from gammaconv.errors import BudgetError, DomainError
-from gammaconv.model import MixtureExpSpec
+from gammaconv.model import ConvolutionSpec, MixtureExpSpec, canonicalize
 from gammaconv.renewal import (
     RenewalQuery,
     h_diff,
+    pmf,
     pmf_general,
     pmf_normalization,
     pmf_raw_s2,
     pmf_s2,
+    pmf_vector,
 )
 from gammaconv.specfun import SeriesControl
 
@@ -169,6 +176,123 @@ class TestPmfGeneral:
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             pmf_general(MIX3, RenewalQuery(10.0, 1), method="nope")
+
+
+class TestPmfVector:
+    """The uniformization route: every n at once, any S."""
+
+    @pytest.mark.parametrize("scales,ns", bench.RENEW3_SETTINGS)
+    def test_matches_composition_on_renewal_settings(self, scales, ns):
+        # Weights 0.1/0.2/0.7 reproduce the printed S = 3 table (criterion
+        # 6); the two smaller counts keep the composition route under a
+        # second.
+        mix = MixtureExpSpec((0.1, 0.2, 0.7), scales)
+        values = pmf_vector(mix, bench.RENEWAL_T, max(ns))
+        for n in ns[:2]:
+            want = pmf_general(mix, RenewalQuery(bench.RENEWAL_T, n))
+            assert rel_err(values[n], want) < 1e-12
+
+    def test_matches_composition_on_random_mixes(self):
+        rng = random.Random(20261018)
+        checked = 0
+        for s in (3, 3, 3, 4, 4):
+            weights = [rng.uniform(0.05, 1.0) for _ in range(s)]
+            weights = tuple(w / sum(weights) for w in weights)
+            scales = tuple(math.exp(rng.uniform(-1.0, 1.5)) for _ in range(s))
+            mix = MixtureExpSpec(weights, scales)
+            t = rng.uniform(1.0, 10.0)
+            values = pmf_vector(mix, t, 8)
+            for n in range(9):
+                want = pmf_general(mix, RenewalQuery(t, n))
+                if want >= 1e-6:
+                    assert rel_err(values[n], want) < 1e-12
+                    checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("mix", [MIX, MIX_CLOSE])
+    def test_matches_s2_formula_into_right_tail(self, mix):
+        values = pmf_vector(mix, 10.0, 80)
+        for n in (0, 1, 3, 10, 25, 40, 60, 80):
+            assert rel_err(values[n], pmf_s2(mix, RenewalQuery(10.0, n))) < 1e-13
+
+    @pytest.mark.parametrize("weights,scales,t", [
+        (MIX3.weights, MIX3.scales, 10.0),
+        ((0.1, 0.2, 0.7), (0.4, 0.3, 0.2), 10.0),
+        # Survival 1.0e-9: the composition route's F_base - F_hi
+        # difference is 2e-8 relative off here.
+        ((0.2, 0.3, 0.5), (0.5, 1.0, 2.0), 40.0),
+    ])
+    def test_n0_is_mixture_survival(self, weights, scales, t):
+        want = math.fsum(w * math.exp(-t / b) for w, b in zip(weights, scales))
+        mix = MixtureExpSpec(weights, scales)
+        assert rel_err(pmf_vector(mix, t, 0)[0], want) < 1e-14
+        assert rel_err(pmf_vector(mix, t, 12)[0], want) < 1e-14
+
+    def test_equal_scales_reduce_to_poisson(self):
+        mix = MixtureExpSpec((0.2, 0.3, 0.5), (2.0, 2.0, 2.0))
+        t = 40.0  # Poisson mean 20; n runs to three times it
+        values = pmf_vector(mix, t, 60)
+        mp.mp.dps = 30
+        for n in range(61):
+            want = float(mp.exp(n * mp.log(20) - 20 - mp.loggamma(n + 1)))
+            assert rel_err(values[n], want) < 1e-13
+
+    def test_mass_plus_tail_is_one(self):
+        # Pr(N(t) > n_max) = Pr(first n_max + 1 holding times end by t),
+        # summed over the phase counts of those holding times through the
+        # series CDF of their Erlang convolution.
+        mix = MixtureExpSpec((0.3, 0.3, 0.4), (1.0, 2.0, 4.0))
+        t, n_max = 10.0, 8
+        tail = 0.0
+        for ks in itertools.product(range(n_max + 2), repeat=3):
+            if sum(ks) != n_max + 1:
+                continue
+            log_multi = math.lgamma(n_max + 2.0) + sum(
+                k * math.log(w) - math.lgamma(k + 1.0) for k, w in zip(ks, mix.weights)
+            )
+            spec = canonicalize(ConvolutionSpec.of(
+                *((float(k), b) for k, b in zip(ks, mix.scales) if k > 0)
+            ))
+            tail += math.exp(log_multi) * moschopoulos.cdf(spec, t).value
+        total = math.fsum(pmf_vector(mix, t, n_max)) + tail
+        assert abs(total - 1.0) < 1e-12
+
+    def test_budget_raises_before_state_is_built(self):
+        # Rate x time 1e5 needs more steps than max_terms; the state for
+        # n_max = 10^6 would take 24 MB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                pmf_vector(MixtureExpSpec((0.5, 0.3, 0.2), (1.0, 2.0, 3.0)), 1e5, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_budget_follows_max_terms(self):
+        mix = MixtureExpSpec((0.5, 0.3, 0.2), (1.0, 2.0, 3.0))
+        pmf_vector(mix, 100.0, 10)
+        with pytest.raises(BudgetError):
+            pmf_vector(mix, 100.0, 10, SeriesControl(max_terms=100))
+        # Rate x time overflows to inf.
+        with pytest.raises(BudgetError):
+            pmf_vector(MixtureExpSpec((0.5, 0.5), (1e-10, 1.0)), 1e300, 3)
+
+    def test_proposition_route_reads_one_row(self):
+        for n in (0, 3, 7):
+            q = RenewalQuery(10.0, n)
+            assert pmf(MIX3, q) == pmf_vector(MIX3, 10.0, n)[n]
+
+    def test_normalization_on_proposition_route(self):
+        total, n_max = pmf_normalization(MIX3, 10.0)
+        assert abs(total - 1.0) < 1e-10
+        assert n_max < 200
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            pmf_vector(MIX3, 0.0, 3)
+        with pytest.raises(DomainError):
+            pmf_vector(MIX3, 1.0, -1)
 
 
 class TestPmfRawS2:
