@@ -227,12 +227,13 @@ def _fit_for_spec(spec: ConvolutionSpec) -> GnbdParams:
 
 
 def _approx_weights(params: GnbdParams, ctrl: SeriesControl) -> np.ndarray:
-    """GNBD masses from 0 to the mean + 14 sd, doubled until their mass is
-    within rel_tol/10 of one or the count reaches ctrl.max_terms."""
+    """GNBD masses at k = 0..K: K starts at the mean + 14 sd and doubles
+    until the masses are within rel_tol/10 of one; K never passes
+    ctrl.max_terms."""
     denom = 1.0 - params.theta * params.beta_g
     mean_est = params.m * params.theta / denom
     sd_est = math.sqrt(max(params.m * params.theta, 1e-12)) / denom**1.5
-    k_max = int(mean_est + 14.0 * sd_est + 100.0)
+    k_max = min(int(mean_est + 14.0 * sd_est + 100.0), ctrl.max_terms)
     while True:
         w = gnbd_pmf(params, np.arange(k_max + 1))
         if 1.0 - w.sum() <= 0.1 * ctrl.rel_tol or k_max >= ctrl.max_terms:

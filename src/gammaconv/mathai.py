@@ -3,9 +3,12 @@
 For n = 2 the density uses the closed Kummer-function form and the CDF a
 negative-binomial-weighted incomplete-gamma series.  For n >= 3 the
 density is an (n-1)-fold multiple series summed by shells of constant
-total degree; the CDF integrates the same series term by term, which
-turns the shell weights into products of negative-binomial masses with
-total mass exactly one and yields a rigorous truncation bound.
+total degree r.  x factors out of every shell, as x^r, so the shells'
+x-free log-sums (`ShellTable`) can be built once for many points, and
+each point then sums base_r + r log x.  The CDF integrates the same
+series term by term, which turns the shell weights into products of
+negative-binomial masses with total mass exactly one and yields a
+rigorous truncation bound.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .methods import WeightLaw, check_point, converge, log_gamma_pdf, nb_sum_law
 from .model import ConvolutionSpec, EvalResult
 from .specfun import DEFAULT_CONTROL, SeriesControl, kummer_1f1_terms
 
-__all__ = ["density2", "cdf2", "density_n", "cdf_n", "CONTROL_N"]
+__all__ = ["density2", "cdf2", "density_n", "cdf_n", "ShellTable", "CONTROL_N"]
 
 #: Default truncation policy for the n >= 3 nested series (slightly looser
 #: than the univariate default, reflecting the larger term count).
@@ -75,7 +78,7 @@ def cdf2(
         return done
     if len(spec) > 2:
         raise DomainError(f"cdf2 requires n <= 2 components, got {len(spec)}")
-    law = weights if weights is not None else nb_sum_law(spec)
+    law = weights if weights is not None else nb_sum_law(spec, ctrl)
     return converge("cdf", y, ctrl, law)
 
 
@@ -108,21 +111,136 @@ def _series_cutoff(z: float, ctrl: SeriesControl) -> int:
     return int(min(ctrl.max_terms, z + 12.0 * math.sqrt(z) + 60.0)) + 1
 
 
-def _log_convolve(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
-    """Convolution of two non-negative sequences given in log space."""
-    n = log_a.shape[0] + log_b.shape[0] - 1
-    out = np.empty(n)
-    for r in range(n):
+def _log_convolve(
+    log_a: np.ndarray, log_b: np.ndarray, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Entries start..stop-1 (default: all) of the convolution of two
+    non-negative sequences given in log space.  Entry r reads only
+    log_a[:r+1] and log_b[:r+1], so it does not depend on how much longer
+    either sequence is."""
+    if stop is None:
+        stop = log_a.shape[0] + log_b.shape[0] - 1
+    out = np.empty(stop - start)
+    for r in range(start, stop):
         lo = max(0, r - log_b.shape[0] + 1)
         hi = min(r, log_a.shape[0] - 1)
         w = log_a[lo : hi + 1] + log_b[r - hi : r - lo + 1][::-1]
         m = float(w.max())
-        out[r] = m + math.log(float(np.sum(np.exp(w - m))))
+        out[r - start] = m + math.log(float(np.sum(np.exp(w - m))))
     return out
 
 
+class ShellTable:
+    """The x-free part of the n >= 3 multiple series of one canonical spec.
+
+    With c_j = 1/b1 - 1/b_j, every term of shell r carries
+    prod_j z_j^k_j = prod_j c_j^k_j x^r, so the shell's log-sum is
+    S_r + r log x, where S_r, the log-convolution of the per-dimension
+    sequences log[(a_j)_k c_j^k / k!], does not depend on x.  `base`
+    holds S_r + lgamma(gamma) - lgamma(gamma + r) for the shells built so
+    far.  `density_n` grows the table in place as its points need, in
+    blocks of a quarter of its size plus 16, up to ctrl.max_terms shells:
+    no shell is computed twice, and a longer table repeats a shorter
+    one's entries bit for bit.  (`ctrl` is unused; it keeps the
+    signature of the other routes' first laws.)
+    """
+
+    def __init__(self, spec: ConvolutionSpec, ctrl: SeriesControl | None = None):
+        self.spec = spec
+        self.c = 1.0 / spec.scales[0] - 1.0 / spec.scales[1:]
+        # _levels[j] is the log-convolution of sequences 0..j; the last
+        # one is S.
+        self._seqs = [np.empty(0) for _ in self.c]
+        self._levels = list(self._seqs)
+        self.base = np.empty(0)
+        self.r = np.empty(0)
+
+    def grow(self, size: int) -> None:
+        """Append shells until the table holds `size`."""
+        old = self.base.shape[0]
+        k = np.arange(old, size, dtype=float)
+        self._seqs = [
+            np.concatenate((
+                seq,
+                sp.gammaln(a + k) - math.lgamma(a) + k * math.log(c) - sp.gammaln(k + 1.0),
+            ))
+            for seq, a, c in zip(self._seqs, self.spec.shapes[1:], self.c)
+        ]
+        levels = [self._seqs[0]]
+        for level, seq in zip(self._levels[1:], self._seqs[1:]):
+            levels.append(np.concatenate((level, _log_convolve(levels[-1], seq, old, size))))
+        self._levels = levels
+        gamma = self.spec.total_shape
+        self.base = np.concatenate(
+            (self.base, levels[-1][old:] + math.lgamma(gamma) - sp.gammaln(gamma + k))
+        )
+        self.r = np.arange(size, dtype=float)
+
+    def log_series(self, x: float, ctrl: SeriesControl) -> tuple[float, int]:
+        """log of the series at x > 0, cut by `density_n`'s stop rule, and
+        the terms_used its per-point loop counts.
+
+        The log shells are base + r log x.  The rule (past the running
+        peak, and below the running log-sum + log rel_tol on two
+        consecutive shells) reads accumulate ops; the sum is taken over
+        the shells up to the stop alone, so the result depends only on
+        them, whatever the table's length.
+        """
+        log_x = math.log(x)
+        log_tol = math.log(ctrl.rel_tol)
+        cap = ctrl.max_terms
+        while True:
+            log_shell = self.base[:cap] + self.r[:cap] * log_x
+            below = log_shell < np.logaddexp.accumulate(log_shell) + log_tol
+            below[1:] &= log_shell[1:] < np.maximum.accumulate(log_shell)[:-1]
+            hits = np.flatnonzero(below[1:] & below[:-1])
+            if hits.size:
+                stop = int(hits[0]) + 1
+                break
+            size = self.base.shape[0]
+            if size >= cap:
+                raise ConvergenceError(
+                    f"multiple series not converged after {cap} shells",
+                    terms_used=self._terms_used(x, ctrl, cap),
+                )
+            # Each shell costs about the same, so a short step keeps a
+            # one-point request within a quarter (plus 16) of the shells
+            # it needs.
+            self.grow(min(int(size * 1.25) + 16, cap))
+        window = log_shell[: stop + 1]
+        wm = float(window.max())
+        log_phi = wm + math.log(float(np.sum(np.exp(window - wm))))
+        return log_phi, self._terms_used(x, ctrl, stop + 1)
+
+    def _terms_used(self, x: float, ctrl: SeriesControl, shells: int) -> int:
+        """The terms `density_n`'s loop counts over `shells` shells at x:
+        the pairs of its collapsed head and last sequence, each sequence
+        cut at `_series_cutoff` terms."""
+        kj = _series_cutoff(float(np.sum(self.c * x)), ctrl)
+        head = (self.c.shape[0] - 1) * (kj - 1) + 1
+        r = np.arange(shells)
+        return int(np.sum(np.minimum(r, head - 1) - np.maximum(0, r - kj + 1) + 1))
+
+
+def _log_density(
+    spec: ConvolutionSpec, x: float, log_phi: float, terms_used: int
+) -> EvalResult:
+    """The density from the log of the multiple series at x."""
+    log_f = (
+        -float(np.sum(spec.shapes * np.log(spec.scales)))
+        - math.lgamma(spec.total_shape)
+        + (spec.total_shape - 1.0) * math.log(x)
+        - x / spec.scales[0]
+        + log_phi
+    )
+    return EvalResult(0.0 if log_f < _LOG_TINY else math.exp(log_f), terms_used, None)
+
+
 def density_n(
-    spec: ConvolutionSpec, x: float, ctrl: SeriesControl | None = None
+    spec: ConvolutionSpec,
+    x: float,
+    ctrl: SeriesControl | None = None,
+    weights: ShellTable | None = None,
 ) -> EvalResult:
     """Density via the multiple-series representation, any n >= 1.
 
@@ -131,12 +249,20 @@ def density_n(
     positive, so all terms are non-negative and the shell sums decay once
     r exceeds roughly max_j z_j.  Terminates when two consecutive shells
     contribute less than rel_tol relative to the accumulated sum.
+
+    x factors out of every shell (see `ShellTable`).  Pass the spec's
+    `ShellTable` as `weights` to read the shells from it, grown as this
+    point needs, instead of building them at x (`methods.evaluate` does,
+    once per request); the value agrees with the per-point loop to
+    rounding, with the same terms_used.
     """
     spec, done = check_point(spec, x, "density")
     if done is not None:
         return done
     if ctrl is None:
         ctrl = DEFAULT_CONTROL if len(spec) <= 2 else CONTROL_N
+    if weights is not None:
+        return _log_density(spec, x, *weights.log_series(x, ctrl))
 
     shapes = spec.shapes
     scales = spec.scales
@@ -215,15 +341,7 @@ def density_n(
             terms_used=terms_used,
         )
 
-    log_phi = acc.log_sum()
-    log_f = (
-        -float(np.sum(shapes * np.log(scales)))
-        - log_gamma_base
-        + (gamma - 1.0) * math.log(x)
-        - x / beta1
-        + log_phi
-    )
-    return EvalResult(0.0 if log_f < _LOG_TINY else math.exp(log_f), terms_used, None)
+    return _log_density(spec, x, acc.log_sum(), terms_used)
 
 
 def cdf_n(
@@ -246,5 +364,5 @@ def cdf_n(
         return done
     if ctrl is None:
         ctrl = DEFAULT_CONTROL if len(spec) <= 2 else CONTROL_N
-    law = weights if weights is not None else nb_sum_law(spec)
+    law = weights if weights is not None else nb_sum_law(spec, ctrl)
     return converge("cdf", y, ctrl, law)

@@ -332,12 +332,15 @@ def nb_sum_law(
     at k < count, by convolving the NB pmfs cut at count terms.
 
     count defaults to kappa_1 + 12 sqrt(kappa_2) + 32, kappa the law's
-    cumulants, which leaves out mass far below any practical tolerance.
-    (`ctrl` is unused; it keeps the signature of the other first laws.)
+    cumulants, which leaves out mass far below any practical tolerance;
+    given `ctrl`, that default is capped at ctrl.max_terms + 1 masses, the
+    size `NBSumLaw.extend` stops at.
     """
     if count is None:
         mean, var = nb_sum_cumulants(spec)
         count = int(mean + 12.0 * math.sqrt(var)) + 32
+        if ctrl is not None:
+            count = min(count, ctrl.max_terms + 1)
     b1 = spec.components[0].scale
     masses = None
     for c in spec.components[1:]:
@@ -411,13 +414,14 @@ class Method(NamedTuple):
     """A method's name, per-point density and CDF, default control, and
     for each quantity whose weight law does not depend on the point, the
     builder of the law its per-point function takes as `weights`:
-    density_law / cdf_law(spec, ctrl)."""
+    density_law / cdf_law(spec, ctrl).  For the mathai density at n >= 3
+    the law is a `mathai.ShellTable`, the series' x-free shells."""
 
     name: str
     density: Callable[..., EvalResult]
     cdf: Callable[..., EvalResult]
     control: SeriesControl
-    density_law: Callable[[ConvolutionSpec, SeriesControl], WeightLaw] | None = None
+    density_law: Callable[[ConvolutionSpec, SeriesControl], object] | None = None
     cdf_law: Callable[[ConvolutionSpec, SeriesControl], WeightLaw] | None = None
 
 
@@ -438,7 +442,7 @@ def lookup(method: str, n: int) -> Method:
         return Method(method, *fns, cdf_law=nb_sum_law)
     if method == "mathai":
         fns = mathai.density_n, mathai.cdf_n, mathai.CONTROL_N
-        return Method(method, *fns, cdf_law=nb_sum_law)
+        return Method(method, *fns, mathai.ShellTable, nb_sum_law)
     if method == "moschopoulos":
         law = moschopoulos.first_weights
         return Method(
@@ -468,8 +472,12 @@ def evaluate(
     first stage is built once and handed to the per-point function at
     each point as `weights`; a point that needs more terms extends it for
     itself, so each result equals the per-point call on that point alone.
-    The mathai densities sum a series in x and run per point.  `ctrl`
-    defaults to the method's own control.
+    For the mathai density at n >= 3 the law is a shell table
+    (`mathai.ShellTable`), grown in place as the points need: each result
+    equals `density_n` on that point alone with a table of its own, and
+    agrees with the per-point loop to rounding.  The n = 2 mathai density
+    (a closed 1F1 form) runs per point.  `ctrl` defaults to the method's
+    own control.
     """
     spec = canonicalize(spec)
     chosen = lookup(method, len(spec))

@@ -129,9 +129,9 @@ def _weight_count_estimate(spec: ConvolutionSpec) -> int:
 
 def first_weights(spec: ConvolutionSpec, ctrl: SeriesControl) -> WeightDistribution:
     """The weights `density` and `cdf` start from: delta_0..delta_K with K
-    from the weight cumulants.  (`ctrl` is unused; it keeps the signature
-    of the other routes' first laws.)"""
-    return build_weights(spec, _weight_count_estimate(spec))
+    from the weight cumulants, capped at ctrl.max_terms (the cap the
+    extension stops at)."""
+    return build_weights(spec, min(_weight_count_estimate(spec), ctrl.max_terms))
 
 
 def _series(

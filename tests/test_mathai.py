@@ -9,8 +9,8 @@ from scipy import stats
 
 from gammaconv import bench, moschopoulos
 from gammaconv.errors import DomainError
-from gammaconv.mathai import CONTROL_N, cdf2, cdf_n, density2, density_n
-from gammaconv.model import ConvolutionSpec
+from gammaconv.mathai import CONTROL_N, ShellTable, cdf2, cdf_n, density2, density_n
+from gammaconv.model import ConvolutionSpec, canonicalize
 from gammaconv.oracle import (
     hypoexp_closed_form,
     hypoexp_closed_form_cdf,
@@ -130,6 +130,30 @@ class TestDensityNMatchesDensity2:
                     density_n(spec, x).value, density2(spec, x).value
                 ) < 1e-11
                 assert rel_err(cdf_n(spec, x).value, cdf2(spec, x).value) < 1e-11
+
+
+class TestShellTable:
+    """`ShellTable`: the x-free shells of the n >= 3 series, shared by points."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_matches_per_point_loop(self, seeded_random, n):
+        for _ in range(4):
+            spec = canonicalize(random_spec(seeded_random, n))
+            table = ShellTable(spec)
+            mean = float(spec.shapes @ spec.scales)
+            for x in (0.3 * mean, mean, 2.5 * mean):
+                got = density_n(spec, x, weights=table)
+                want = density_n(spec, x)
+                assert rel_err(got.value, want.value) < 1e-12
+                assert got.terms_used == want.terms_used
+
+    def test_longer_table_repeats_shorter(self):
+        spec = canonicalize(bench.spec_for(2.0, (4.0, 3.0, 0.2)))
+        short, grown = ShellTable(spec), ShellTable(spec)
+        short.grow(100)
+        for size in (30, 64, 100, 250):
+            grown.grow(size)
+        assert np.array_equal(grown.base[:100], short.base)
 
 
 class TestBoundaryAndDomain:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -13,8 +14,8 @@ import pytest
 from scipy import stats
 
 import gammaconv
-from gammaconv import bench, cli, mathai, methods, moschopoulos
-from gammaconv.errors import ConvergenceError, DomainError
+from gammaconv import barnabani, bench, cli, mathai, methods, moschopoulos
+from gammaconv.errors import ConvergenceError, DomainError, GammaConvError
 from gammaconv.model import ConvolutionSpec, EvalResult, canonicalize
 from gammaconv.specfun import DEFAULT_CONTROL, SeriesControl
 
@@ -229,7 +230,11 @@ class TestEvaluate:
                 fn = route_fn(method, n, quantity)
                 rows = cli_rows(capsys, method, quantity, spec, points)
                 for x, row in zip(points, rows):
-                    want = fn(spec, x)
+                    if (method, n, quantity) == ("mathai", 3, "density"):
+                        # this route's rows read a shell table
+                        want = fn(spec, x, weights=mathai.ShellTable(canonicalize(spec)))
+                    else:
+                        want = fn(spec, x)
                     assert (row["value"], row["terms_used"]) == (want.value, want.terms_used)
 
     def test_one_weight_build_per_request(self, capsys, monkeypatch):
@@ -266,6 +271,73 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
+
+    def test_mathai_shell_table_rows_match_per_point_loop(self, capsys):
+        for alpha, scales in bench.TABLE2_SETTINGS:
+            spec = bench.spec_for(alpha, scales)
+            points = paper_points(spec)
+            rows = cli_rows(capsys, "mathai", "density", spec, points)
+            for x, row in zip(points, rows):
+                want = mathai.density_n(spec, x)
+                assert rel_err(row["value"], want.value) < 3e-12
+                assert row["terms_used"] == want.terms_used
+
+    def test_mathai_shell_table_rows_do_not_depend_on_the_grid(self):
+        # Each row equals the point evaluated against a table of its own,
+        # so the other points of a request, and their order, do not matter.
+        spec = canonicalize(bench.spec_for(20.0, (4.0, 0.3, 0.2)))
+        points = paper_points(spec, 20)
+        rows = methods.evaluate("mathai", "density", spec, points)
+        for x, row in zip(points, rows):
+            assert row == mathai.density_n(spec, x, weights=mathai.ShellTable(spec))
+        order = np.random.default_rng(7).permutation(len(points))
+        shuffled = methods.evaluate("mathai", "density", spec, [points[i] for i in order])
+        assert shuffled == [rows[i] for i in order]
+
+    def test_mathai_shell_table_computes_each_shell_once(self, capsys, monkeypatch):
+        ranges = []
+        real = mathai._log_convolve
+
+        def spy(log_a, log_b, start=0, stop=None):
+            ranges.append((start, stop))
+            return real(log_a, log_b, start, stop)
+
+        monkeypatch.setattr(mathai, "_log_convolve", spy)
+        spec = bench.spec_for(20.0, (4.0, 3.0, 0.2))
+        cli_rows(capsys, "mathai", "density", spec, paper_points(spec, 40)[::-1])
+        assert len(ranges) > 1
+        assert ranges[0][0] == 0
+        assert all(prev[1] == cur[0] for prev, cur in zip(ranges, ranges[1:]))
+
+    def test_mathai_shell_table_stops_at_max_terms(self, capsys):
+        spec = bench.spec_for(2.0, (4.0, 3.0, 0.2))
+        x = paper_points(spec)[-1]
+        tight = SeriesControl(rel_tol=1e-13, max_terms=40)
+        with pytest.raises(ConvergenceError) as per_point:
+            mathai.density_n(spec, x, tight)
+        with pytest.raises(ConvergenceError) as shared:
+            methods.evaluate("mathai", "density", spec, [1.0, x], tight)
+        assert shared.value.terms_used == per_point.value.terms_used > 0
+        code = cli.main(["eval", "density", "--shape", "2,2,2", "--scale", "4,3,0.2",
+                         "--method", "mathai", "--max-terms", "40", "--at", f"1,{x!r}"])
+        assert code == cli.EXIT_NONCONVERGENCE
+        assert "not converged after 40 shells" in capsys.readouterr().err
+
+    def test_first_tables_honour_max_terms(self):
+        # Uncapped, the first tables here hold 161,472, about 190,000 and
+        # 19,818,097 terms against caps of 10,000, 10,000 and 200,000.
+        spec = ConvolutionSpec.of((2.0, 1e-3), (2.0, 10.0))
+        for fn in (moschopoulos.density, mathai.cdf2):
+            start = time.perf_counter()
+            with pytest.raises(ConvergenceError) as failed:
+                fn(spec, 20.0)
+            assert time.perf_counter() - start < 1.0
+            assert failed.value.terms_used == DEFAULT_CONTROL.max_terms + 1
+        try:
+            size = barnabani.density_approx(spec, 20.0).terms_used
+        except GammaConvError:
+            size = 0
+        assert size <= barnabani.CONTROL_APPROX.max_terms + 1
 
     def test_convergence_failure_matches_per_point(self):
         # At x = 1000 the kernel peaks near k = 5000, past a table capped at
