@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, FitFailureError
-from .methods import WeightLaw, check_point, mixture_cdf, mixture_density
+from .methods import WeightLaw, check_point, mixture_cdf, mixture_density, nb_sum_cumulants
 from .model import ConvolutionSpec, EvalResult, canonicalize
 from .specfun import SeriesControl
 
@@ -75,18 +75,9 @@ class GnbdParams:
 
 
 def weight_cumulants(spec: ConvolutionSpec) -> WeightMoments:
-    """Cumulants of K from the negative-binomial decomposition.
-
-    kappa_1 = sum a_i (1-q_i)/q_i, kappa_2 = sum a_i (1-q_i)/q_i^2,
-    kappa_3 = sum a_i (1-q_i)(2-q_i)/q_i^3 with q_i = b1/b_i.
-    """
-    spec = canonicalize(spec)
-    qs = spec.scales[0] / spec.scales
-    a = spec.shapes
-    k1 = float(np.sum(a * (1.0 - qs) / qs))
-    k2 = float(np.sum(a * (1.0 - qs) / qs**2))
-    k3 = float(np.sum(a * (1.0 - qs) * (2.0 - qs) / qs**3))
-    return WeightMoments(k1, k2, k3)
+    """Cumulants of K from the negative-binomial decomposition
+    (`methods.nb_sum_cumulants`)."""
+    return WeightMoments(*nb_sum_cumulants(canonicalize(spec)))
 
 
 def gnbd_pmf(params: GnbdParams, k) -> np.ndarray:

@@ -27,7 +27,6 @@ __all__ = [
     "Method",
     "check_point",
     "log_gamma_pdf",
-    "gamma_kernel_bound",
     "WeightLaw",
     "NBSumLaw",
     "nb_sum_law",
@@ -85,26 +84,20 @@ def log_gamma_pdf(x: float, shape: float, scale: float) -> float:
 
 
 def _log_kernel_peak(x: float, shape_min: float, beta: float) -> float:
-    """log of half of `gamma_kernel_bound`, finite where that underflows."""
+    """log of half an upper bound on g(x; s, beta) over shapes s >= shape_min.
+
+    The kernel is unimodal in s for fixed x, peaking near s = x/beta + 1/2
+    (where digamma(s) = log(x/beta)); evaluating a bracket of candidate
+    shapes around the peak, clamped to shape_min, dominates every integer
+    shift the series can use.  The factor 2 (log 2, added by the caller)
+    protects against the peak approximation.
+    """
     s_star = x / beta + 0.5
     candidates = [shape_min]
     for s in (s_star - 1.0, s_star, s_star + 1.0, s_star + 2.0):
         if s > shape_min:
             candidates.append(s)
     return max(log_gamma_pdf(x, s, beta) for s in candidates)
-
-
-def gamma_kernel_bound(x: float, shape_min: float, beta: float) -> float:
-    """Upper bound on g(x; s, beta) over shapes s >= shape_min.
-
-    The kernel is unimodal in s for fixed x, peaking near s = x/beta + 1/2
-    (where digamma(s) = log(x/beta)); evaluating a bracket of candidate
-    shapes around the peak, clamped to shape_min, dominates every integer
-    shift the series can use.  A factor 2 protects against the peak
-    approximation.
-    """
-    best = _log_kernel_peak(x, shape_min, beta)
-    return 2.0 * math.exp(best) if best > -700.0 else math.exp(best + math.log(2.0))
 
 
 class WeightLaw:
@@ -227,12 +220,10 @@ def _nb_masses(a: float, q: float, count: int) -> np.ndarray:
     k = np.arange(count, dtype=float)
     log_ratio = sp.gammaln(a + k[:128]) - sp.gammaln(k[:128] + 1.0)
     if count > 128:
-        # lgamma(z) - (z - 1/2) log z + z - log(2 pi)/2 at z = a + k and
-        # z = k + 1; the series' next term is below 1e-18 for z > 128.
+        # lgamma(z) - (z - 1/2) log z + z - log(2 pi)/2, the Stirling
+        # error, at z = a + k and z = k + 1.
         y = k[128:] + 1.0
-        u = 1.0 / np.concatenate((y + (a - 1.0), y))
-        u2 = u * u
-        rest = u * (1.0 / 12.0 - u2 * (1.0 / 360.0 - u2 / 1260.0))
+        rest = _stirling_error(np.concatenate((y + (a - 1.0), y)))
         tail = (y + (a - 1.5)) * np.log1p((a - 1.0) / y) + (a - 1.0) * (np.log(y) - 1.0)
         n = y.shape[0]
         log_ratio = np.concatenate((log_ratio, tail + (rest[:n] - rest[n:])))
@@ -314,15 +305,20 @@ class NBSumLaw(WeightLaw):
         return log_bound
 
 
-def nb_sum_cumulants(spec: ConvolutionSpec) -> tuple[float, float]:
-    """The mean and variance of the exact weight law."""
+def nb_sum_cumulants(spec: ConvolutionSpec) -> tuple[float, float, float]:
+    """The first three cumulants of the exact weight law of a canonical spec:
+
+    kappa_1 = sum a_i (1-q_i)/q_i, kappa_2 = sum a_i (1-q_i)/q_i^2,
+    kappa_3 = sum a_i (1-q_i)(2-q_i)/q_i^3 with q_i = b1/b_i.
+    """
     b1 = spec.components[0].scale
-    mean = var = 0.0
+    k1 = k2 = k3 = 0.0
     for c in spec.components:
         q = b1 / c.scale
-        mean += c.shape * (1.0 - q) / q
-        var += c.shape * (1.0 - q) / q**2
-    return mean, var
+        k1 += c.shape * (1.0 - q) / q
+        k2 += c.shape * (1.0 - q) / q**2
+        k3 += c.shape * (1.0 - q) * (2.0 - q) / q**3
+    return k1, k2, k3
 
 
 def nb_sum_law(
@@ -337,7 +333,7 @@ def nb_sum_law(
     size `NBSumLaw.extend` stops at.
     """
     if count is None:
-        mean, var = nb_sum_cumulants(spec)
+        mean, var, _ = nb_sum_cumulants(spec)
         count = int(mean + 12.0 * math.sqrt(var)) + 32
         if ctrl is not None:
             count = min(count, ctrl.max_terms + 1)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DomainError
 from .methods import NBSumLaw, WeightLaw, check_point, converge, nb_sum_cumulants
-from .methods import gamma_kernel_bound
 from .model import ConvolutionSpec, EvalResult, canonicalize
 from .specfun import DEFAULT_CONTROL, SeriesControl
 
@@ -26,8 +25,6 @@ __all__ = [
     "extend_weights",
     "density",
     "cdf",
-    "weight_pmf",
-    "gamma_kernel_bound",
 ]
 
 
@@ -56,9 +53,6 @@ class WeightDistribution(NBSumLaw):
     def pmf(self, k: int) -> float:
         return self.c * float(self.deltas[k])
 
-    def cumulative_mass(self) -> np.ndarray:
-        return self.c * np.cumsum(self.deltas)
-
     def stage(self, upto: int) -> WeightDistribution:
         return extend_weights(self, self.spec, upto)
 
@@ -82,6 +76,20 @@ def _gamma_seq(spec: ConvolutionSpec, k_lo: int, k_hi: int) -> np.ndarray:
     return (powers @ shapes) / k
 
 
+def _recurse(
+    c: float, deltas: np.ndarray, gammas: np.ndarray, spec: ConvolutionSpec, upto: int
+) -> WeightDistribution:
+    """Run the recursion on from delta_0..delta_K and gamma_0..gamma_K up
+    to `upto` >= K."""
+    old = deltas.shape[0] - 1
+    gammas = np.concatenate((gammas, _gamma_seq(spec, old + 1, upto)))
+    deltas = np.concatenate((deltas, np.empty(upto - old)))
+    ig = np.arange(upto + 1, dtype=float) * gammas  # i * gamma_i
+    for k in range(old, upto):
+        deltas[k + 1] = (ig[1 : k + 2] @ deltas[k::-1]) / (k + 1)
+    return WeightDistribution(c, deltas, gammas, spec)
+
+
 def build_weights(spec: ConvolutionSpec, upto: int) -> WeightDistribution:
     """Populate delta_0..delta_upto via the exact recursion."""
     spec = canonicalize(spec)
@@ -90,16 +98,7 @@ def build_weights(spec: ConvolutionSpec, upto: int) -> WeightDistribution:
     shapes = spec.shapes
     scales = spec.scales
     c = math.exp(float(np.sum(shapes * (math.log(scales[0]) - np.log(scales)))))
-
-    gammas = np.zeros(upto + 1)
-    if upto >= 1:
-        gammas[1:] = _gamma_seq(spec, 1, upto)
-    deltas = np.empty(upto + 1)
-    deltas[0] = 1.0
-    ig = np.arange(upto + 1, dtype=float) * gammas  # i * gamma_i
-    for k in range(upto):
-        deltas[k + 1] = (ig[1 : k + 2] @ deltas[k::-1]) / (k + 1)
-    return WeightDistribution(c, deltas, gammas, spec)
+    return _recurse(c, np.ones(1), np.zeros(1), spec, upto)
 
 
 def extend_weights(
@@ -108,22 +107,12 @@ def extend_weights(
     """Return a snapshot extended to `upto`; existing entries are reused."""
     if upto <= weights.upto:
         return weights
-    spec = canonicalize(spec)
-    old = weights.upto
-    gammas = np.zeros(upto + 1)
-    gammas[: old + 1] = weights.gammas
-    gammas[old + 1 :] = _gamma_seq(spec, old + 1, upto)
-    deltas = np.empty(upto + 1)
-    deltas[: old + 1] = weights.deltas
-    ig = np.arange(upto + 1, dtype=float) * gammas
-    for k in range(old, upto):
-        deltas[k + 1] = (ig[1 : k + 2] @ deltas[k::-1]) / (k + 1)
-    return WeightDistribution(weights.c, deltas, gammas, spec)
+    return _recurse(weights.c, weights.deltas, weights.gammas, canonicalize(spec), upto)
 
 
 def _weight_count_estimate(spec: ConvolutionSpec) -> int:
     """Initial truncation point from the negative-binomial weight cumulants."""
-    mean, var = nb_sum_cumulants(spec)
+    mean, var, _ = nb_sum_cumulants(spec)
     return int(mean + 10.0 * math.sqrt(var) + 60.0)
 
 
@@ -178,17 +167,3 @@ def cdf(
     since G decreases in the shape argument.
     """
     return _series(spec, y, ctrl, weights, "cdf")
-
-
-def weight_pmf(
-    spec: ConvolutionSpec,
-    k: int,
-    weights: WeightDistribution | None = None,
-) -> float:
-    """Mass C*delta_k of the discrete weight distribution at k."""
-    if k < 0:
-        raise DomainError(f"weight_pmf requires k >= 0, got {k}")
-    spec = canonicalize(spec)
-    if weights is None or weights.upto < k:
-        weights = build_weights(spec, k)
-    return weights.pmf(k)

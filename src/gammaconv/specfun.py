@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import ConvergenceError, DomainError
 
@@ -20,9 +19,6 @@ __all__ = [
     "SeriesControl",
     "ScaledValue",
     "DEFAULT_CONTROL",
-    "ln_gamma",
-    "reg_lower_gamma",
-    "pochhammer_log",
     "kummer_1f1",
     "kummer_1f1_terms",
 ]
@@ -87,43 +83,6 @@ class ScaledValue:
                 f"scaled value exp({self.log_magnitude:.6g}) exceeds double range"
             )
         return self.sign * math.exp(self.log_magnitude)
-
-
-def ln_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if not x > 0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def reg_lower_gamma(a, x):
-    """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a).
-
-    Accepts scalars or numpy arrays in either slot; a > 0 and x >= 0.
-    """
-    a_arr = np.asarray(a, dtype=float)
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(a_arr <= 0):
-        raise DomainError("reg_lower_gamma requires a > 0")
-    if np.any(x_arr < 0):
-        raise DomainError("reg_lower_gamma requires x >= 0")
-    out = sp.gammainc(a_arr, x_arr)
-    if np.isscalar(a) and np.isscalar(x):
-        return float(out)
-    return out
-
-
-def pochhammer_log(x: float, m: int) -> ScaledValue:
-    """Rising factorial (x)_m = x (x+1) ... (x+m-1) as a scaled value."""
-    if not x > 0:
-        raise DomainError(f"pochhammer_log requires x > 0, got {x}")
-    if m < 0:
-        raise DomainError(f"pochhammer_log requires m >= 0, got {m}")
-    if m == 0:
-        return ScaledValue(0.0, 1)
-    # Direct log-product keeps the lgamma-difference identity a real test.
-    log_mag = float(np.sum(np.log(x + np.arange(m, dtype=float))))
-    return ScaledValue(log_mag, 1)
 
 
 def _stirling_rest(x: float) -> float:

@@ -155,6 +155,20 @@ class TestShellTable:
             grown.grow(size)
         assert np.array_equal(grown.base[:100], short.base)
 
+    def test_alpha_20_density_against_mpmath(self):
+        # Gamma(20, 4) + Gamma(20, 0.3) + Gamma(20, 0.2): the references are
+        # the 40-digit mpmath values of perfbench/data/inputs.json.  Read
+        # off a running logaddexp sum of the shells instead of their
+        # shifted sum, the first point's value is 1.4e-12 off.
+        spec = canonicalize(bench.spec_for(20.0, (4.0, 0.3, 0.2)))
+        table = ShellTable(spec)
+        for x, want in (
+            (131.10818592421418, 0.0020372089046222888115),
+            (150.32206119946952, 0.00027592560121291904205),
+        ):
+            assert rel_err(density_n(spec, x).value, want) < 1e-12
+            assert rel_err(density_n(spec, x, weights=table).value, want) < 1e-12
+
 
 class TestBoundaryAndDomain:
     def test_cdf_at_zero(self):

@@ -1,5 +1,6 @@
 """Tests of the shared entry check, the mixture evaluator and the registry."""
 
+import importlib
 import json
 import math
 import os
@@ -369,3 +370,12 @@ def test_request_path_does_not_import_bench():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     assert "LOADED []" in out
+
+
+@pytest.mark.parametrize(
+    "module", ["specfun", "moschopoulos", "barnabani", "mathai", "renewal", "model", "methods"]
+)
+def test_every_exported_name_resolves(module):
+    # perfbench/tracer.py looks up every name in these modules' __all__.
+    mod = importlib.import_module(f"gammaconv.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

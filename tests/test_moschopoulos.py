@@ -11,7 +11,7 @@ from scipy.optimize import minimize_scalar
 
 from gammaconv.errors import ConvergenceError, DomainError
 from gammaconv.mathai import cdf2, density2
-from gammaconv.methods import NBSumLaw
+from gammaconv.methods import NBSumLaw, _log_kernel_peak
 from gammaconv.model import ConvolutionSpec, canonicalize
 from gammaconv.moschopoulos import (
     WeightDistribution,
@@ -19,8 +19,6 @@ from gammaconv.moschopoulos import (
     cdf,
     density,
     extend_weights,
-    gamma_kernel_bound,
-    weight_pmf,
 )
 from gammaconv.specfun import SeriesControl
 
@@ -65,16 +63,18 @@ class TestWeightRecursion:
         spec = ConvolutionSpec.of((0.4, 27.0), (0.3, 32.0), (0.2, 40.0))
         w = build_weights(spec, 400)
         assert np.all(w.deltas >= 0.0)
-        mass = w.cumulative_mass()
+        mass = np.cumsum(w.masses)
         assert np.all(np.diff(mass) >= 0.0)
         assert mass[-1] <= 1.0 + 1e-12
 
     def test_extend_matches_fresh_build(self):
         spec = ConvolutionSpec.of((2.0, 2.0), (2.0, 3.0), (2.0, 5.0))
         fresh = build_weights(spec, 150)
-        grown = extend_weights(build_weights(spec, 40), spec, 150)
-        assert np.array_equal(fresh.deltas, grown.deltas)
-        assert np.array_equal(fresh.gammas, grown.gammas)
+        # upto = 0 is the one-entry stage build_weights itself starts from.
+        for start in (0, 40):
+            grown = extend_weights(build_weights(spec, start), spec, 150)
+            assert np.array_equal(fresh.deltas, grown.deltas)
+            assert np.array_equal(fresh.gammas, grown.gammas)
 
     def test_extend_noop_below_current(self):
         spec = ConvolutionSpec.of((2.0, 2.0), (2.0, 3.0))
@@ -87,10 +87,11 @@ class TestWeightRecursion:
 
     def test_weight_pmf(self):
         spec = ConvolutionSpec.of((2, 1), (3, 2))
-        assert rel_err(weight_pmf(spec, 0), 0.125) < 1e-15
-        assert rel_err(weight_pmf(spec, 1), 0.125 * 1.5) < 1e-14
+        masses = build_weights(spec, 1).masses
+        assert rel_err(masses[0], 0.125) < 1e-15
+        assert rel_err(masses[1], 0.125 * 1.5) < 1e-14
         with pytest.raises(DomainError):
-            weight_pmf(spec, -1)
+            build_weights(spec, -1)
 
 
 class TestGammaKernelBound:
@@ -109,13 +110,12 @@ class TestGammaKernelBound:
             bounds=(shape_min, shape_min + max(4.0 * x / beta, 50.0)),
             method="bounded",
         )
-        brute_max = math.exp(-res.fun) if -res.fun > -700 else 0.0
         # also scan a dense grid in case the optimizer misses the mode
         grid = np.linspace(shape_min, shape_min + max(4.0 * x / beta, 50.0), 4001)
         vals = (grid - 1.0) * math.log(x) - x / beta - sp.gammaln(grid) \
             - grid * math.log(beta)
-        brute_max = max(brute_max, float(np.exp(vals.max())))
-        assert gamma_kernel_bound(x, shape_min, beta) >= brute_max
+        brute_log_max = max(-res.fun, float(vals.max()))
+        assert math.log(2.0) + _log_kernel_peak(x, shape_min, beta) >= brute_log_max
 
 
 class TestDensityAndCdf:

@@ -14,9 +14,6 @@ from gammaconv.specfun import (
     SeriesControl,
     kummer_1f1,
     kummer_1f1_terms,
-    ln_gamma,
-    pochhammer_log,
-    reg_lower_gamma,
 )
 
 from conftest import rel_err
@@ -50,55 +47,6 @@ class TestSeriesControl:
             SeriesControl(rel_tol=1.5)
         with pytest.raises(DomainError):
             SeriesControl(max_terms=0)
-
-
-class TestLnGamma:
-    def test_examples(self):
-        assert ln_gamma(1.0) == 0.0
-        assert rel_err(ln_gamma(5.0), math.log(24.0)) < 1e-14
-        assert rel_err(ln_gamma(0.5), math.log(math.sqrt(math.pi))) < 1e-14
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            ln_gamma(0.0)
-        with pytest.raises(DomainError):
-            ln_gamma(-1.0)
-
-
-class TestRegLowerGamma:
-    def test_examples(self):
-        assert rel_err(reg_lower_gamma(1.0, math.log(2.0)), 0.5) < 1e-13
-        assert reg_lower_gamma(3.7, 0.0) == 0.0
-        assert rel_err(reg_lower_gamma(2.0, 1.0), 1.0 - 2.0 / math.e) < 1e-13
-
-    def test_monotone_and_bounded(self):
-        xs = np.linspace(0.0, 40.0, 400)
-        for a in (0.2, 1.0, 7.5, 60.0):
-            vals = reg_lower_gamma(a, xs)
-            assert np.all(np.diff(vals) >= -1e-15)
-            assert np.all((vals >= 0.0) & (vals <= 1.0))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            reg_lower_gamma(0.0, 1.0)
-        with pytest.raises(DomainError):
-            reg_lower_gamma(1.0, -0.5)
-
-
-class TestPochhammer:
-    def test_examples(self):
-        assert rel_err(pochhammer_log(3.0, 4).to_float(), 360.0) < 1e-13
-        assert pochhammer_log(2.7, 0).to_float() == 1.0
-        assert rel_err(pochhammer_log(0.5, 3).to_float(), 1.875) < 1e-13
-
-    def test_lgamma_identity(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            x = math.exp(rng.uniform(-3.0, 3.0))
-            m = rng.randint(0, 200)
-            got = pochhammer_log(x, m).log_magnitude
-            want = ln_gamma(x + m) - ln_gamma(x)
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestKummer:
