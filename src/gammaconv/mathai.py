@@ -40,6 +40,12 @@ def density2(
     f(x) = (b1/b2)^a2 g(x; a1+a2, b1) 1F1(a2; a1+a2; (1/b1 - 1/b2) x)
     with b1 the smaller scale; fully assembled in log space.  A spec whose
     components merged to a single gamma is evaluated directly.
+
+    tail_bound is None: the 1F1 series stops once its terms past the peak
+    fall below rel_tol of the running sum, a relative stop rule that
+    bounds nothing.  The mixture routes' bound, left-out weight mass times
+    the largest kernel, has no counterpart here, since the 1F1 terms are
+    not the masses of a law.
     """
     spec, done = check_point(spec, x, "density")
     if done is not None:
@@ -70,8 +76,10 @@ def cdf2(
     negative binomial with size a2 and success probability b1/b2
     (`methods.nb_sum_law`).  The remaining weight mass gives the
     truncation bound (1 - sum w_k) G(y/b1; K+1+gamma), valid because G
-    decreases in shape.  Pass a prebuilt law as `weights` to share it
-    across calls.
+    decreases in shape.  `methods.mixture_cdf` sums it, from y/b1 = 64 up
+    as kernel sums with one incomplete-gamma value; the terms and the
+    bound are the same either way.  Pass a prebuilt law as `weights` to
+    share it across calls.
     """
     spec, done = check_point(spec, y, "cdf")
     if done is not None:
@@ -232,6 +240,12 @@ def density_n(
     point needs, instead of building them at x (`methods.evaluate` does,
     once per request); the value agrees with the per-point loop to
     rounding, with the same terms_used.
+
+    tail_bound is None: the stop rule (two consecutive shells below
+    rel_tol of the running sum, past the shell peak) is relative and
+    bounds nothing, and the shells are not the masses of a law, so the
+    mixture routes' bound (left-out mass times the largest kernel) does
+    not apply.
     """
     spec, done = check_point(spec, x, "density")
     if done is not None:
@@ -332,8 +346,10 @@ def cdf_n(
     convolutions of negative-binomial masses and therefore sum to one:
     the law `methods.nb_sum_law` builds.  The reported tail bound is
     (1 - sum W) G(y/b1; gamma + R + 1); terms_used counts the shell
-    weights W_0..W_R.  Pass a prebuilt law as `weights` to share it across
-    calls.
+    weights W_0..W_R.  `methods.mixture_cdf` sums the series, from
+    y/b1 = 64 up as kernel sums with one incomplete-gamma value; the terms
+    and the bound are the same either way.  Pass a prebuilt law as
+    `weights` to share it across calls.
     """
     spec, done = check_point(spec, y, "cdf")
     if done is not None:

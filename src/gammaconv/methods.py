@@ -107,7 +107,8 @@ class WeightLaw:
     fixed at its size: `extend` gives None and the mass it leaves out is
     taken as 1 - sum(masses).  The exact law (`NBSumLaw`) extends.  The
     x-free parts of the density's log terms are computed once per law,
-    on its first density evaluation.
+    on its first density evaluation, and those of the CDF's kernel sums on
+    its first CDF evaluation that takes them.
     """
 
     def __init__(self, masses: np.ndarray, rho: float, beta1: float):
@@ -134,6 +135,23 @@ class WeightLaw:
         with np.errstate(divide="ignore"):
             log_m = np.log(self.masses)
         return log_m, shapes - 1.0, sp.gammaln(shapes), shapes * math.log(self.beta1)
+
+    @cached_property
+    def cdf_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+        """The shapes a = rho + m; log W_m and log S_m, each plus
+        -s(a) - log(2 pi a)/2 (s the Stirling error), W_m the masses up to
+        index m and S_m those past it, summed from the tail; sum(masses);
+        and the mean shape rho + sum m w_m / sum w_m: the x-free parts of
+        `mixture_cdf`'s kernel sums."""
+        masses = self.masses
+        shapes = self.rho + np.arange(masses.shape[0], dtype=float)
+        log_c = -_stirling_error(shapes) - 0.5 * np.log(2.0 * math.pi * shapes)
+        past = np.append(np.cumsum(masses[:0:-1])[::-1], 0.0)
+        total = float(masses.sum())
+        mean_shape = float(shapes @ masses) / total if total > 0.0 else math.inf
+        with np.errstate(divide="ignore"):
+            log_cum, log_past = np.log(np.cumsum(masses)), np.log(past)
+        return shapes, log_c + log_cum, log_c + log_past, total, mean_shape
 
 
 #: Size from which `_nb_masses` takes the whole log-mass from its grouped
@@ -367,20 +385,64 @@ def mixture_density(law: WeightLaw, x: float) -> tuple[float, float]:
     return value, math.exp(log_tail) if log_tail < 709.0 else math.inf
 
 
-def mixture_cdf(law: WeightLaw, y: float) -> tuple[float, float]:
-    """sum_k w_k G(y/b1; rho + k) over `law`, clamped to 1, and its tail bound.
+#: u = y/b1 from which `mixture_cdf` takes its kernel sums in place of one
+#: gammainc per mass.  Measured per point on NB-sum laws of K = 36-970
+#: masses at u = 8-1024: the gammainc sum costs 14-230 us (75-310 ns per
+#: mass, more as u grows), the kernel sums 12-38 us, so on a law shared by
+#: many points they win at every u measured; no size condition on K pays.
+#: What decides is their x-free parts, 63-114 us once per law: a law used
+#: at one point (a per-point call, or the renewal routes' one law per
+#: composition) loses below K of about 300.  The renewal routes stay at
+#: u <= 34 (t = 10, scales >= 0.3), so below 64 the sum stays as written.
+_CDF_KERNEL_SUM_FROM = 64.0
 
-    G is the regularized lower incomplete gamma function.  It decreases in
-    the shape, so the left-out mass times G(y/b1; rho + K + 1) bounds the
-    terms past the table's last index K.  The left-out mass is taken as
-    1 - sum(masses): G <= 1, so where that rounds to zero the terms it
+
+def mixture_cdf(law: WeightLaw, y: float) -> tuple[float, float]:
+    """sum_k w_k P(rho + k, u) over `law`, u = y/b1, clamped to 1, and its
+    tail bound.
+
+    P is the regularized lower incomplete gamma function.  It decreases in
+    the shape, so the left-out mass times P(rho + K, u) bounds the terms
+    past the table's last index K - 1.  The left-out mass is taken as
+    1 - sum(masses): P <= 1, so where that rounds to zero the terms it
     misses are below the double spacing at the value.
+
+    Below u = `_CDF_KERNEL_SUM_FROM` the sum is taken as written, one
+    gammainc per mass.  From it on, the recurrence
+    P(a, u) = P(a + 1, u) + k_a(u), with
+    k_a(u) = e^-u u^a / Gamma(a + 1), turns the same sum into kernel sums
+    with x-free weights and one incomplete-gamma value (W_m the masses up
+    to m, S_m those past it, W = sum(masses)):
+
+        lower:  sum_m W_m k_(rho+m)(u) + W P(rho + K, u)
+        upper:  W - [sum_m S_m k_(rho+m)(u) + W Q(rho, u)]
+
+    All their terms are non-negative.  The upper form, whose bracket is
+    W - F to relative accuracy, is taken where u is above the law's mean
+    shape, the lower one elsewhere.  The kernel is in Loader's
+    saddle-point form, exp(-s(a) - log(2 pi a)/2 - D(a, u)), s the
+    Stirling error and D(a, u) = a log1p((a - u)/u) - (a - u), so nothing
+    of size a log a cancels; its x-free parts are the law's `cdf_terms`,
+    computed once per law (a cost `_CDF_KERNEL_SUM_FROM` weighs).  The
+    choice depends on the law and u alone, and the tail bound is the
+    same in both.
     """
     masses, rho = law.masses, law.rho
     u = y / law.beta1
-    value = float(masses @ sp.gammainc(rho + np.arange(masses.shape[0], dtype=float), u))
-    remaining = max(1.0 - float(masses.sum()), 0.0)
-    return min(value, 1.0), remaining * float(sp.gammainc(rho + masses.shape[0], u))
+    p_past = float(sp.gammainc(rho + masses.shape[0], u))
+    if u < _CDF_KERNEL_SUM_FROM:
+        value = float(masses @ sp.gammainc(rho + np.arange(masses.shape[0], dtype=float), u))
+        total = float(masses.sum())
+    else:
+        shapes, log_cum, log_past, total, mean_shape = law.cdf_terms
+        d = shapes - u
+        deviance = shapes * np.log1p(d / u) - d
+        if u > mean_shape:
+            rest = float(np.exp(log_past - deviance).sum()) + total * float(sp.gammaincc(rho, u))
+            value = total - rest
+        else:
+            value = float(np.exp(log_cum - deviance).sum()) + total * p_past
+    return min(value, 1.0), max(1.0 - total, 0.0) * p_past
 
 
 def converge(quantity: str, x: float, ctrl: SeriesControl, law: WeightLaw) -> EvalResult:

@@ -195,6 +195,11 @@ class EvalResult:
     value: the evaluated density (1/x units) or probability.
     terms_used: number of series terms consumed.
     tail_bound: rigorous bound on the truncation error when available.
+        The mixture routes (moschopoulos, the mathai CDFs, the
+        approximation's truncation) bound it by the left-out weight mass
+        times the largest kernel value.  mathai's densities (the closed 1F1
+        form and the n >= 3 multiple series) give None: their series stop
+        on a relative rule, and their terms are not the masses of a law.
     """
 
     value: float

@@ -164,6 +164,9 @@ def cdf(
     """CDF F(y) = C sum_k delta_k G(y; rho + k, b1) with a rigorous tail.
 
     tail_bound = (1 - C sum_{k<=K} delta_k) G(y/b1; rho + K + 1), valid
-    since G decreases in the shape argument.
+    since G decreases in the shape argument.  `methods.mixture_cdf` sums
+    the series, from y/b1 = 64 up as kernel sums with one incomplete-gamma
+    value in place of one per weight; the terms and the bound are the
+    same either way.
     """
     return _series(spec, y, ctrl, weights, "cdf")

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special as sp
 from scipy import stats
 
 import gammaconv
@@ -107,6 +109,79 @@ class TestMixture:
                 full, _ = mixture(methods.WeightLaw(masses, 1.2, 1.0), x)
                 short, tail = mixture(methods.WeightLaw(masses[:6], 1.2, 1.0), x)
                 assert 0.0 <= full - short <= tail
+
+    # Laws and points at u = y/b1 past the gammainc sum, where mixture_cdf
+    # takes its kernel sums: the left tail, the bulk on both sides of the
+    # law's mean shape (the lower and the upper form) and the right tail.
+    @pytest.mark.parametrize("law, points", [
+        # Shapes 200 and 300: the kernels' a log a is near 3,000.
+        (methods.nb_sum_law(canonicalize(ConvolutionSpec.of((200.0, 1.0), (300.0, 2.0)))),
+         {"left": [575.0], "bulk": [700.0, 900.0], "right": [1002.0]}),
+        # Three components, 4,030 masses.
+        (methods.nb_sum_law(canonicalize(ConvolutionSpec.of((5.0, 1.0), (3.0, 40.0), (2.0, 200.0)))),
+         {"bulk": [110.0, 400.0, 1500.0], "right": [3700.0]}),
+        # Total shape rho = 0.7 < 1.
+        (methods.nb_sum_law(canonicalize(ConvolutionSpec.of((0.3, 1.0), (0.4, 300.0)))),
+         {"bulk": [100.0, 900.0]}),
+        # A GNBD law with beta_g < 1: its masses are zero from k = 102.
+        (methods.WeightLaw(barnabani.gnbd_pmf(barnabani.GnbdParams(50.0, 0.5, 0.3),
+                                              np.arange(200)), 80.0, 1.0),
+         {"bulk": [75.0, 97.0, 125.0]}),
+    ])
+    def test_kernel_sums_match_the_gammainc_sum(self, law, points):
+        masses, size = law.masses, law.masses.shape[0]
+        for region, ys in points.items():
+            for y in ys:
+                u = y / law.beta1
+                assert u >= methods._CDF_KERNEL_SUM_FROM
+                # The reference: one gammainc per mass, summed exactly.
+                want = math.fsum(masses * sp.gammainc(law.rho + np.arange(size, dtype=float), u))
+                bound = max(1.0 - float(masses.sum()), 0.0) * float(sp.gammainc(law.rho + size, u))
+                value, tail = methods.mixture_cdf(law, y)
+                assert tail == bound
+                if region == "left":
+                    assert want < 1e-10
+                if region == "right":
+                    assert 1e-7 < 1.0 - want < 1e-6
+                    assert abs(value - want) <= 1e-15
+                else:
+                    assert rel_err(value, want) <= 1e-14
+
+
+class TestCdfTailBound:
+    def test_bound_covers_a_four_times_longer_law(self):
+        # 60 seeded specs, 5 points each from the left tail to the right
+        # tail (quantiles of the moment-matched gamma).  Each route's
+        # reported bound must cover the change its value sees on a stage
+        # at least four times as long as the one it converged on, give or
+        # take the rounding of the two sums.  Specs whose law passes about
+        # 4,000 masses are drawn again: there the longer stage would cost
+        # the recursion seconds.
+        rng = random.Random(20261018)
+        specs = []
+        while len(specs) < 60:
+            n = rng.randint(2, 4)
+            b1 = math.exp(rng.uniform(-1.0, 1.0))
+            scales = [b1] + [b1 * math.exp(rng.uniform(0.0, math.log(100.0)))
+                             for _ in range(n - 1)]
+            shapes = [math.exp(rng.uniform(math.log(0.2), math.log(50.0))) for _ in range(n)]
+            spec = canonicalize(ConvolutionSpec.of(*zip(shapes, scales)))
+            mean, var, _ = methods.nb_sum_cumulants(spec)
+            if mean + 10.0 * math.sqrt(var) <= 4000.0:
+                specs.append(spec)
+        for spec in specs:
+            mean = float(spec.shapes @ spec.scales)
+            var = float(spec.shapes @ spec.scales**2)
+            points = stats.gamma.ppf([1e-10, 0.05, 0.5, 0.95, 1.0 - 1e-7],
+                                     mean**2 / var, scale=var / mean)
+            for name in ("mathai", "moschopoulos"):
+                chosen = methods.lookup(name, len(spec))
+                law = chosen.cdf_law(spec, chosen.control)
+                got = [chosen.cdf(spec, float(y), chosen.control, weights=law) for y in points]
+                longer = law.stage(4 * max(r.terms_used for r in got))
+                for y, r in zip(points, got):
+                    value, _ = methods.mixture_cdf(longer, float(y))
+                    assert abs(r.value - value) <= r.tail_bound + 4 * 2.2e-16 * r.value
 
 
 #: The paper settings and two specs with scale ratio 100.
