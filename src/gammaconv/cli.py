@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 2 usage/validation error, 3 numerical
 non-convergence, 4 approximation fit failure.
+
+`main(argv)` may be called any number of times in one process; every
+call parses with the one parser `_build_parser` builds on the first.
+Building it costs about 1 ms, against about 0.1 ms to parse one argv.
 """
 
 from __future__ import annotations
@@ -9,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -76,7 +81,11 @@ def _write_rows(rows: list[dict], out: str | None) -> None:
         write_csv(rows, sys.stdout)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's one parser, built once per process: parsing leaves it
+    unchanged, and it writes help and errors to the sys.stdout and
+    sys.stderr of the moment, so every `main` call can share it."""
     parser = argparse.ArgumentParser(
         prog="gammaconv",
         description="Gamma-convolution densities/CDFs and renewal count pmfs",

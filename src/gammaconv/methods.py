@@ -168,16 +168,30 @@ def _stirling_error(z: np.ndarray) -> np.ndarray:
 
     Past z = 15 from the Stirling series, whose next term is below 1e-18
     there; below it from lgamma itself, where every term is under 30.
+    When every z is on one side of 15 (an empty z counts as small), that
+    side is evaluated alone: the masks and their copies cost about a
+    third of a call of 36-200 entries.
     """
-    out = np.empty_like(z)
     small = z <= 15.0
-    zs = z[small]
-    out[small] = sp.gammaln(zs + 1.0) - (zs * np.log(zs) - zs + 0.5 * np.log(2.0 * math.pi * zs))
-    u = 1.0 / z[~small]
-    u2 = u * u
-    out[~small] = u * (1.0 / 12.0 - u2 * (1.0 / 360.0 - u2 * (1.0 / 1260.0 - u2 * (
-        1.0 / 1680.0 - u2 * (1.0 / 1188.0 - u2 * (691.0 / 360360.0 - u2 / 156.0))))))
+    if small.all():
+        return _stirling_error_small(z)
+    if not small.any():
+        return _stirling_error_series(z)
+    out = np.empty_like(z)
+    out[small] = _stirling_error_small(z[small])
+    out[~small] = _stirling_error_series(z[~small])
     return out
+
+
+def _stirling_error_small(z: np.ndarray) -> np.ndarray:
+    return sp.gammaln(z + 1.0) - (z * np.log(z) - z + 0.5 * np.log(2.0 * math.pi * z))
+
+
+def _stirling_error_series(z: np.ndarray) -> np.ndarray:
+    u = 1.0 / z
+    u2 = u * u
+    return u * (1.0 / 12.0 - u2 * (1.0 / 360.0 - u2 * (1.0 / 1260.0 - u2 * (
+        1.0 / 1680.0 - u2 * (1.0 / 1188.0 - u2 * (691.0 / 360360.0 - u2 / 156.0))))))
 
 
 #: 1/3, 1/5, ..., 1/59: the coefficients of `_deviance`'s series.

@@ -1,5 +1,6 @@
 """In-process tests of the gammaconv command-line interface."""
 
+import argparse
 import csv
 import io
 import json
@@ -14,7 +15,7 @@ from gammaconv.cli import (
     EXIT_USAGE,
     main,
 )
-from gammaconv import methods
+from gammaconv import cli, methods
 from gammaconv.model import ConvolutionSpec
 from gammaconv.specfun import SeriesControl
 
@@ -251,3 +252,52 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == EXIT_OK
+
+
+def without_wall_time(out):
+    """`out` with the wall_time_ns column, always the last, cut from CSV rows."""
+    lines = out.splitlines()
+    if lines and lines[0].endswith(",wall_time_ns"):
+        lines = [line.rsplit(",", 1)[0] for line in lines]
+    return lines
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["--help"],
+        ["eval", "--help"],
+        ["eval", "density", "--shape", "1", "--scale", "1", "--grid", "3:1:4"],
+        ["no-such-command"],
+        ["eval", "cdf", "--shape", "2,0.5,3", "--scale", "1,2,0.3", "--at", "0.5,2,7"],
+        ["renewal", "--weights", "0.4,0.6", "--scales", "2,5", "--t", "10", "--n", "0,3"],
+    ]
+
+    def test_repeated_calls_answer_as_a_fresh_parser(self, capsys):
+        # Each argv first on a freshly built parser, then all in turn on
+        # one shared parser: usage errors and help must not change it.
+        fresh = []
+        for argv in self.ARGVS:
+            cli._build_parser.cache_clear()
+            code, out, err = run_cli(capsys, *argv)
+            fresh.append((code, without_wall_time(out), err))
+        shared = []
+        for argv in self.ARGVS:
+            code, out, err = run_cli(capsys, *argv)
+            shared.append((code, without_wall_time(out), err))
+        assert shared == fresh
+        assert [code for code, _, _ in fresh] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_USAGE,
+                                                   EXIT_OK, EXIT_OK]
+
+    def test_main_builds_no_parser_after_the_first_call(self, capsys, monkeypatch):
+        run_cli(capsys, "--help")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in self.ARGVS:
+            run_cli(capsys, *argv)
+        assert built == []

@@ -240,6 +240,27 @@ class TestWeightLaw:
                 err = np.abs(got[kept] - want[kept]) / want[kept]
                 assert np.all(err < 32 * 2.2e-16 / 2 * (1.0 + np.abs(np.log(want[kept]))))
 
+    @pytest.mark.parametrize("z", [
+        np.exp(np.linspace(math.log(1e-3), math.log(15.0), 37)),
+        np.arange(16.0, 1000.0, 3.0),
+        np.concatenate((np.arange(200.0, 10.0, -7.0), [15.0, 15.5, 0.25])),
+        np.array([]),
+    ], ids=["all-small", "all-large", "mixed", "empty"])
+    def test_stirling_error_equals_masked_form(self, z):
+        # The masked two-branch evaluation, kept as the reference: taking
+        # one branch unmasked must not change a bit.
+        want = np.empty_like(z)
+        small = z <= 15.0
+        zs = z[small]
+        want[small] = sp.gammaln(zs + 1.0) - (
+            zs * np.log(zs) - zs + 0.5 * np.log(2.0 * math.pi * zs))
+        u = 1.0 / z[~small]
+        u2 = u * u
+        want[~small] = u * (1.0 / 12.0 - u2 * (1.0 / 360.0 - u2 * (1.0 / 1260.0 - u2 * (
+            1.0 / 1680.0 - u2 * (1.0 / 1188.0 - u2 * (691.0 / 360360.0 - u2 / 156.0))))))
+        got = methods._stirling_error(z)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_extension_stops_at_max_terms(self):
         spec = canonicalize(SPEC3)
         ctrl = SeriesControl(max_terms=120)
