@@ -4,8 +4,8 @@ For n = 2 the density uses the closed Kummer-function form and the CDF a
 negative-binomial-weighted incomplete-gamma series.  For n >= 3 the
 density is an (n-1)-fold multiple series summed by shells of constant
 total degree r.  x factors out of every shell, as x^r, so the shells'
-x-free log-sums (`ShellTable`) can be built once for many points, and
-each point then sums base_r + r log x.  The CDF integrates the same
+x-free log-sums (`ShellTable`) are built once, for one point or many,
+and each point then sums base_r + r log x.  The CDF integrates the same
 series term by term, which turns the shell weights into products of
 negative-binomial masses with total mass exactly one and yields a
 rigorous truncation bound.
@@ -97,7 +97,8 @@ def _log_sum(log_w: np.ndarray) -> float:
 
 
 def _series_cutoff(z: float, ctrl: SeriesControl) -> int:
-    """Per-dimension truncation for 1F1-type term sequences."""
+    """The nominal per-dimension length at total argument z: about
+    z + 12 sqrt(z) + 60 terms, at most ctrl.max_terms, plus one."""
     return int(min(ctrl.max_terms, z + 12.0 * math.sqrt(z) + 60.0)) + 1
 
 
@@ -119,17 +120,19 @@ def _log_convolve(
 
 
 class ShellTable:
-    """The x-free part of the n >= 3 multiple series of one canonical spec.
+    """The x-free part of the multiple series of one canonical spec, n >= 2.
 
     With c_j = 1/b1 - 1/b_j, every term of shell r carries
     prod_j z_j^k_j = prod_j c_j^k_j x^r, so the shell's log-sum is
     S_r + r log x, where S_r, the log-convolution of the per-dimension
     sequences log[(a_j)_k c_j^k / k!], does not depend on x.  `base`
     holds S_r + lgamma(gamma) - lgamma(gamma + r) for the shells built so
-    far.  `density_n` grows the table in place as its points need, in
-    blocks of a quarter of its size plus 16, up to ctrl.max_terms shells:
-    no shell is computed twice, and a longer table repeats a shorter
-    one's entries bit for bit.  (`ctrl` is unused; it keeps the
+    far.  `density_n` reads every point from a table, its own or one
+    shared by a request's points, and grows it in place as the points
+    need, in blocks of a quarter of its size plus 16, up to
+    ctrl.max_terms shells: no shell is computed twice, and a longer table
+    repeats a shorter one's entries bit for bit, so a point's value does
+    not depend on which table it read.  (`ctrl` is unused; it keeps the
     signature of the other routes' first laws.)
     """
 
@@ -165,14 +168,15 @@ class ShellTable:
         self.r = np.arange(size, dtype=float)
 
     def log_series(self, x: float, ctrl: SeriesControl) -> tuple[float, int]:
-        """log of the series at x > 0, cut by `density_n`'s stop rule, and
-        the terms_used its per-point loop counts.
+        """log of the series at x > 0, cut by the stop rule, and its
+        terms_used (`_terms_used`).
 
-        The log shells are base + r log x.  The rule (past the running
-        peak, and below the running log-sum + log rel_tol on two
-        consecutive shells) reads accumulate ops; the sum is taken over
-        the shells up to the stop alone, so the result depends only on
-        them, whatever the table's length.
+        The log shells are base + r log x.  The series stops at the first
+        of two consecutive shells that are past the running peak and
+        below the running log-sum + log rel_tol; the rule reads
+        accumulate ops.  The sum is taken over the shells up to the stop
+        alone, so the result depends only on them, whatever the table's
+        length.
         """
         log_x = math.log(x)
         log_tol = math.log(ctrl.rel_tol)
@@ -198,9 +202,12 @@ class ShellTable:
         return _log_sum(log_shell[: stop + 1]), self._terms_used(x, ctrl, stop + 1)
 
     def _terms_used(self, x: float, ctrl: SeriesControl, shells: int) -> int:
-        """The terms `density_n`'s loop counts over `shells` shells at x:
-        the pairs of its collapsed head and last sequence, each sequence
-        cut at `_series_cutoff` terms."""
+        """The reported term count of the first `shells` shells at x.
+
+        With kj = `_series_cutoff` of the total argument sum(c) x, shell r
+        counts the index pairs (i, j) with i + j = r, 0 <= j < kj and
+        0 <= i < (n-2)(kj-1)+1: the terms of the last sequence and of the
+        convolution of the others, each sequence cut at kj terms."""
         kj = _series_cutoff(float(np.sum(self.c * x)), ctrl)
         head = (self.c.shape[0] - 1) * (kj - 1) + 1
         r = np.arange(shells)
@@ -235,11 +242,11 @@ def density_n(
     r exceeds roughly max_j z_j.  Terminates when two consecutive shells
     contribute less than rel_tol relative to the accumulated sum.
 
-    x factors out of every shell (see `ShellTable`).  Pass the spec's
-    `ShellTable` as `weights` to read the shells from it, grown as this
-    point needs, instead of building them at x (`methods.evaluate` does,
-    once per request); the value agrees with the per-point loop to
-    rounding, with the same terms_used.
+    x factors out of every shell, so the point reads them from a
+    `ShellTable`, grown as it needs.  Without `weights` it builds one of
+    its own; pass the spec's table as `weights` to share it across calls
+    (`methods.evaluate` does, once per request).  The result is the same
+    bit for bit either way.
 
     tail_bound is None: the stop rule (two consecutive shells below
     rel_tol of the running sum, past the shell peak) is relative and
@@ -252,86 +259,8 @@ def density_n(
         return done
     if ctrl is None:
         ctrl = DEFAULT_CONTROL if len(spec) <= 2 else CONTROL_N
-    if weights is not None:
-        return _log_density(spec, x, *weights.log_series(x, ctrl))
-
-    shapes = spec.shapes
-    scales = spec.scales
-    beta1 = scales[0]
-    gamma = spec.total_shape
-    zs = (1.0 / beta1 - 1.0 / scales[1:]) * x
-    alphas = shapes[1:]
-
-    # Per-dimension term sequences in log space: the log of
-    # A_j[k] = (a_j)_k z_j^k / k!.  The sequences themselves need not
-    # decay (only the shell totals do, once the global 1/(gamma)_r
-    # damping takes over), so every dimension is extended to the shell
-    # count implied by the total argument sum z_1 + ... + z_{n-1}, and
-    # their dynamic range can exceed hundreds of orders of magnitude --
-    # all shell arithmetic below is log-sum-exp.
-    kj = _series_cutoff(float(np.sum(zs)), ctrl)
-    k = np.arange(kj, dtype=float)
-    log_seqs = [
-        sp.gammaln(a + k) - math.lgamma(a) + k * math.log(z) - sp.gammaln(k + 1.0)
-        for a, z in zip(alphas, zs)
-    ]
-
-    # Collapse all but the last dimension into one sequence so the shell
-    # loop below is always a sliding log-sum-exp of two vectors.
-    log_head = log_seqs[0]
-    for log_s in log_seqs[1:-1]:
-        log_head = _log_convolve(log_head, log_s)
-    if len(log_seqs) > 1:
-        log_tail = log_seqs[-1]
-    else:
-        log_tail = np.zeros(1)
-
-    n_head = log_head.shape[0]
-    n_tail = log_tail.shape[0]
-    r_max = n_head + n_tail - 2
-    log_gamma_base = math.lgamma(gamma)
-
-    log_shells = []
-    log_sum = -math.inf
-    log_tol = math.log(ctrl.rel_tol)
-    below_prev = False
-    terms_used = 0
-    best_log_shell = -math.inf
-    for r in range(r_max + 1):
-        lo = max(0, r - n_tail + 1)
-        hi = min(r, n_head - 1)
-        window = log_head[lo : hi + 1] + log_tail[r - hi : r - lo + 1][::-1]
-        log_shell = _log_sum(window) + log_gamma_base - math.lgamma(gamma + r)
-        terms_used += hi - lo + 1
-        log_shells.append(log_shell)
-        log_sum = np.logaddexp(log_sum, log_shell)
-        # Stop only on the decaying side of the shell peak: small shells
-        # before the peak must not be read as convergence.
-        past_peak = log_shell < best_log_shell
-        best_log_shell = max(best_log_shell, log_shell)
-        below = past_peak and log_shell < log_sum + log_tol
-        if below and below_prev and r >= 1:
-            break
-        below_prev = below
-        if r + 1 >= ctrl.max_terms:
-            raise ConvergenceError(
-                f"multiple series not converged after {r + 1} shells",
-                terms_used=terms_used,
-            )
-    else:
-        # Ran out of pre-computed sequence terms before the shells decayed
-        # below tolerance; per-dimension cutoffs were chosen so this only
-        # happens if the control is pathological.
-        raise ConvergenceError(
-            f"multiple series exhausted {r_max + 1} shells without "
-            f"meeting rel_tol={ctrl.rel_tol}",
-            terms_used=terms_used,
-        )
-
-    # The value is the shifted sum of the kept shells, as in
-    # `ShellTable.log_series`: the running log_sum, a chain of rounded
-    # logaddexp steps, drifts by about 1e-12 relative over some 800 shells.
-    return _log_density(spec, x, _log_sum(np.array(log_shells)), terms_used)
+    table = weights if weights is not None else ShellTable(spec)
+    return _log_density(spec, x, *table.log_series(x, ctrl))
 
 
 def cdf_n(

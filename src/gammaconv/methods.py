@@ -485,9 +485,10 @@ def converge(quantity: str, x: float, ctrl: SeriesControl, law: WeightLaw) -> Ev
 class Method(NamedTuple):
     """A method's name, per-point density and CDF, default control, and
     for each quantity whose weight law does not depend on the point, the
-    builder of the law its per-point function takes as `weights`:
-    density_law / cdf_law(spec, ctrl).  For the mathai density at n >= 3
-    the law is a `mathai.ShellTable`, the series' x-free shells."""
+    builder of the law its per-point function takes as `weights` (and
+    builds for itself when called without one): density_law /
+    cdf_law(spec, ctrl).  For the mathai density at n >= 3 the law is a
+    `mathai.ShellTable`, the series' x-free shells."""
 
     name: str
     density: Callable[..., EvalResult]
@@ -545,11 +546,9 @@ def evaluate(
     each point as `weights`; a point that needs more terms extends it for
     itself, so each result equals the per-point call on that point alone.
     For the mathai density at n >= 3 the law is a shell table
-    (`mathai.ShellTable`), grown in place as the points need: each result
-    equals `density_n` on that point alone with a table of its own, and
-    agrees with the per-point loop to rounding.  The n = 2 mathai density
-    (a closed 1F1 form) runs per point.  `ctrl` defaults to the method's
-    own control.
+    (`mathai.ShellTable`), grown in place as the points need.  The n = 2
+    mathai density (a closed 1F1 form) runs per point.  `ctrl` defaults
+    to the method's own control.
     """
     spec = canonicalize(spec)
     chosen = lookup(method, len(spec))

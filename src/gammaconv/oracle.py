@@ -25,8 +25,6 @@ __all__ = [
     "sample_renewal_count",
     "quad_density",
     "hypoexp_closed_form",
-    "fd_derivative",
-    "ks_statistic",
 ]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -231,21 +229,3 @@ def hypoexp_closed_form_cdf(rates, x: float) -> float:
         total += coef * (1.0 - math.exp(-li * x))
     return total
 
-
-def fd_derivative(cdf_fn, y: float, h: float) -> float:
-    """Central finite difference (F(y+h) - F(y-h)) / (2h)."""
-    return (cdf_fn(y + h) - cdf_fn(y - h)) / (2.0 * h)
-
-
-def ks_statistic(samples: np.ndarray, cdf_values_at_sorted: np.ndarray) -> float:
-    """Two-sided Kolmogorov-Smirnov statistic of samples vs a fitted CDF.
-
-    `cdf_values_at_sorted` must be the model CDF evaluated at the sorted
-    samples.
-    """
-    n = samples.shape[0]
-    ecdf_hi = np.arange(1, n + 1) / n
-    ecdf_lo = np.arange(0, n) / n
-    return float(
-        np.max(np.maximum(ecdf_hi - cdf_values_at_sorted, cdf_values_at_sorted - ecdf_lo))
-    )

@@ -136,16 +136,29 @@ class TestShellTable:
     """`ShellTable`: the x-free shells of the n >= 3 series, shared by points."""
 
     @pytest.mark.parametrize("n", [4, 5])
-    def test_matches_per_point_loop(self, seeded_random, n):
+    def test_matches_gamma_series(self, seeded_random, n):
+        # A shared table gives each point the value of a table of its own,
+        # bit for bit; both agree with the independent gamma series.
         for _ in range(4):
             spec = canonicalize(random_spec(seeded_random, n))
             table = ShellTable(spec)
             mean = float(spec.shapes @ spec.scales)
             for x in (0.3 * mean, mean, 2.5 * mean):
                 got = density_n(spec, x, weights=table)
-                want = density_n(spec, x)
-                assert rel_err(got.value, want.value) < 1e-12
-                assert got.terms_used == want.terms_used
+                assert got == density_n(spec, x)
+                assert rel_err(got.value, moschopoulos.density(spec, x).value) < 1e-11
+
+    @pytest.mark.parametrize("alpha,scales,pins", [
+        (20.0, (4.0, 3.0, 0.2), ((85.0, 144453), (155.0, 419986), (224.0, 819840))),
+        (2.0, (4.0, 0.3, 0.2), ((3.0, 1225), (10.0, 5565), (30.0, 27966))),
+        (0.2, (0.4, 0.3, 0.2), ((0.05, 66), (0.95, 276), (1.9, 465))),
+    ])
+    def test_terms_used_pinned(self, alpha, scales, pins):
+        # Table 2 settings; the counts are those of the shell-by-shell sum
+        # the shell table replaced.
+        spec = bench.spec_for(alpha, scales)
+        for x, terms in pins:
+            assert density_n(spec, x).terms_used == terms
 
     def test_longer_table_repeats_shorter(self):
         spec = canonicalize(bench.spec_for(2.0, (4.0, 3.0, 0.2)))

@@ -327,11 +327,7 @@ class TestEvaluate:
                 fn = route_fn(method, n, quantity)
                 rows = cli_rows(capsys, method, quantity, spec, points)
                 for x, row in zip(points, rows):
-                    if (method, n, quantity) == ("mathai", 3, "density"):
-                        # this route's rows read a shell table
-                        want = fn(spec, x, weights=mathai.ShellTable(canonicalize(spec)))
-                    else:
-                        want = fn(spec, x)
+                    want = fn(spec, x)
                     assert (row["value"], row["terms_used"]) == (want.value, want.terms_used)
 
     def test_one_weight_build_per_request(self, capsys, monkeypatch):
@@ -369,16 +365,6 @@ class TestEvaluate:
         assert captured.out == ""
         assert "finite" in captured.err
 
-    def test_mathai_shell_table_rows_match_per_point_loop(self, capsys):
-        for alpha, scales in bench.TABLE2_SETTINGS:
-            spec = bench.spec_for(alpha, scales)
-            points = paper_points(spec)
-            rows = cli_rows(capsys, "mathai", "density", spec, points)
-            for x, row in zip(points, rows):
-                want = mathai.density_n(spec, x)
-                assert rel_err(row["value"], want.value) < 3e-12
-                assert row["terms_used"] == want.terms_used
-
     def test_mathai_shell_table_rows_do_not_depend_on_the_grid(self):
         # Each row equals the point evaluated against a table of its own,
         # so the other points of a request, and their order, do not matter.
@@ -386,7 +372,7 @@ class TestEvaluate:
         points = paper_points(spec, 20)
         rows = methods.evaluate("mathai", "density", spec, points)
         for x, row in zip(points, rows):
-            assert row == mathai.density_n(spec, x, weights=mathai.ShellTable(spec))
+            assert row == mathai.density_n(spec, x)
         order = np.random.default_rng(7).permutation(len(points))
         shuffled = methods.evaluate("mathai", "density", spec, [points[i] for i in order])
         assert shuffled == [rows[i] for i in order]

@@ -10,10 +10,8 @@ from gammaconv.errors import DomainError
 from gammaconv.model import ConvolutionSpec, MixtureExpSpec
 from gammaconv.oracle import (
     CounterRng,
-    fd_derivative,
     hypoexp_closed_form,
     hypoexp_closed_form_cdf,
-    ks_statistic,
     quad_density,
     sample_convolution,
     sample_renewal_count,
@@ -63,7 +61,7 @@ class TestCounterRng:
 
     def test_gamma_ks_against_scipy(self):
         g = CounterRng(17).standard_gammas(2.0, 100_000)
-        d = ks_statistic(np.sort(g), stats.gamma.cdf(np.sort(g), 2.0))
+        d = stats.kstest(g, stats.gamma(2.0).cdf).statistic
         assert d < 1.95 / math.sqrt(100_000)  # 99.9% KS band
 
 
@@ -151,25 +149,3 @@ class TestHypoexpClosedForms:
         with pytest.raises(DomainError):
             hypoexp_closed_form_cdf((1.0, 1.0), 2.0)
 
-
-class TestFdDerivative:
-    def test_recovers_density(self):
-        cdf = lambda y: stats.gamma.cdf(y, 3.0, scale=2.0)
-        got = fd_derivative(cdf, 5.0, 1e-6)
-        assert rel_err(got, stats.gamma.pdf(5.0, 3.0, scale=2.0)) < 1e-8
-
-
-class TestKsStatistic:
-    def test_exact_fit_small(self):
-        # Perfectly placed quantiles give D = 1/(2n).
-        n = 10
-        u = (np.arange(1, n + 1) - 0.5) / n
-        assert abs(ks_statistic(u, u) - 0.5 / n) < 1e-15
-
-    def test_detects_mismatch(self):
-        rng = np.random.default_rng(0)
-        x = np.sort(rng.uniform(size=10_000))
-        d_good = ks_statistic(x, x)  # uniform CDF is the identity
-        d_bad = ks_statistic(x, x**2)  # wrong model
-        assert d_good < 0.02
-        assert d_bad > 0.2
