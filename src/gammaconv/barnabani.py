@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, FitFailureError
-from .methods import WeightLaw, check_point, mixture_cdf, mixture_density, nb_sum_cumulants
+from .methods import WeightLaw, mixture_point, nb_sum_cumulants
 from .model import ConvolutionSpec, EvalResult, canonicalize
 from .specfun import SeriesControl
 
@@ -233,28 +233,13 @@ def _approx_weights(params: GnbdParams, ctrl: SeriesControl) -> np.ndarray:
 
 
 def approx_law(spec: ConvolutionSpec, ctrl: SeriesControl) -> WeightLaw:
-    """The fitted GNBD law of a canonical spec of two or more components;
-    it never extends."""
+    """The fitted GNBD law of a canonical spec of two or more components.
+
+    It never extends, so `methods.converge` answers a point over it
+    whatever its tail bound: the approximation's own error dominates any
+    truncation."""
     masses = _approx_weights(_fit_for_spec(spec), ctrl)
     return WeightLaw(masses, spec.total_shape, float(spec.scales[0]))
-
-
-def _approx_eval(
-    spec: ConvolutionSpec,
-    point: float,
-    ctrl: SeriesControl,
-    quantity: str,
-    weights: WeightLaw | None,
-) -> EvalResult:
-    """The GNBD mixture at `point`, returned whatever its tail bound: the
-    approximation's own error dominates any truncation."""
-    spec, done = check_point(spec, point, quantity)
-    if done is not None:
-        return done
-    law = weights if weights is not None else approx_law(spec, ctrl)
-    mixture = mixture_cdf if quantity == "cdf" else mixture_density
-    value, tail = mixture(law, point)
-    return EvalResult(value, law.masses.shape[0], tail)
 
 
 def density_approx(
@@ -267,7 +252,7 @@ def density_approx(
 
     Pass a prebuilt law (`approx_law`) as `weights` to share one fit and
     one GNBD table across calls."""
-    return _approx_eval(spec, x, ctrl, "density", weights)
+    return mixture_point("density", spec, x, ctrl, weights, approx_law)
 
 
 def cdf_approx(
@@ -277,4 +262,4 @@ def cdf_approx(
     weights: WeightLaw | None = None,
 ) -> EvalResult:
     """Approximate CDF sum_k gnbd_pmf(k) G(y; rho + k, b1)."""
-    return _approx_eval(spec, y, ctrl, "cdf", weights)
+    return mixture_point("cdf", spec, y, ctrl, weights, approx_law)

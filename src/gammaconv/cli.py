@@ -45,6 +45,13 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 def _grid_spec(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
@@ -123,8 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--suite", choices=["coga2", "coga3", "renew2", "renew3"], required=True
     )
-    p_bench.add_argument("--replicates", type=int, default=10)
-    p_bench.add_argument("--samples", type=int, default=100_000)
+    p_bench.add_argument("--replicates", type=_positive_int, default=10)
+    p_bench.add_argument("--samples", type=_positive_int, default=100_000)
     p_bench.add_argument("--seed", type=int, default=None)
     p_bench.add_argument("--out", type=str, default=None)
 

@@ -1,14 +1,15 @@
 """Exact gamma-convolution density/CDF via confluent hypergeometric series.
 
-For n = 2 the density uses the closed Kummer-function form and the CDF a
-negative-binomial-weighted incomplete-gamma series.  For n >= 3 the
-density is an (n-1)-fold multiple series summed by shells of constant
-total degree r.  x factors out of every shell, as x^r, so the shells'
+For n = 2 the density uses the closed Kummer-function form.  For n >= 3
+it is an (n-1)-fold multiple series summed by shells of constant total
+degree r.  x factors out of every shell, as x^r, so the shells'
 x-free log-sums (`ShellTable`) are built once, for one point or many,
-and each point then sums base_r + r log x.  The CDF integrates the same
-series term by term, which turns the shell weights into products of
-negative-binomial masses with total mass exactly one and yields a
-rigorous truncation bound.
+and each point then sums base_r + r log x.  The one CDF, `cdf_n`, serves
+every n: it integrates the same series term by term, which turns the
+shell weights into the masses of a sum of negative binomials (at n = 2,
+one negative binomial) with total mass exactly one, an incomplete-gamma
+series with a rigorous truncation bound, summed by
+`methods.mixture_point`.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import ConvergenceError, DomainError
-from .methods import WeightLaw, check_point, converge, log_gamma_pdf, nb_sum_law
-from .model import ConvolutionSpec, EvalResult
+from .methods import WeightLaw, check_point, log_gamma_pdf, mixture_point, nb_sum_law
+from .model import ConvolutionSpec, EvalResult, canonicalize
 from .specfun import DEFAULT_CONTROL, SeriesControl, kummer_1f1_terms
 
-__all__ = ["density2", "cdf2", "density_n", "cdf_n", "ShellTable", "CONTROL_N"]
+__all__ = ["density2", "density_n", "cdf_n", "ShellTable", "CONTROL_N"]
 
 #: Default truncation policy for the n >= 3 nested series (slightly looser
 #: than the univariate default, reflecting the larger term count).
@@ -62,32 +63,6 @@ def density2(
         + f1.log_magnitude
     )
     return EvalResult(0.0 if log_f < _LOG_TINY else math.exp(log_f), terms, None)
-
-
-def cdf2(
-    spec: ConvolutionSpec,
-    y: float,
-    ctrl: SeriesControl = DEFAULT_CONTROL,
-    weights: WeightLaw | None = None,
-) -> EvalResult:
-    """CDF of a two-component gamma convolution.
-
-    F(y) = sum_k w_k G(y/b1; k + a1 + a2) where the w_k are the masses of a
-    negative binomial with size a2 and success probability b1/b2
-    (`methods.nb_sum_law`).  The remaining weight mass gives the
-    truncation bound (1 - sum w_k) G(y/b1; K+1+gamma), valid because G
-    decreases in shape.  `methods.mixture_cdf` sums it, from y/b1 = 64 up
-    as kernel sums with one incomplete-gamma value; the terms and the
-    bound are the same either way.  Pass a prebuilt law as `weights` to
-    share it across calls.
-    """
-    spec, done = check_point(spec, y, "cdf")
-    if done is not None:
-        return done
-    if len(spec) > 2:
-        raise DomainError(f"cdf2 requires n <= 2 components, got {len(spec)}")
-    law = weights if weights is not None else nb_sum_law(spec, ctrl)
-    return converge("cdf", y, ctrl, law)
 
 
 def _log_sum(log_w: np.ndarray) -> float:
@@ -280,10 +255,6 @@ def cdf_n(
     and the bound are the same either way.  Pass a prebuilt law as
     `weights` to share it across calls.
     """
-    spec, done = check_point(spec, y, "cdf")
-    if done is not None:
-        return done
     if ctrl is None:
-        ctrl = DEFAULT_CONTROL if len(spec) <= 2 else CONTROL_N
-    law = weights if weights is not None else nb_sum_law(spec, ctrl)
-    return converge("cdf", y, ctrl, law)
+        ctrl = DEFAULT_CONTROL if len(canonicalize(spec)) <= 2 else CONTROL_N
+    return mixture_point("cdf", spec, y, ctrl, weights, nb_sum_law)

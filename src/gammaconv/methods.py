@@ -5,8 +5,10 @@ sum_k w_k g(x; rho + k, b1), b1 the minimum scale, and differ only in how
 they build the masses w_k, their weight law.  Here are the entry check
 every method runs first, the gamma kernel, the weight law and its exact
 negative-binomial-sum constructor, the mixture evaluator, the one
-convergence loop, the method registry, and `evaluate`, which answers
-many points of one spec from one weight law.
+convergence loop, the one per-point body of every weight-law route
+(`mixture_point`: the moschopoulos series, the approximation and the
+mathai CDF), the method registry, and `evaluate`, which answers many
+points of one spec from one weight law.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "mixture_density",
     "mixture_cdf",
     "converge",
+    "mixture_point",
     "lookup",
     "evaluate",
 ]
@@ -465,15 +468,20 @@ def converge(quantity: str, x: float, ctrl: SeriesControl, law: WeightLaw) -> Ev
     While the tail bound exceeds rel_tol times the value, the law is
     replaced by law.extend(ctrl), its next, longer stage.  terms_used is
     the size of the stage that converged.  When the law extends no
-    further the point raises ConvergenceError.
+    further, an exact law (`NBSumLaw`) raises ConvergenceError; any other
+    law, a fitted one, is answered as it stands with its tail bound: the
+    approximation's own error dominates any truncation.
     """
     mixture = mixture_cdf if quantity == "cdf" else mixture_density
     while True:
         value, tail = mixture(law, x)
+        size = law.masses.shape[0]
         if tail <= ctrl.rel_tol * max(value, 5e-324):
-            return EvalResult(value, law.masses.shape[0], tail)
-        longer, size = law.extend(ctrl), law.masses.shape[0]
+            return EvalResult(value, size, tail)
+        longer = law.extend(ctrl)
         if longer is None:
+            if not isinstance(law, NBSumLaw):
+                return EvalResult(value, size, tail)
             raise ConvergenceError(
                 f"{quantity} series not converged after {size} terms (remaining weight "
                 f"mass {1.0 - float(law.masses.sum()):.3e}, tail bound {tail:.3e})",
@@ -482,12 +490,27 @@ def converge(quantity: str, x: float, ctrl: SeriesControl, law: WeightLaw) -> Ev
         law = longer
 
 
+def mixture_point(
+    quantity: str, spec: ConvolutionSpec, x: float, ctrl: SeriesControl,
+    weights: WeightLaw | None, first_law: Callable[[ConvolutionSpec, SeriesControl], WeightLaw],
+) -> EvalResult:
+    """The per-point body of every weight-law route: the entry check, then
+    the mixture `quantity` at x over `weights`, or where that is None over
+    first_law(spec, ctrl) of the canonical spec, run to convergence."""
+    spec, done = check_point(spec, x, quantity)
+    if done is not None:
+        return done
+    law = weights if weights is not None else first_law(spec, ctrl)
+    return converge(quantity, x, ctrl, law)
+
+
 class Method(NamedTuple):
     """A method's name, per-point density and CDF, default control, and
     for each quantity whose weight law does not depend on the point, the
     builder of the law its per-point function takes as `weights` (and
     builds for itself when called without one): density_law /
-    cdf_law(spec, ctrl).  For the mathai density at n >= 3 the law is a
+    cdf_law(spec, ctrl).  Every per-point function with a `WeightLaw`
+    runs `mixture_point`; for the mathai density at n >= 3 the law is a
     `mathai.ShellTable`, the series' x-free shells."""
 
     name: str
@@ -501,17 +524,18 @@ class Method(NamedTuple):
 def lookup(method: str, n: int) -> Method:
     """The method `method` names for an n-component spec.
 
-    "auto" stands for mathai when n <= 2, else moschopoulos.  The
-    functions are read off their modules at each call, so one that a test
-    or tracer has replaced there is the one that runs.  (Imported here
-    because the method modules import this one.)
+    "auto" stands for mathai when n <= 2, else moschopoulos; the mathai
+    CDF is `mathai.cdf_n` at every n.  The functions are read off their
+    modules at each call, so one that a test or tracer has replaced there
+    is the one that runs.  (Imported here because the method modules
+    import this one.)
     """
     from . import barnabani, mathai, moschopoulos
 
     if method == "auto":
         method = "mathai" if n <= 2 else "moschopoulos"
     if method == "mathai" and n <= 2:
-        fns = mathai.density2, mathai.cdf2, DEFAULT_CONTROL
+        fns = mathai.density2, mathai.cdf_n, DEFAULT_CONTROL
         return Method(method, *fns, cdf_law=nb_sum_law)
     if method == "mathai":
         fns = mathai.density_n, mathai.cdf_n, mathai.CONTROL_N
@@ -541,7 +565,7 @@ def evaluate(
 
     Every point passes the entry check first, so a bad point raises
     before any work.  Where the weight law does not depend on the point
-    (the moschopoulos series, the approximation, the mathai CDFs) its
+    (the moschopoulos series, the approximation, the mathai CDF) its
     first stage is built once and handed to the per-point function at
     each point as `weights`; a point that needs more terms extends it for
     itself, so each result equals the per-point call on that point alone.

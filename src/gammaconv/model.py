@@ -7,7 +7,6 @@ has mean a*b, and Exp(b) has mean b.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -82,29 +81,6 @@ class ConvolutionSpec:
         """Sum of shapes (gamma / rho in the series representations)."""
         return float(sum(c.shape for c in self.components))
 
-    def to_dict(self) -> dict:
-        return {
-            "components": [
-                {"shape": c.shape, "scale": c.scale} for c in self.components
-            ]
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConvolutionSpec":
-        return cls(
-            tuple(
-                GammaComponent(float(c["shape"]), float(c["scale"]))
-                for c in data["components"]
-            )
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConvolutionSpec":
-        return cls.from_dict(json.loads(text))
-
 
 @functools.lru_cache(maxsize=4096)
 def canonicalize(spec: ConvolutionSpec) -> ConvolutionSpec:
@@ -139,20 +115,6 @@ class MixtureExpSpec:
     @property
     def size(self) -> int:
         return len(self.weights)
-
-    def to_dict(self) -> dict:
-        return {"weights": list(self.weights), "scales": list(self.scales)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MixtureExpSpec":
-        return cls(tuple(data["weights"]), tuple(data["scales"]))
-
-    @classmethod
-    def from_json(cls, text: str) -> "MixtureExpSpec":
-        return cls.from_dict(json.loads(text))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -195,11 +157,12 @@ class EvalResult:
     value: the evaluated density (1/x units) or probability.
     terms_used: number of series terms consumed.
     tail_bound: rigorous bound on the truncation error when available.
-        The mixture routes (moschopoulos, the mathai CDFs, the
-        approximation's truncation) bound it by the left-out weight mass
-        times the largest kernel value.  mathai's densities (the closed 1F1
-        form and the n >= 3 multiple series) give None: their series stop
-        on a relative rule, and their terms are not the masses of a law.
+        The mixture routes (moschopoulos, the mathai CDF, the
+        approximation) bound it by the left-out weight mass times the
+        largest kernel value; the approximation's covers the truncation
+        of its fitted law, not the fit's error.  mathai's densities (the closed 1F1 form and the
+        n >= 3 multiple series) give None: their series stop on a
+        relative rule, and their terms are not the masses of a law.
     """
 
     value: float

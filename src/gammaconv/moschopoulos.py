@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .methods import NBSumLaw, WeightLaw, check_point, converge, nb_sum_cumulants
+from .methods import NBSumLaw, WeightLaw, mixture_point, nb_sum_cumulants
 from .model import ConvolutionSpec, EvalResult, canonicalize
 from .specfun import DEFAULT_CONTROL, SeriesControl
 
@@ -123,21 +123,6 @@ def first_weights(spec: ConvolutionSpec, ctrl: SeriesControl) -> WeightDistribut
     return build_weights(spec, min(_weight_count_estimate(spec), ctrl.max_terms))
 
 
-def _series(
-    spec: ConvolutionSpec,
-    x: float,
-    ctrl: SeriesControl,
-    weights: WeightLaw | None,
-    quantity: str,
-) -> EvalResult:
-    """Evaluate the mixture, extending the weights until the tail is small."""
-    spec, done = check_point(spec, x, quantity)
-    if done is not None:
-        return done
-    law = weights if weights is not None else first_weights(spec, ctrl)
-    return converge(quantity, x, ctrl, law)
-
-
 def density(
     spec: ConvolutionSpec,
     x: float,
@@ -152,7 +137,7 @@ def density(
     amortize the recursion across calls (`methods.evaluate` does, once per
     request).
     """
-    return _series(spec, x, ctrl, weights, "density")
+    return mixture_point("density", spec, x, ctrl, weights, first_weights)
 
 
 def cdf(
@@ -169,4 +154,4 @@ def cdf(
     value in place of one per weight; the terms and the bound are the
     same either way.
     """
-    return _series(spec, y, ctrl, weights, "cdf")
+    return mixture_point("cdf", spec, y, ctrl, weights, first_weights)

@@ -86,9 +86,7 @@ def mathai_density(spec):
 
 
 def mathai_cdf(spec):
-    return (lambda y: mathai.cdf2(spec, y).value) if len(spec) <= 2 else (
-        lambda y: mathai.cdf_n(spec, y).value
-    )
+    return lambda y: mathai.cdf_n(spec, y).value
 
 
 def max_rel_diff(got, want):

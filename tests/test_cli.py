@@ -229,6 +229,17 @@ class TestBench:
         rows = parse_csv(out_file.read_text())
         assert len(rows) > 0
 
+    @pytest.mark.parametrize("suite,option", [("renew2", "--replicates"), ("coga2", "--samples")])
+    def test_zero_count_is_a_usage_error(self, capsys, monkeypatch, suite, option):
+        from gammaconv import bench
+
+        runs = []
+        monkeypatch.setattr(bench, "run_suite", lambda *args, **kwargs: runs.append(args))
+        code, _, err = run_cli(capsys, "bench", "--suite", suite, option, "0")
+        assert code == EXIT_USAGE
+        assert f"{option}: expected an integer >= 1, got 0" in err
+        assert runs == []
+
 
 class TestSelftest:
     def test_passes(self, capsys):

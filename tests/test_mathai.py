@@ -9,7 +9,7 @@ from scipy import stats
 
 from gammaconv import bench, moschopoulos
 from gammaconv.errors import DomainError
-from gammaconv.mathai import CONTROL_N, ShellTable, cdf2, cdf_n, density2, density_n
+from gammaconv.mathai import CONTROL_N, ShellTable, cdf_n, density2, density_n
 from gammaconv.model import ConvolutionSpec, canonicalize
 from gammaconv.oracle import (
     hypoexp_closed_form,
@@ -36,7 +36,6 @@ class TestSingleComponent:
         spec = ConvolutionSpec.of((a, b))
         for y in (0.1, a * b, 6 * a * b):
             want = stats.gamma.cdf(y, a, scale=b)
-            assert rel_err(cdf2(spec, y).value, want) < 1e-12
             assert rel_err(cdf_n(spec, y).value, want) < 1e-12
 
 
@@ -72,7 +71,6 @@ class TestTwoRateHypoexp:
         rates = (1.0 / b1, 1.0 / b2)
         for y in grid_between(0.05 * (b1 + b2), 5.0 * (b1 + b2), 9):
             want = hypoexp_closed_form_cdf(rates, y)
-            assert rel_err(cdf2(spec, y).value, want) < 1e-12
             assert rel_err(cdf_n(spec, y).value, want) < 1e-12
 
 
@@ -98,7 +96,7 @@ class TestOrderInvariance:
         b = ConvolutionSpec.of((0.3, 32.0), (0.4, 27.0))
         for x in (1.0, 10.0, 30.0):
             assert density2(a, x).value == density2(b, x).value
-            assert cdf2(a, x).value == cdf2(b, x).value
+            assert cdf_n(a, x).value == cdf_n(b, x).value
 
     def test_n3(self):
         a = ConvolutionSpec.of((2.0, 4.0), (2.0, 0.3), (2.0, 0.2))
@@ -129,7 +127,9 @@ class TestDensityNMatchesDensity2:
                 assert rel_err(
                     density_n(spec, x).value, density2(spec, x).value
                 ) < 1e-11
-                assert rel_err(cdf_n(spec, x).value, cdf2(spec, x).value) < 1e-11
+                assert rel_err(
+                    cdf_n(spec, x).value, moschopoulos.cdf(spec, x).value
+                ) < 1e-11
 
 
 class TestShellTable:
@@ -186,7 +186,6 @@ class TestShellTable:
 class TestBoundaryAndDomain:
     def test_cdf_at_zero(self):
         spec = ConvolutionSpec.of((1.0, 2.0), (2.0, 3.0))
-        assert cdf2(spec, 0.0).value == 0.0
         assert cdf_n(spec, 0.0).value == 0.0
 
     def test_density_at_zero_total_shape_gt_one(self):
@@ -208,7 +207,7 @@ class TestBoundaryAndDomain:
 
     def test_negative_argument(self):
         spec = ConvolutionSpec.of((1.0, 2.0), (2.0, 3.0))
-        for fn in (density2, cdf2, density_n, cdf_n):
+        for fn in (density2, density_n, cdf_n):
             with pytest.raises(DomainError):
                 fn(spec, -1.0)
 
@@ -216,8 +215,6 @@ class TestBoundaryAndDomain:
         spec = ConvolutionSpec.of((1.0, 2.0), (2.0, 3.0), (1.0, 5.0))
         with pytest.raises(DomainError):
             density2(spec, 1.0)
-        with pytest.raises(DomainError):
-            cdf2(spec, 1.0)
 
 
 class TestLargeKummerArgument:
@@ -251,7 +248,7 @@ class TestCdfShape:
 
 
 class TestNegativeBinomialSumLaw:
-    """Both CDFs sum the exact NB-sum weight law (`methods.nb_sum_law`)."""
+    """The CDF sums the exact NB-sum weight law (`methods.nb_sum_law`)."""
 
     def test_cdf_n_stops_short_of_max_terms(self):
         # The NB(20, 0.05) factor's 1 - sum stays near 4e-14 at any length,
@@ -276,7 +273,7 @@ class TestNegativeBinomialSumLaw:
                     break
                 k += 1
             want = float(total)
-        got = cdf2(ConvolutionSpec.of((200.0, 1.0), (300.0, 2.0)), 800.0).value
+        got = cdf_n(ConvolutionSpec.of((200.0, 1.0), (300.0, 2.0)), 800.0).value
         assert rel_err(got, want) < 5e-14
 
     @pytest.mark.parametrize("alpha,scales", bench.TABLE1_SETTINGS)
@@ -286,4 +283,4 @@ class TestNegativeBinomialSumLaw:
         q = min(scales) / max(scales)
         mean, var = alpha * (1.0 - q) / q, alpha * (1.0 - q) / q**2
         count = int(mean + 12.0 * math.sqrt(var)) + 32
-        assert cdf2(spec, alpha * sum(scales)).terms_used == count
+        assert cdf_n(spec, alpha * sum(scales)).terms_used == count

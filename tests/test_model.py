@@ -1,7 +1,5 @@
 """Tests for parameter records and canonicalization."""
 
-import json
-
 import pytest
 
 from gammaconv.errors import DomainError
@@ -54,13 +52,6 @@ class TestConvolutionSpec:
         with pytest.raises(DomainError):
             ConvolutionSpec(())
 
-    def test_json_round_trip(self):
-        spec = ConvolutionSpec.of((0.4, 27.0), (0.3, 32.0), (0.2, 40.0))
-        again = ConvolutionSpec.from_json(spec.to_json())
-        assert again == spec
-        payload = json.loads(spec.to_json())
-        assert payload["components"][0] == {"shape": 0.4, "scale": 27.0}
-
 
 class TestCanonicalize:
     def test_sorts_by_scale(self):
@@ -104,10 +95,6 @@ class TestMixtureExpSpec:
     def test_basic(self):
         m = MixtureExpSpec((0.4, 0.6), (2.0, 5.0))
         assert m.size == 2
-
-    def test_json_round_trip(self):
-        m = MixtureExpSpec((0.25, 0.75), (1.5, 4.0))
-        assert MixtureExpSpec.from_json(m.to_json()) == m
 
 
 class TestValidateMixture:

@@ -10,7 +10,7 @@ from scipy import special as sp
 from scipy.optimize import minimize_scalar
 
 from gammaconv.errors import ConvergenceError, DomainError
-from gammaconv.mathai import cdf2, density2
+from gammaconv.mathai import cdf_n, density2
 from gammaconv.methods import NBSumLaw, _log_kernel_peak
 from gammaconv.model import ConvolutionSpec, canonicalize
 from gammaconv.moschopoulos import (
@@ -131,7 +131,7 @@ class TestDensityAndCdf:
             mean = float(spec.shapes @ spec.scales)
             for x in grid_between(0.2 * mean, 3.0 * mean, 5):
                 assert rel_err(density(spec, x).value, density2(spec, x).value) < 1e-11
-                assert rel_err(cdf(spec, x).value, cdf2(spec, x).value) < 1e-11
+                assert rel_err(cdf(spec, x).value, cdf_n(spec, x).value) < 1e-11
 
     def test_equal_scales_collapse(self):
         spec = ConvolutionSpec.of((1.5, 3.0), (2.5, 3.0))

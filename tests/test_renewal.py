@@ -60,12 +60,12 @@ class TestHDiff:
 
     def test_matches_cdf_difference(self):
         # Direct check against gamma-convolution CDFs of (a1, b1) + (a2, b2).
-        from gammaconv.mathai import cdf2
+        from gammaconv.mathai import cdf_n
         from gammaconv.model import ConvolutionSpec
 
         y, a1, b1, a2, b2 = 9.0, 3, 2.0, 2, 5.0
-        lo = cdf2(ConvolutionSpec.of((a1, b1), (a2, b2)), y).value
-        hi = cdf2(ConvolutionSpec.of((a1 + 1, b1), (a2, b2)), y).value
+        lo = cdf_n(ConvolutionSpec.of((a1, b1), (a2, b2)), y).value
+        hi = cdf_n(ConvolutionSpec.of((a1 + 1, b1), (a2, b2)), y).value
         assert rel_err(h_diff(y, a1, b1, a2, b2), lo - hi) < 1e-11
 
     def test_scale_order_free(self):
