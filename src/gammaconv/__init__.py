@@ -17,7 +17,7 @@ from .model import (
     canonicalize,
     validate_mixture,
 )
-from .specfun import ScaledValue, SeriesControl
+from .specfun import SeriesControl
 
 __all__ = [
     "BudgetError",
@@ -29,7 +29,6 @@ __all__ = [
     "GammaComponent",
     "GammaConvError",
     "MixtureExpSpec",
-    "ScaledValue",
     "SeriesControl",
     "canonicalize",
     "validate_mixture",

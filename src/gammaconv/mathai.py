@@ -56,11 +56,11 @@ def density2(
     c1, c2 = spec.components
     gamma = c1.shape + c2.shape
     z = (1.0 / c1.scale - 1.0 / c2.scale) * x
-    f1, terms = kummer_1f1_terms(c2.shape, gamma, z, ctrl)
+    log_f1, terms = kummer_1f1_terms(c2.shape, gamma, z, ctrl)
     log_f = (
         c2.shape * (math.log(c1.scale) - math.log(c2.scale))
         + log_gamma_pdf(x, gamma, c1.scale)
-        + f1.log_magnitude
+        + log_f1
     )
     return EvalResult(0.0 if log_f < _LOG_TINY else math.exp(log_f), terms, None)
 

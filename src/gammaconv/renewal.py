@@ -96,27 +96,31 @@ def h_diff(
     if b1 <= 0 or b2 <= 0:
         raise DomainError("h_diff requires positive scales")
     z = y * (1.0 / b1 - 1.0 / b2)
-    f1 = kummer_1f1(a2, a1 + a2 + 1.0, z, ctrl)
     log_h = (
         (a1 + a2) * math.log(y)
         - y / b1
         - a1 * math.log(b1)
         - a2 * math.log(b2)
         - math.lgamma(a1 + a2 + 1.0)
-        + f1.log_magnitude
+        + kummer_1f1(a2, a1 + a2 + 1.0, z, ctrl)
     )
     return math.exp(log_h)
 
 
-def _log_f1_family(n: int, z: float, ctrl: SeriesControl) -> "np.ndarray | list":
+def _log_f1_family(n: int, z: float, ctrl: SeriesControl) -> list[float]:
     """log 1F1(m; n+1; z) for every m = 0..n+1 at a shared z >= 0.
 
     All parameters are integers, so every term is a ratio of integer
     gamma values; one lgamma lookup table serves the whole family.  The
     series length J follows the same peak-plus-margin rule as the scalar
     Kummer series: terms decay factorially past j ~ z for every row
-    because the ratio is at most z / (j + 1).
+    because the ratio is at most z / (j + 1).  An n over ctrl.max_terms
+    raises BudgetError before anything of size n is built.
     """
+    if n > ctrl.max_terms:
+        raise BudgetError(
+            f"1F1 family for n={n} is over the max_terms budget {ctrl.max_terms}"
+        )
     if z == 0.0:
         return [0.0] * (n + 2)
     c = math.sqrt(2.0 * (-math.log(ctrl.rel_tol) + math.log1p(z) + 5.0))
@@ -153,7 +157,7 @@ def _log_f1_family(n: int, z: float, ctrl: SeriesControl) -> "np.ndarray | list"
     )
     row_max = log_terms.max(axis=1, keepdims=True)
     log_f1 = row_max[:, 0] + np.log(np.exp(log_terms - row_max).sum(axis=1))
-    return np.concatenate(([0.0], log_f1))
+    return [0.0] + log_f1.tolist()
 
 
 def pmf_s2(
@@ -172,9 +176,9 @@ def pmf_s2(
                                = e^(-t/b1) F[n + 1 - k],
 
     so one shared table covers every summand.  Summands are assembled in
-    log space (binomial coefficient, powers of t, p and the scales) and
-    are all non-negative; degenerate weights (p = 0 or 1) drop the
-    vanishing side of the bracket.
+    log space (binomial coefficient, powers of t, p and the scales), all
+    non-negative, and summed in one pass against the largest so far.  A
+    weight that rounds to 1 leaves the Poisson pmf of its component.
     """
     mix = validate_mixture(mix)
     if mix.size == 1:
@@ -187,50 +191,27 @@ def pmf_s2(
     z = t / b1 - t / b2
     if z < 0.0:
         p, b1, b2, z = 1.0 - p, b2, b1, -z
+    if p in (0.0, 1.0):
+        return _poisson_pmf(t / (b1 if p else b2), n)
     log_f1 = _log_f1_family(n, z, ctrl)
-    log_p = math.log(p) if p > 0.0 else _NEG_INF
-    log_1mp = math.log1p(-p) if p < 1.0 else _NEG_INF
-    base = n * math.log(t) - t / b1
-
-    if isinstance(log_f1, list):
-        lgn = math.lgamma(n + 1.0)
-        total = 0.0
-        for k in range(n + 1):
-            if (k and p == 0.0) or (n - k and p == 1.0):
-                continue
-            log_mix = (k * log_p if k else 0.0) + ((n - k) * log_1mp if n - k else 0.0)
-            log_pref = (
-                base
-                - k * math.log(b1)
-                - (n - k) * math.log(b2)
-                - math.lgamma(k + 1.0)
-                - math.lgamma(n - k + 1.0)
-                + log_mix
-            )
-            bracket = (p * math.exp(log_f1[n - k]) if p > 0.0 else 0.0) + (
-                (1.0 - p) * math.exp(log_f1[n + 1 - k]) if p < 1.0 else 0.0
-            )
-            total += bracket * math.exp(log_pref)
-        return min(total, 1.0)
-
-    k = np.arange(n + 1)
-    G = sp.gammaln(np.arange(1, n + 2, dtype=float))  # G[i] = lgamma(i + 1)
-    log_pref = (
-        base
-        - k * math.log(b1)
-        - (n - k) * math.log(b2)
-        - G[k]
-        - G[n - k]
-        + np.where(k > 0, k * log_p, 0.0)
-        + np.where(k < n, (n - k) * log_1mp, 0.0)
-    )
-    log_bracket = np.logaddexp(log_p + log_f1[n - k], log_1mp + log_f1[n + 1 - k])
-    term_log = log_pref + log_bracket
-    m = float(term_log.max())
-    if m == _NEG_INF:
-        return 0.0
-    total = math.exp(m) * float(np.exp(term_log - m).sum())
-    return min(total, 1.0)
+    log_p, log_1mp = math.log(p), math.log1p(-p)
+    slope1, slope2 = log_p - math.log(b1), log_1mp - math.log(b2)
+    lgf = [math.lgamma(k + 1.0) for k in range(n + 1)]
+    top, total = _NEG_INF, 0.0
+    for k in range(n + 1):
+        hi, lo = log_p + log_f1[n - k], log_1mp + log_f1[n + 1 - k]
+        if lo > hi:
+            hi, lo = lo, hi
+        log_term = (
+            k * slope1 + (n - k) * slope2 - lgf[k] - lgf[n - k]
+            + hi + math.log1p(math.exp(lo - hi))
+        )
+        if log_term > top:
+            total = total * math.exp(top - log_term) + 1.0
+            top = log_term
+        else:
+            total += math.exp(log_term - top)
+    return min(math.exp(n * math.log(t) - t / b1 + top) * total, 1.0)
 
 
 def _poisson_pmf(lam: float, n: int) -> float:
@@ -446,6 +427,8 @@ def pmf_vector(
     """
     mix = validate_mixture(mix)
     RenewalQuery(t, n_max)  # the query's checks on t and n_max
+    if n_max > ctrl.max_terms:
+        raise BudgetError(f"n_max={n_max} is over the max_terms budget {ctrl.max_terms}")
     alpha = np.array(mix.weights)
     rates = 1.0 / np.array(mix.scales)
     mean = float(rates.max()) * t

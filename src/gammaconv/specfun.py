@@ -1,9 +1,9 @@
-"""Special functions evaluated in log/scaled space.
+"""Special functions evaluated in log space.
 
-Everything here is a pure function.  Values that can overflow a double
-(large Kummer arguments, big gamma-kernel products) are returned as
-:class:`ScaledValue`, a (log magnitude, sign) pair; conversion back to a
-plain float is the caller's explicit, checked step.
+Everything here is a pure function.  Kummer values can overflow a double
+(large arguments), so they are returned as plain log floats; every term
+the series sums is non-negative (after Kummer's transformation for a
+negative argument, DLMF 13.2(vii)), so no sign is carried.
 """
 
 from __future__ import annotations
@@ -17,13 +17,10 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "SeriesControl",
-    "ScaledValue",
     "DEFAULT_CONTROL",
     "kummer_1f1",
     "kummer_1f1_terms",
 ]
-
-_NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -45,44 +42,6 @@ class SeriesControl:
 
 
 DEFAULT_CONTROL = SeriesControl()
-
-
-@dataclass(frozen=True)
-class ScaledValue:
-    """A real number stored as sign * exp(log_magnitude).
-
-    sign is 0 iff the value is exactly zero, in which case log_magnitude
-    is -inf by convention.
-    """
-
-    log_magnitude: float
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise DomainError(f"sign must be -1, 0, or +1, got {self.sign}")
-        if self.sign == 0 and self.log_magnitude != _NEG_INF:
-            raise DomainError("zero ScaledValue must carry -inf log magnitude")
-
-    @classmethod
-    def zero(cls) -> "ScaledValue":
-        return cls(_NEG_INF, 0)
-
-    @classmethod
-    def from_float(cls, value: float) -> "ScaledValue":
-        if value == 0.0:
-            return cls.zero()
-        return cls(math.log(abs(value)), 1 if value > 0 else -1)
-
-    def to_float(self) -> float:
-        """Convert to a plain float; raises OverflowError past the double range."""
-        if self.sign == 0:
-            return 0.0
-        if self.log_magnitude > 709.0:
-            raise OverflowError(
-                f"scaled value exp({self.log_magnitude:.6g}) exceeds double range"
-            )
-        return self.sign * math.exp(self.log_magnitude)
 
 
 def _stirling_rest(x: float) -> float:
@@ -159,8 +118,10 @@ def _kummer_head(
     return k_start, width, log_t
 
 
-def _kummer_series_pos(a: float, b: float, z: float, ctrl: SeriesControl):
-    """Sum sum_k (a)_k z^k / ((b)_k k!) for z > 0, a > 0.
+def _kummer_series_pos(
+    a: float, b: float, z: float, ctrl: SeriesControl
+) -> tuple[float, int]:
+    """log sum_k (a)_k z^k / ((b)_k k!) for z > 0, a > 0, and the term count.
 
     All terms are positive.  Terms are generated in blocks from the ratio
     recurrence t_{k+1} = t_k (a+k) z / ((b+k)(k+1)) and accumulated with a
@@ -221,13 +182,14 @@ def _kummer_series_pos(a: float, b: float, z: float, ctrl: SeriesControl):
 
 def kummer_1f1_terms(
     a: float, b: float, z: float, ctrl: SeriesControl = DEFAULT_CONTROL
-) -> tuple[ScaledValue, int]:
-    """Kummer 1F1(a; b; z) as a scaled value, plus the series-term count.
+) -> tuple[float, int]:
+    """log 1F1(a; b; z), plus the series-term count.
 
     Requires a >= 0 and b > 0.  For z < 0 the reflection
     1F1(a; b; z) = e^z 1F1(b-a; b; -z) is applied so the series is summed
     with non-negative terms only; this additionally needs b >= a, which
-    every caller in this package satisfies.
+    every caller in this package satisfies.  The value is then positive,
+    so its log is all there is to return.
     """
     if not b > 0:
         raise DomainError(f"kummer_1f1 requires b > 0, got b={b}")
@@ -238,17 +200,16 @@ def kummer_1f1_terms(
             raise DomainError(
                 f"negative-argument reflection needs b >= a, got a={a}, b={b}"
             )
-        inner, terms = kummer_1f1_terms(b - a, b, -z, ctrl)
-        return ScaledValue(inner.log_magnitude + z, inner.sign), terms
+        log_f1, terms = kummer_1f1_terms(b - a, b, -z, ctrl)
+        return log_f1 + z, terms
     if a == 0 or z == 0:
-        return ScaledValue(0.0, 1), 1
-    log_sum, terms = _kummer_series_pos(a, b, z, ctrl)
-    return ScaledValue(log_sum, 1), terms
+        return 0.0, 1
+    return _kummer_series_pos(a, b, z, ctrl)
 
 
 def kummer_1f1(
     a: float, b: float, z: float, ctrl: SeriesControl = DEFAULT_CONTROL
-) -> ScaledValue:
-    """Kummer confluent hypergeometric function 1F1(a; b; z), scaled."""
-    value, _ = kummer_1f1_terms(a, b, z, ctrl)
-    return value
+) -> float:
+    """log of Kummer's confluent hypergeometric function 1F1(a; b; z)."""
+    log_f1, _ = kummer_1f1_terms(a, b, z, ctrl)
+    return log_f1

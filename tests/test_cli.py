@@ -189,6 +189,19 @@ class TestRenewal:
         assert [int(row["n"]) for row in rows] == list(range(41))
         assert len({row["wall_time_ns"] for row in rows}) == 1
 
+    @pytest.mark.parametrize("weights,scales", [
+        ("0.5,0.5", "0.4,0.3"), ("0.1,0.2,0.7", "4,0.3,0.2"),
+    ], ids=["S2", "S3"])
+    def test_count_over_budget_usage_error(self, capsys, weights, scales):
+        # n = 20000 is over the default max_terms of 10000.
+        code, out, err = run_cli(
+            capsys,
+            "renewal", "--weights", weights, "--scales", scales,
+            "--t", "10", "--n", "20000",
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "max_terms" in err
+
     def test_bad_weights_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +16,7 @@ from gammaconv.errors import BudgetError, DomainError
 from gammaconv.model import ConvolutionSpec, MixtureExpSpec, canonicalize
 from gammaconv.renewal import (
     RenewalQuery,
+    _log_f1_family,
     h_diff,
     pmf,
     pmf_general,
@@ -143,6 +145,54 @@ class TestPmfS2:
         with pytest.raises(DomainError):
             pmf_s2(MIX3, RenewalQuery(10.0, 1))
 
+    @pytest.mark.parametrize("weights,scales,mean", [
+        ((1.0, 1e-300), (2.0, 5.0), 5.0),
+        ((1e-300, 1.0), (5.0, 2.0), 5.0),
+        ((1.0, 1e-300), (5.0, 2.0), 2.0),
+    ])
+    @pytest.mark.parametrize("n", [0, 3, 12, 40])
+    def test_vanishing_weight_is_poisson_without_warnings(self, weights, scales, mean, n):
+        # validate_mixture renormalizes the larger weight to exactly 1.0,
+        # which leaves Poisson(t / b) of its component, before or after the
+        # components swap.
+        mix = MixtureExpSpec(weights, scales)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pmf_s2(mix, RenewalQuery(10.0, n))
+        assert rel_err(got, stats.poisson.pmf(n, mean)) < 1e-13
+
+    def test_log_f1_family_against_mpmath(self):
+        # Seeded (n, z) on both sides of the scalar/array switch at
+        # (n + 2)(J + 1) = 640, z = 0 included: one list of log 1F1(m; n+1; z),
+        # m = 0..n+1, either way.
+        mp.mp.dps = 40
+        rng = random.Random(20261019)
+        grid = [(0, 0.0), (30, 0.0), (2, 0.7), (20, 0.4), (24, 0.5), (25, 0.5)]
+        grid += [(rng.randint(0, 60), rng.uniform(0.0, 40.0)) for _ in range(14)]
+        for n, z in grid:
+            got = _log_f1_family(n, z, SeriesControl())
+            assert type(got) is list and len(got) == n + 2
+            for m, value in enumerate(got):
+                want = float(mp.log(mp.hyp1f1(m, n + 1, z)))
+                assert abs(value - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("scales", [(0.4, 0.4), (0.4, 0.3)], ids=["z0", "z8"])
+    def test_budget_raises_before_family_is_built(self, scales):
+        # n over max_terms raises before any (n + 2) x (J + 1) table, or
+        # the z = 0 list of n + 2 entries, is built.
+        ctrl = SeriesControl(max_terms=2000)
+        z = abs(10.0 / scales[0] - 10.0 / scales[1])
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                _log_f1_family(2001, z, ctrl)
+            with pytest.raises(BudgetError):
+                pmf_s2(MixtureExpSpec((0.5, 0.5), scales), RenewalQuery(10.0, 2001), ctrl)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestPmfGeneral:
     def test_matches_s2_formula(self):
@@ -268,6 +318,20 @@ class TestPmfVector:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_count_budget_raises_before_state_is_built(self):
+        # An n_max over max_terms raises before the (n_max + 1) x S state.
+        ctrl = SeriesControl(max_terms=2000)
+        mix = MixtureExpSpec((0.1, 0.2, 0.7), (4.0, 0.3, 0.2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                pmf_vector(mix, 10.0, 2001, ctrl)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert pmf_vector(mix, 10.0, 2000, ctrl).shape == (2001,)
 
     def test_budget_follows_max_terms(self):
         mix = MixtureExpSpec((0.5, 0.3, 0.2), (1.0, 2.0, 3.0))
