@@ -330,12 +330,15 @@ def nb_sum_cumulants(spec: ConvolutionSpec) -> tuple[float, float, float]:
     """The first three cumulants of the exact weight law of a canonical spec:
 
     kappa_1 = sum a_i (1-q_i)/q_i, kappa_2 = sum a_i (1-q_i)/q_i^2,
-    kappa_3 = sum a_i (1-q_i)(2-q_i)/q_i^3 with q_i = b1/b_i.
+    kappa_3 = sum a_i (1-q_i)(2-q_i)/q_i^3 with q_i = b1/b_i; all three
+    inf once a q_i^3 underflows (scale ratios past about 1e108).
     """
     b1 = spec.components[0].scale
     k1 = k2 = k3 = 0.0
     for c in spec.components:
         q = b1 / c.scale
+        if q**3 == 0.0:
+            return math.inf, math.inf, math.inf
         k1 += c.shape * (1.0 - q) / q
         k2 += c.shape * (1.0 - q) / q**2
         k3 += c.shape * (1.0 - q) * (2.0 - q) / q**3
@@ -355,9 +358,8 @@ def nb_sum_law(
     """
     if count is None:
         mean, var, _ = nb_sum_cumulants(spec)
-        count = int(mean + 12.0 * math.sqrt(var)) + 32
-        if ctrl is not None:
-            count = min(count, ctrl.max_terms + 1)
+        cap = math.inf if ctrl is None else ctrl.max_terms
+        count = min(int(min(mean + 12.0 * math.sqrt(var), cap)) + 32, cap + 1)
     b1 = spec.components[0].scale
     masses = None
     for c in spec.components[1:]:

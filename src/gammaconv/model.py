@@ -27,6 +27,9 @@ __all__ = [
 #: Relative tolerance under which two scales are treated as equal and merged.
 SCALE_MERGE_RTOL = 1e-12
 
+#: Total shape from which lgamma of it overflows a double (near 2.56e305).
+MAX_TOTAL_SHAPE = 2.5e305
+
 #: Allowed deviation of mixture weights from summing to one.
 WEIGHT_SUM_TOL = 1e-9
 
@@ -89,6 +92,7 @@ def canonicalize(spec: ConvolutionSpec) -> ConvolutionSpec:
     Components whose scales agree within SCALE_MERGE_RTOL (relative) are
     merged by summing shapes; the represented distribution is unchanged.
     After canonicalization the first component carries the minimum scale.
+    A total shape of MAX_TOTAL_SHAPE or more raises DomainError.
     Idempotent.  Specs are immutable, so results are memoized.
     """
     comps = sorted(spec.components, key=lambda c: c.scale)
@@ -98,6 +102,10 @@ def canonicalize(spec: ConvolutionSpec) -> ConvolutionSpec:
             merged[-1][0] += c.shape
         else:
             merged.append([c.shape, c.scale])
+    if sum(a for a, _ in merged) >= MAX_TOTAL_SHAPE:
+        raise DomainError(
+            f"total shape must be below {MAX_TOTAL_SHAPE:g}, got {spec.total_shape:g}"
+        )
     return ConvolutionSpec(tuple(GammaComponent(a, b) for a, b in merged))
 
 

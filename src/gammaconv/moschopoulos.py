@@ -110,17 +110,18 @@ def extend_weights(
     return _recurse(weights.c, weights.deltas, weights.gammas, canonicalize(spec), upto)
 
 
-def _weight_count_estimate(spec: ConvolutionSpec) -> int:
-    """Initial truncation point from the negative-binomial weight cumulants."""
+def _weight_count_estimate(spec: ConvolutionSpec, cap: float = math.inf) -> int:
+    """Initial truncation point from the negative-binomial weight cumulants,
+    at most `cap`."""
     mean, var, _ = nb_sum_cumulants(spec)
-    return int(mean + 10.0 * math.sqrt(var) + 60.0)
+    return int(min(mean + 10.0 * math.sqrt(var) + 60.0, cap))
 
 
 def first_weights(spec: ConvolutionSpec, ctrl: SeriesControl) -> WeightDistribution:
     """The weights `density` and `cdf` start from: delta_0..delta_K with K
     from the weight cumulants, capped at ctrl.max_terms (the cap the
     extension stops at)."""
-    return build_weights(spec, min(_weight_count_estimate(spec), ctrl.max_terms))
+    return build_weights(spec, _weight_count_estimate(spec, ctrl.max_terms))
 
 
 def density(

@@ -4,11 +4,11 @@ Four evaluation routes for Pr(N(t) = n):
 
 * the direct Kummer-function formula for a two-component mixture
   (``pmf_s2``), which bypasses all convolution CDFs;
-* the same quantity assembled from differences of convolution CDFs
-  (``pmf_raw_s2``), kept as an independent oracle and timing baseline;
 * the general mixture route over compositions of n (``pmf_general``),
-  which reduces to ``pmf_s2`` for two components; kept as the paper's
-  baseline and oracle for any S;
+  a sum of differences of convolution CDFs, which reduces to ``pmf_s2``
+  for two components; kept as the paper's baseline and oracle for any S;
+* the same composition sum at S = 2 with every H evaluated afresh
+  (``pmf_raw_s2``), kept as an independent oracle and timing baseline;
 * uniformization (``pmf_vector``): the holding times are phase-type, so
   one pass of non-negative updates gives Pr(N(t) = n) for every
   n <= n_max and any S.
@@ -114,8 +114,9 @@ def _log_f1_family(n: int, z: float, ctrl: SeriesControl) -> list[float]:
     gamma values; one lgamma lookup table serves the whole family.  The
     series length J follows the same peak-plus-margin rule as the scalar
     Kummer series: terms decay factorially past j ~ z for every row
-    because the ratio is at most z / (j + 1).  An n over ctrl.max_terms
-    raises BudgetError before anything of size n is built.
+    because the ratio is at most z / (j + 1).  Past 640 terms the rows
+    are summed as arrays, in blocks of at most 2^16 terms.  An n over
+    ctrl.max_terms raises BudgetError before anything of size n is built.
     """
     if n > ctrl.max_terms:
         raise BudgetError(
@@ -145,19 +146,17 @@ def _log_f1_family(n: int, z: float, ctrl: SeriesControl) -> list[float]:
                     break
             out[m] = math.log(total)
         return out
-    log_z = math.log(z)
     G = sp.gammaln(np.arange(n + J + 3, dtype=float))  # G[i] = lgamma(i)
     j = np.arange(J + 1)
-    m = np.arange(1, n + 2)
-    log_terms = (
-        G[m[:, None] + j[None, :]]
-        - G[m][:, None]
-        + j * log_z
-        - (G[n + 1 + j] - G[n + 1] + G[1 + j])
-    )
-    row_max = log_terms.max(axis=1, keepdims=True)
-    log_f1 = row_max[:, 0] + np.log(np.exp(log_terms - row_max).sum(axis=1))
-    return [0.0] + log_f1.tolist()
+    power, denom = j * math.log(z), G[n + 1 + j] - G[n + 1] + G[1 + j]  # log z^j, log (n+1)_j j!
+    out = [0.0]
+    step = max(1, 2**16 // (J + 1))  # rows per block of at most 2^16 terms
+    for first in range(1, n + 2, step):
+        m = np.arange(first, min(first + step, n + 2))
+        log_terms = G[m[:, None] + j[None, :]] - G[m][:, None] + power - denom
+        row_max = log_terms.max(axis=1, keepdims=True)
+        out += (row_max[:, 0] + np.log(np.exp(log_terms - row_max).sum(axis=1))).tolist()
+    return out
 
 
 def pmf_s2(
@@ -256,45 +255,18 @@ def pmf_raw_s2(
     method: str = "mathai",
     ctrl: SeriesControl | None = None,
 ) -> float:
-    """Pr(N(t) = n) assembled from convolution-CDF differences (S = 2).
+    """Pr(N(t) = n) assembled from convolution-CDF differences (S <= 2).
 
     Same value contract as pmf_s2; exists as an independent oracle and as
-    the timing baseline in which H is evaluated through a full CDF method.
+    the timing baseline in which H is evaluated through a full CDF method:
+    the composition sum of `pmf_general` with every H evaluated afresh,
+    4(n + 1) CDF evaluations for n >= 1 (memoizing would change the
+    baseline measured).
     """
     mix = validate_mixture(mix)
-    if mix.size == 1:
-        return _poisson_pmf(q.t / mix.scales[0], q.n)
-    if mix.size != 2:
+    if mix.size > 2:
         raise DomainError(f"pmf_raw_s2 requires a 2-component mixture, got {mix.size}")
-    p = mix.weights[0]
-    b1, b2 = mix.scales
-    t, n = q.t, q.n
-
-    # Every H appearance is evaluated afresh through the chosen CDF
-    # method; memoizing repeated shape pairs would change the baseline
-    # being measured.
-    def h(as1: int, bs1: float, as2: int, bs2: float) -> float:
-        f_lo = _conv_cdf([(as1, bs1), (as2, bs2)], t, method, ctrl)
-        f_hi = _conv_cdf([(as1 + 1, bs1), (as2, bs2)], t, method, ctrl)
-        return max(f_lo - f_hi, 0.0)
-
-    total = 0.0
-    for k in range(n + 1):
-        log_mix = (
-            (k * math.log(p) if k else 0.0)
-            + ((n - k) * math.log1p(-p) if n - k else 0.0)
-        )
-        if (k and p == 0.0) or (n - k and p == 1.0):
-            continue
-        weight = math.exp(
-            math.lgamma(n + 1.0)
-            - math.lgamma(k + 1.0)
-            - math.lgamma(n - k + 1.0)
-            + log_mix
-        )
-        bracket = p * h(k, b1, n - k, b2) + (1.0 - p) * h(n - k, b2, k, b1)
-        total += bracket * weight
-    return min(total, 1.0)
+    return _composition_sum(mix, q, method, ctrl, None)
 
 
 def _compositions(n: int, parts: int):
@@ -305,6 +277,35 @@ def _compositions(n: int, parts: int):
     for first in range(n + 1):
         for rest in _compositions(n - first, parts - 1):
             yield (first,) + rest
+
+
+def _composition_sum(
+    mix: MixtureExpSpec, q: RenewalQuery, method: str, ctrl: SeriesControl | None,
+    cache: dict | None,
+) -> float:
+    """Sum over the compositions ks of n of the multinomial weight times
+    sum_s w_s max(F(ks) - F(ks + e_s), 0), F the convolution CDF at t by
+    `method`.  With a dict as `cache` each distinct F is evaluated once;
+    with None every one afresh, 2S per composition.  One component is
+    its Poisson pmf."""
+    if mix.size == 1:
+        return _poisson_pmf(q.t / mix.scales[0], q.n)
+    t, n = q.t, q.n
+    log_w = [math.log(w) for w in mix.weights]
+    total = 0.0
+    for ks in _compositions(n, mix.size):
+        base_comps = list(zip(ks, mix.scales))
+        bracket = 0.0
+        for s_idx, (w, b) in enumerate(zip(mix.weights, mix.scales)):
+            f_base = _conv_cdf(base_comps, t, method, ctrl, cache)
+            bumped = list(base_comps)
+            bumped[s_idx] = (ks[s_idx] + 1, b)
+            bracket += w * max(f_base - _conv_cdf(bumped, t, method, ctrl, cache), 0.0)
+        log_multi = math.lgamma(n + 1.0) - sum(
+            math.lgamma(k + 1.0) for k in ks
+        ) + sum(k * lw for k, lw in zip(ks, log_w))
+        total += bracket * math.exp(log_multi)
+    return min(total, 1.0)
 
 
 def pmf_general(
@@ -328,32 +329,13 @@ def pmf_general(
     """
     mix = validate_mixture(mix)
     s = mix.size
-    if s == 1:
-        return _poisson_pmf(q.t / mix.scales[0], q.n)
     n_comp = comb(q.n + s - 1, s - 1)
     if n_comp > budget:
         raise BudgetError(
             f"composition count {n_comp} exceeds budget {budget} "
             f"(n={q.n}, S={s})"
         )
-    t, n = q.t, q.n
-    log_w = [math.log(w) for w in mix.weights]
-    cache: dict = {}
-    total = 0.0
-    for ks in _compositions(n, s):
-        base_comps = list(zip(ks, mix.scales))
-        f_base = _conv_cdf(base_comps, t, method, ctrl, cache)
-        bracket = 0.0
-        for s_idx in range(s):
-            bumped = list(base_comps)
-            bumped[s_idx] = (ks[s_idx] + 1, mix.scales[s_idx])
-            f_hi = _conv_cdf(bumped, t, method, ctrl, cache)
-            bracket += mix.weights[s_idx] * max(f_base - f_hi, 0.0)
-        log_multi = math.lgamma(n + 1.0) - sum(
-            math.lgamma(k + 1.0) for k in ks
-        ) + sum(k * lw for k, lw in zip(ks, log_w))
-        total += bracket * math.exp(log_multi)
-    return min(total, 1.0)
+    return _composition_sum(mix, q, method, ctrl, {})
 
 
 def _poisson_cut(mean: float, log_eps: float, limit: int) -> int:

@@ -104,8 +104,10 @@ def _kummer_head(
     if disc < 0.0:
         return None
     peak = 0.5 * (math.sqrt(disc) - p)
+    if not peak > 0.0:
+        return None
     curvature = 1.0 / (peak + 1.0) + 1.0 / (b + peak) - 1.0 / (a + peak)
-    if not (peak > 0.0 and curvature > 0.0):
+    if not curvature > 0.0:
         return None
     width = 1.0 / math.sqrt(curvature)
     k_start = int(peak - c * width)

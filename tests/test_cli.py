@@ -6,6 +6,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -202,6 +203,16 @@ class TestRenewal:
         assert code == EXIT_USAGE
         assert out == "" and "max_terms" in err
 
+    def test_vanishing_weight_raw_route(self, capsys):
+        # validate_mixture renormalizes the weights to exactly (1.0, 1e-300).
+        code, out, err = run_cli(
+            capsys,
+            "renewal", "--weights", "1,1e-300", "--scales", "2,5",
+            "--t", "10", "--n", "3", "--method", "raw-mathai",
+        )
+        assert code == EXIT_OK and err == ""
+        assert abs(float(parse_csv(out)[0]["pmf"]) - stats.poisson.pmf(3, 5.0)) < 1e-13
+
     def test_bad_weights_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -210,6 +221,45 @@ class TestRenewal:
         )
         assert code == EXIT_USAGE
         assert "error" in err
+
+
+class TestExtremeSpecs:
+    # Valid but extreme inputs end in a GammaConvError exit code (usage 2,
+    # non-convergence 3, fit failure 4), never in a traceback: a scale
+    # ratio past 1e108, where q^3 of the weight cumulants underflows, and a
+    # total shape past lgamma's range.
+    @pytest.mark.parametrize("method", ["mathai", "moschopoulos", "approx", "auto"])
+    @pytest.mark.parametrize("quantity", ["density", "cdf"])
+    @pytest.mark.parametrize("shape,scale", [
+        ("2,3", "1e-110,1"), ("2,3,1", "1e-110,1,2"), ("3e305,1", "1,2"),
+    ], ids=["ratio-n2", "ratio-n3", "shape"])
+    def test_exit_code_not_traceback(self, capsys, shape, scale, quantity, method):
+        code, _, err = run_cli(
+            capsys,
+            "eval", quantity, "--shape", shape, "--scale", scale, "--at", "1",
+            "--method", method,
+        )
+        assert code in (2, 3, 4)
+        assert "Traceback" not in err and "error" in err
+
+    def test_renewal_scale_ratio(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "renewal", "--weights", "0.5,0.5", "--scales", "1e-120,1",
+            "--t", "1", "--n", "2", "--method", "raw-mathai",
+        )
+        assert code == 3
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("method", ["mathai", "auto"])
+    def test_large_shape_density(self, capsys, method):
+        # The 1F1 term peak lies below k = 0 here (peak = -1).
+        argv = ["eval", "density", "--shape", "1e6,1", "--scale", "1,2", "--at", "1e6"]
+        code, out, _ = run_cli(capsys, *argv, "--method", method)
+        assert code == EXIT_OK
+        _, ref_out, _ = run_cli(capsys, *argv, "--method", "moschopoulos")
+        got, want = float(parse_csv(out)[0]["value"]), float(parse_csv(ref_out)[0]["value"])
+        assert abs(got / want - 1.0) < 1e-8
 
 
 class TestFigureError:
@@ -241,6 +291,14 @@ class TestBench:
         assert "wrote" in out
         rows = parse_csv(out_file.read_text())
         assert len(rows) > 0
+
+    def test_default_seed_is_fixed(self, monkeypatch):
+        from gammaconv import bench
+
+        monkeypatch.setenv("GAMMACONV_SEED", "1")
+        spec = ConvolutionSpec.of((2.0, 1.0), (3.0, 2.0))
+        default = bench.bulk_grid(spec, n_samples=1000)
+        assert np.array_equal(default, bench.bulk_grid(spec, 1000, bench.DEFAULT_SEED))
 
     @pytest.mark.parametrize("suite,option", [("renew2", "--replicates"), ("coga2", "--samples")])
     def test_zero_count_is_a_usage_error(self, capsys, monkeypatch, suite, option):

@@ -9,9 +9,10 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special as sp
 from scipy import stats
 
-from gammaconv import bench, moschopoulos
+from gammaconv import bench, mathai, moschopoulos
 from gammaconv.errors import BudgetError, DomainError
 from gammaconv.model import ConvolutionSpec, MixtureExpSpec, canonicalize
 from gammaconv.renewal import (
@@ -175,6 +176,32 @@ class TestPmfS2:
             for m, value in enumerate(got):
                 want = float(mp.log(mp.hyp1f1(m, n + 1, z)))
                 assert abs(value - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_log_f1_family_rows_in_blocks(self):
+        # At n = 2000, z = 667 the one-matrix form held 2002 x ~900 terms
+        # several times over (about 45 MB); in blocks of at most 2^16 terms
+        # every row is the same to the bit.
+        n, z, ctrl = 2000, 667.0, SeriesControl()
+        tracemalloc.start()
+        try:
+            got = _log_f1_family(n, z, ctrl)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        c = math.sqrt(2.0 * (-math.log(ctrl.rel_tol) + math.log1p(z) + 5.0))
+        J = int(z + c * math.sqrt(z + 1.0) + 12.0)
+        G = sp.gammaln(np.arange(n + J + 3, dtype=float))
+        j, m = np.arange(J + 1), np.arange(1, n + 2)
+        log_terms = (
+            G[m[:, None] + j[None, :]]
+            - G[m][:, None]
+            + j * math.log(z)
+            - (G[n + 1 + j] - G[n + 1] + G[1 + j])
+        )
+        row_max = log_terms.max(axis=1, keepdims=True)
+        want = row_max[:, 0] + np.log(np.exp(log_terms - row_max).sum(axis=1))
+        assert got == [0.0] + want.tolist()
 
     @pytest.mark.parametrize("scales", [(0.4, 0.4), (0.4, 0.3)], ids=["z0", "z8"])
     def test_budget_raises_before_family_is_built(self, scales):
@@ -365,6 +392,43 @@ class TestPmfRawS2:
         assert rel_err(
             pmf_raw_s2(mix, RenewalQuery(10.0, 2)), stats.poisson.pmf(2, 4.0)
         ) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_cdf_call_counts(self, monkeypatch, n):
+        # The raw baseline evaluates both CDFs of every H afresh; the
+        # general route takes each distinct CDF once: n + 1 compositions
+        # and n + 2 bumped ones.
+        calls = []
+        cdf_n = mathai.cdf_n
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return cdf_n(*args, **kwargs)
+
+        monkeypatch.setattr(mathai, "cdf_n", counted)
+        q = RenewalQuery(10.0, n)
+        pmf_raw_s2(MIX, q, "mathai")
+        assert len(calls) == 4 * (n + 1)
+        calls.clear()
+        pmf_general(MIX, q, "mathai")
+        assert len(calls) == 2 * n + 3
+
+    @pytest.mark.parametrize("method", ["mathai", "moschopoulos"])
+    def test_matches_general_on_random_queries(self, method):
+        rng = random.Random(20261019)
+        for _ in range(40):
+            p = rng.uniform(0.05, 0.95)
+            mix = MixtureExpSpec((p, 1.0 - p), (rng.uniform(0.3, 5.0), rng.uniform(0.3, 5.0)))
+            q = RenewalQuery(rng.uniform(0.5, 15.0), rng.randint(0, 8))
+            want = pmf_general(mix, q, method)
+            assert rel_err(pmf_raw_s2(mix, q, method), want) <= 1e-14
+
+    @pytest.mark.parametrize("n", [0, 3, 12])
+    def test_vanishing_weight_is_poisson(self, n):
+        # validate_mixture renormalizes the larger weight to exactly 1.0.
+        mix = MixtureExpSpec((1.0, 1e-300), (2.0, 5.0))
+        got = pmf_raw_s2(mix, RenewalQuery(10.0, n), "mathai")
+        assert rel_err(got, stats.poisson.pmf(n, 5.0)) < 1e-13
 
     def test_approx_method_tracks_exact(self):
         # The GNBD-backed CDF keeps a few-percent accuracy on the pmf.

@@ -11,6 +11,7 @@ from gammaconv.errors import ConvergenceError, DomainError
 from gammaconv.specfun import (
     DEFAULT_CONTROL,
     SeriesControl,
+    _kummer_head,
     kummer_1f1,
     kummer_1f1_terms,
 )
@@ -77,6 +78,16 @@ class TestKummer:
         got = kummer_1f1(a, b, z)
         want = float(mp.log(mp.hyp1f1(a, b, z)))
         assert abs(math.expm1(got - want)) < 3.5e-13
+
+    def test_head_with_no_positive_peak(self):
+        # The term ratio (1 + k) z / ((b + k)(k + 1)) = z / (b + k) is below
+        # 1 from k = 0: the peak root is k = -1, and no head is skipped.
+        z = 5e5
+        log_tol = math.log(1e-15)
+        c = math.sqrt(2.0 * (-log_tol + math.log1p(z) + 5.0))
+        assert _kummer_head(1.0, 1e6 + 1.0, z, c, log_tol) is None
+        want = float(mp.log(mp.hyp1f1(1, 1e6 + 1, z)))
+        assert rel_err(kummer_1f1(1.0, 1e6 + 1.0, z), want) < 1e-14
 
     def test_term_count_reported(self):
         val, terms = kummer_1f1_terms(2.0, 5.0, 30.0)
