@@ -253,8 +253,11 @@ def cdf_n(
     weights W_0..W_R.  `methods.mixture_cdf` sums the series, from
     y/b1 = 64 up as kernel sums with one incomplete-gamma value; the terms
     and the bound are the same either way.  Pass a prebuilt law as
-    `weights` to share it across calls.
+    `weights` to share it across calls.  Below y/b1 = 64 the first stage,
+    built or sliced from `weights`, ends where the point's kernel dies
+    (`methods.mixture_point`) and is extended only if the tail bound asks
+    for it.
     """
     if ctrl is None:
         ctrl = DEFAULT_CONTROL if len(canonicalize(spec)) <= 2 else CONTROL_N
-    return mixture_point("cdf", spec, y, ctrl, weights, nb_sum_law)
+    return mixture_point("cdf", spec, y, ctrl, weights, nb_sum_law, cut=True)

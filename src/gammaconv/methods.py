@@ -282,7 +282,12 @@ class NBSumLaw(WeightLaw):
         self.spec = spec
 
     def stage(self, upto: int) -> NBSumLaw:
-        """The stage w_0..w_upto."""
+        """The stage w_0..w_upto: a slice of this one where that is
+        shorter.  A slice of 12 or more masses equals the stage built at
+        its size bit for bit (np.convolve sums a full overlap of at most
+        11 terms in another order); `_cdf_cut` asks for 33 or more."""
+        if upto < self.masses.shape[0]:
+            return NBSumLaw(self.masses[: upto + 1], self.spec)
         return nb_sum_law(self.spec, count=upto + 1)
 
     def extend(self, ctrl: SeriesControl) -> NBSumLaw | None:
@@ -345,20 +350,38 @@ def nb_sum_cumulants(spec: ConvolutionSpec) -> tuple[float, float, float]:
     return k1, k2, k3
 
 
+def finite_cumulants(spec: ConvolutionSpec) -> tuple[float, float]:
+    """kappa_1 and kappa_2 of the exact weight law, which size the exact
+    routes' first stage.  Raises ConvergenceError where they are infinite:
+    no stage within any cap holds such a law, so nothing is built."""
+    mean, var, _ = nb_sum_cumulants(spec)
+    if math.isinf(mean):
+        raise ConvergenceError(
+            "weight law has infinite cumulants (scale ratio past about 1e108): "
+            "no table within max_terms holds it",
+            terms_used=0,
+        )
+    return mean, var
+
+
 def nb_sum_law(
-    spec: ConvolutionSpec, ctrl: SeriesControl | None = None, count: int | None = None
+    spec: ConvolutionSpec,
+    ctrl: SeriesControl | None = None,
+    count: int | None = None,
+    upto: float = math.inf,
 ) -> NBSumLaw:
     """The exact weight law of a canonical spec of two or more components
     at k < count, by convolving the NB pmfs cut at count terms.
 
     count defaults to kappa_1 + 12 sqrt(kappa_2) + 32, kappa the law's
-    cumulants, which leaves out mass far below any practical tolerance;
-    given `ctrl`, that default is capped at ctrl.max_terms + 1 masses, the
-    size `NBSumLaw.extend` stops at.
+    cumulants (`finite_cumulants`), which leaves out mass far below any
+    practical tolerance; that default is capped at upto + 1 masses and,
+    given `ctrl`, at ctrl.max_terms + 1, the size `NBSumLaw.extend` stops
+    at.
     """
     if count is None:
-        mean, var, _ = nb_sum_cumulants(spec)
-        cap = math.inf if ctrl is None else ctrl.max_terms
+        mean, var = finite_cumulants(spec)
+        cap = min(upto, math.inf if ctrl is None else ctrl.max_terms)
         count = min(int(min(mean + 12.0 * math.sqrt(var), cap)) + 32, cap + 1)
     b1 = spec.components[0].scale
     masses = None
@@ -398,8 +421,28 @@ def mixture_density(law: WeightLaw, x: float) -> tuple[float, float]:
 #: What decides is their x-free parts, 63-114 us once per law: a law used
 #: at one point (a per-point call, or the renewal routes' one law per
 #: composition) loses below K of about 300.  The renewal routes stay at
-#: u <= 34 (t = 10, scales >= 0.3), so below 64 the sum stays as written.
+#: u <= 34 (t = 10, scales >= 0.3), so below 64 the sum stays as written,
+#: and there an exact route's stage starts no longer than the point's
+#: kernel needs (`_cdf_cut`).
 _CDF_KERNEL_SUM_FROM = 64.0
+
+
+def _cdf_cut(spec: ConvolutionSpec, y: float) -> float:
+    """The last index of a CDF point's first stage over an exact law:
+    max(u - rho, 0) + 8 sqrt(u) + 32 at u = y/b1 < `_CDF_KERNEL_SUM_FROM`,
+    inf from it on.
+
+    P(a, u) decreases in a and, at integer a, is the chance that a
+    Poisson(u) count reaches a, so by a Chernoff bound it is below e^-40
+    once a passes u + 8 sqrt(u) + 31; a stage too short for the point's
+    tolerance (a value far below that, deep in the left tail) is extended
+    by `converge`.  From `_CDF_KERNEL_SUM_FROM` on, the points
+    of a grid share one stage and its cached `cdf_terms`, so the stage is
+    not cut."""
+    u = y / spec.components[0].scale
+    if u >= _CDF_KERNEL_SUM_FROM:
+        return math.inf
+    return int(max(u - spec.total_shape, 0.0) + 8.0 * math.sqrt(u) + 32.0)
 
 
 def mixture_cdf(law: WeightLaw, y: float) -> tuple[float, float]:
@@ -480,16 +523,26 @@ def converge(quantity: str, x: float, ctrl: SeriesControl, law: WeightLaw) -> Ev
 
 def mixture_point(
     quantity: str, spec: ConvolutionSpec, x: float, ctrl: SeriesControl,
-    weights: WeightLaw | None, first_law: Callable[[ConvolutionSpec, SeriesControl], WeightLaw],
+    weights: WeightLaw | None, first_law: Callable[..., WeightLaw], cut: bool = False,
 ) -> EvalResult:
     """The per-point body of every weight-law route: the entry check, then
     the mixture `quantity` at x over `weights`, or where that is None over
-    first_law(spec, ctrl) of the canonical spec, run to convergence."""
+    first_law(spec, ctrl) of the canonical spec, run to convergence.
+
+    With `cut` (the exact CDF routes, whose laws extend) the first stage
+    ends at the point's `_cdf_cut` where that is shorter: first_law takes
+    it as `upto`, and `weights` is sliced to it.  An exact law's stage is
+    a prefix of every longer one, so both give the same stage.
+    """
     spec, done = check_point(spec, x, quantity)
     if done is not None:
         return done
-    law = weights if weights is not None else first_law(spec, ctrl)
-    return converge(quantity, x, ctrl, law)
+    upto = _cdf_cut(spec, x) if cut else math.inf
+    if weights is None:
+        weights = first_law(spec, ctrl, upto=upto) if cut else first_law(spec, ctrl)
+    if upto < weights.masses.shape[0] - 1:
+        weights = weights.stage(upto)
+    return converge(quantity, x, ctrl, weights)
 
 
 class Method(NamedTuple):

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .methods import NBSumLaw, WeightLaw, mixture_point, nb_sum_cumulants
+from .methods import NBSumLaw, WeightLaw, finite_cumulants, mixture_point
 from .model import ConvolutionSpec, EvalResult, canonicalize
 from .specfun import DEFAULT_CONTROL, SeriesControl
 
@@ -54,6 +54,12 @@ class WeightDistribution(NBSumLaw):
         return self.c * float(self.deltas[k])
 
     def stage(self, upto: int) -> WeightDistribution:
+        """The stage delta_0..delta_upto: a slice of this one where that
+        is shorter, else this one extended by the recursion."""
+        if upto < self.upto:
+            return WeightDistribution(
+                self.c, self.deltas[: upto + 1], self.gammas[: upto + 1], self.spec
+            )
         return extend_weights(self, self.spec, upto)
 
 
@@ -111,17 +117,20 @@ def extend_weights(
 
 
 def _weight_count_estimate(spec: ConvolutionSpec, cap: float = math.inf) -> int:
-    """Initial truncation point from the negative-binomial weight cumulants,
-    at most `cap`."""
-    mean, var, _ = nb_sum_cumulants(spec)
+    """Initial truncation point from the negative-binomial weight cumulants
+    (`methods.finite_cumulants`, which raises where they are infinite), at
+    most `cap`."""
+    mean, var = finite_cumulants(spec)
     return int(min(mean + 10.0 * math.sqrt(var) + 60.0, cap))
 
 
-def first_weights(spec: ConvolutionSpec, ctrl: SeriesControl) -> WeightDistribution:
+def first_weights(
+    spec: ConvolutionSpec, ctrl: SeriesControl, upto: float = math.inf
+) -> WeightDistribution:
     """The weights `density` and `cdf` start from: delta_0..delta_K with K
     from the weight cumulants, capped at ctrl.max_terms (the cap the
-    extension stops at)."""
-    return build_weights(spec, _weight_count_estimate(spec, ctrl.max_terms))
+    extension stops at) and at `upto`."""
+    return build_weights(spec, _weight_count_estimate(spec, min(ctrl.max_terms, upto)))
 
 
 def density(
@@ -153,6 +162,9 @@ def cdf(
     since G decreases in the shape argument.  `methods.mixture_cdf` sums
     the series, from y/b1 = 64 up as kernel sums with one incomplete-gamma
     value in place of one per weight; the terms and the bound are the
-    same either way.
+    same either way.  Below y/b1 = 64 the first stage, built or sliced
+    from `weights`, ends where the point's kernel dies
+    (`methods.mixture_point`), and the recursion runs on from there only
+    if the tail bound asks for it.
     """
-    return mixture_point("cdf", spec, y, ctrl, weights, first_weights)
+    return mixture_point("cdf", spec, y, ctrl, weights, first_weights, cut=True)

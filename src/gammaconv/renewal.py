@@ -261,7 +261,9 @@ def pmf_raw_s2(
     the timing baseline in which H is evaluated through a full CDF method:
     the composition sum of `pmf_general` with every H evaluated afresh,
     4(n + 1) CDF evaluations for n >= 1 (memoizing would change the
-    baseline measured).
+    baseline measured).  Each is a per-point call of the method's CDF;
+    the exact ones start from a stage cut at the point's kernel
+    (`methods.mixture_point`), not from their law's whole first stage.
     """
     mix = validate_mixture(mix)
     if mix.size > 2:

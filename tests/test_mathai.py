@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gammaconv import bench, moschopoulos
+from gammaconv import bench, methods, moschopoulos
 from gammaconv.errors import DomainError
 from gammaconv.mathai import CONTROL_N, ShellTable, cdf_n, density2, density_n
 from gammaconv.model import ConvolutionSpec, canonicalize
@@ -16,6 +16,7 @@ from gammaconv.oracle import (
     hypoexp_closed_form_cdf,
     quad_density,
 )
+from gammaconv.specfun import DEFAULT_CONTROL
 
 from conftest import grid_between, random_spec, rel_err
 
@@ -279,8 +280,20 @@ class TestNegativeBinomialSumLaw:
     @pytest.mark.parametrize("alpha,scales", bench.TABLE1_SETTINGS)
     def test_cdf2_first_law_size(self, alpha, scales):
         # kappa_1 + 12 sqrt(kappa_2) + 32 terms of NB(a2, b1/b2)
-        spec = bench.spec_for(alpha, scales)
+        spec = canonicalize(bench.spec_for(alpha, scales))
         q = min(scales) / max(scales)
         mean, var = alpha * (1.0 - q) / q, alpha * (1.0 - q) / q**2
         count = int(mean + 12.0 * math.sqrt(var)) + 32
-        assert cdf_n(spec, alpha * sum(scales)).terms_used == count
+        assert methods.nb_sum_law(spec, DEFAULT_CONTROL).masses.shape[0] == count
+
+    @pytest.mark.parametrize("alpha,scales", bench.TABLE1_SETTINGS)
+    def test_cdf2_first_stage_is_cut_at_the_point(self, alpha, scales):
+        # Below u = y/b1 = 64 a point starts from min(law size, cut + 1)
+        # masses, cut = max(u - rho, 0) + 8 sqrt(u) + 32; these points
+        # converge on that stage.
+        spec = canonicalize(bench.spec_for(alpha, scales))
+        size = methods.nb_sum_law(spec, DEFAULT_CONTROL).masses.shape[0]
+        b1 = min(scales)
+        for u in (0.5, 5.0, 20.0):
+            cut = int(max(u - spec.total_shape, 0.0) + 8.0 * math.sqrt(u) + 32.0)
+            assert cdf_n(spec, u * b1).terms_used == min(size, cut + 1)

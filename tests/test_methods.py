@@ -164,12 +164,13 @@ class TestMixture:
 class TestCdfTailBound:
     def test_bound_covers_a_four_times_longer_law(self):
         # 60 seeded specs, 5 points each from the left tail to the right
-        # tail (quantiles of the moment-matched gamma).  Each route's
-        # reported bound must cover the change its value sees on a stage
-        # at least four times as long as the one it converged on, give or
-        # take the rounding of the two sums.  Specs whose law passes about
-        # 4,000 masses are drawn again: there the longer stage would cost
-        # the recursion seconds.
+        # tail (quantiles of the moment-matched gamma) and 3 at u = y/b1 of
+        # 0.5, 8 and 40, where the first stage is cut at the point's
+        # kernel.  Each route's reported bound must cover the change its
+        # value sees on a stage at least four times as long as the one it
+        # converged on, give or take the rounding of the two sums.  Specs
+        # whose law passes about 4,000 masses are drawn again: there the
+        # longer stage would cost the recursion seconds.
         rng = random.Random(20261018)
         specs = []
         while len(specs) < 60:
@@ -185,8 +186,9 @@ class TestCdfTailBound:
         for spec in specs:
             mean = float(spec.shapes @ spec.scales)
             var = float(spec.shapes @ spec.scales**2)
-            points = stats.gamma.ppf([1e-10, 0.05, 0.5, 0.95, 1.0 - 1e-7],
-                                     mean**2 / var, scale=var / mean)
+            points = list(stats.gamma.ppf([1e-10, 0.05, 0.5, 0.95, 1.0 - 1e-7],
+                                          mean**2 / var, scale=var / mean))
+            points += [u * float(spec.scales[0]) for u in (0.5, 8.0, 40.0)]
             for name in ("mathai", "moschopoulos"):
                 chosen = methods.lookup(name, len(spec))
                 law = chosen.cdf_law(spec, chosen.control)
@@ -226,6 +228,15 @@ class TestWeightLaw:
                 assert longer.masses.shape[0] == int((size - 1) * 1.5) + 65
                 assert np.array_equal(longer.masses[:size], law.masses)
                 law = longer
+
+    def test_infinite_cumulants_raise_before_building(self):
+        # Past a scale ratio of about 1e108 the cumulants are infinite, and
+        # no stage within max_terms could hold the law.
+        spec = canonicalize(ConvolutionSpec.of((2.0, 1e-110), (3.0, 1.0)))
+        for build in (methods.nb_sum_law, moschopoulos.first_weights):
+            with pytest.raises(ConvergenceError) as failed:
+                build(spec, DEFAULT_CONTROL)
+            assert failed.value.terms_used == 0
 
     def test_nb_sum_law_matches_mpmath_at_large_shapes(self):
         # NB(500, 2/3): a log q - lgamma(a) + lgamma(a + k) cancels terms
@@ -342,6 +353,26 @@ class TestEvaluate:
                 for x, row in zip(points, rows):
                     want = fn(spec, x)
                     assert (row["value"], row["terms_used"]) == (want.value, want.terms_used)
+
+    @pytest.mark.parametrize("method", ["moschopoulos", "mathai"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_left_tail_cdf_rows_equal_per_point_calls(self, n, method):
+        # Below u = y/b1 = 64 a row starts from the shared law sliced at the
+        # point's kernel cut, a per-point call from a stage built to it.
+        settings = bench.TABLE1_SETTINGS if n == 2 else bench.TABLE2_SETTINGS
+        chosen = methods.lookup(method, n)
+        shorter = 0
+        for alpha, scales in settings:
+            spec = canonicalize(bench.spec_for(alpha, scales))
+            size = chosen.cdf_law(spec, chosen.control).masses.shape[0]
+            b1 = float(spec.scales[0])
+            points = [u * b1 for u in (0.05, 0.5, 3.0, 12.0, 30.0, 50.0, 63.9)]
+            rows = methods.evaluate(method, "cdf", spec, points)
+            for x, row in zip(points, rows):
+                want = chosen.cdf(spec, x)
+                assert (row.value, row.terms_used) == (want.value, want.terms_used)
+                shorter += row.terms_used < size
+        assert shorter >= 3 * len(settings)
 
     def test_one_weight_build_per_request(self, capsys, monkeypatch):
         builds = []
