@@ -132,7 +132,7 @@ def _run_coga(settings, n: int, replicates: int, n_samples: int, seed: int):
         for i, b in enumerate(scales, start=1):
             row[f"beta{i}"] = b
         for name in _COGA_METHODS[n]:
-            chosen = methods.lookup(name, n)
+            chosen = methods.lookup(name, canonicalize(spec))
             dens, dist = chosen.density, chosen.cdf
             d_fn = lambda x, f=dens, s=spec: f(s, x)
             c_fn = lambda y, f=dist, s=spec: f(s, y)

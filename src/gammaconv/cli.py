@@ -154,7 +154,7 @@ def _cmd_eval(args) -> int:
         )
         return EXIT_USAGE
     spec = canonicalize(ConvolutionSpec.of(*zip(args.shape, args.scale)))
-    chosen = methods.lookup(args.method, len(spec))
+    chosen = methods.lookup(args.method, spec)
     given = {"rel_tol": args.tol, "max_terms": args.max_terms}
     ctrl = dataclasses.replace(
         chosen.control, **{k: v for k, v in given.items() if v is not None}
@@ -269,6 +269,13 @@ def _cmd_selftest() -> int:
         "20-point evaluate equals per-point moschopoulos",
         shared == alone,
         f"worst |diff| {worst:.3e}",
+    )
+    auto = methods.evaluate("auto", "density", spec3, xs)
+    worst = max(abs(s.value - a.value) / a.value for s, a in zip(auto, alone))
+    check(
+        "auto n=3 equals per-point and moschopoulos",
+        auto == [methods.nbsum_density(spec3, x) for x in xs] and worst <= 1e-12,
+        f"worst rel diff from moschopoulos {worst:.3e}, tol 1e-12",
     )
     shared = methods.evaluate("mathai", "density", spec3, xs)
     alone = [mathai.density_n(spec3, x) for x in xs]

@@ -8,8 +8,8 @@ and each point then sums base_r + r log x.  The one CDF, `cdf_n`, serves
 every n: it integrates the same series term by term, which turns the
 shell weights into the masses of a sum of negative binomials (at n = 2,
 one negative binomial) with total mass exactly one, an incomplete-gamma
-series with a rigorous truncation bound, summed by
-`methods.mixture_point`.
+series with a rigorous truncation bound: the nbsum route's CDF
+(`methods.nbsum_cdf`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import ConvergenceError, DomainError
-from .methods import WeightLaw, check_point, log_gamma_pdf, mixture_point, nb_sum_law
+from .methods import WeightLaw, check_point, finite_cumulants, log_gamma_pdf, nbsum_cdf
 from .model import ConvolutionSpec, EvalResult, canonicalize
 from .specfun import DEFAULT_CONTROL, SeriesControl, kummer_1f1_terms
 
@@ -109,9 +109,15 @@ class ShellTable:
     repeats a shorter one's entries bit for bit, so a point's value does
     not depend on which table it read.  (`ctrl` is unused; it keeps the
     signature of the other routes' first laws.)
+
+    Where the weight law's cumulants are infinite (scale ratios past about
+    1e108) set-up raises ConvergenceError, as the weight-law routes do:
+    a point on the scale of the largest component then needs about
+    x/b1 > 1e108 shells, past any cap.
     """
 
     def __init__(self, spec: ConvolutionSpec, ctrl: SeriesControl | None = None):
+        finite_cumulants(spec)
         self.spec = spec
         self.c = 1.0 / spec.scales[0] - 1.0 / spec.scales[1:]
         # _levels[j] is the log-convolution of sequences 0..j; the last
@@ -248,7 +254,8 @@ def cdf_n(
 
     F(y) = sum_r W_r G(y/b1; gamma + r) where W_r, the shell weights, are
     convolutions of negative-binomial masses and therefore sum to one:
-    the law `methods.nb_sum_law` builds.  The reported tail bound is
+    the law `methods.nb_sum_law` builds.  This is `methods.nbsum_cdf`,
+    at CONTROL_N for n >= 3 by default.  The reported tail bound is
     (1 - sum W) G(y/b1; gamma + R + 1); terms_used counts the shell
     weights W_0..W_R.  `methods.mixture_cdf` sums the series, from
     y/b1 = 64 up as kernel sums with one incomplete-gamma value; the terms
@@ -260,4 +267,4 @@ def cdf_n(
     """
     if ctrl is None:
         ctrl = DEFAULT_CONTROL if len(canonicalize(spec)) <= 2 else CONTROL_N
-    return mixture_point("cdf", spec, y, ctrl, weights, nb_sum_law, cut=True)
+    return nbsum_cdf(spec, y, ctrl, weights)

@@ -6,9 +6,10 @@ they build the masses w_k, their weight law.  Here are the entry check
 every method runs first, the gamma kernel, the weight law and its exact
 negative-binomial-sum constructor, the mixture evaluator, the one
 convergence loop, the one per-point body of every weight-law route
-(`mixture_point`: the moschopoulos series, the approximation and the
-mathai CDF), the method registry, and `evaluate`, which answers many
-points of one spec from one weight law.
+(`mixture_point`: the moschopoulos series, the approximation, and the
+nbsum route, whose CDF is also the mathai CDF), the method registry with
+`auto`'s cost rule, and `evaluate`, which answers many points of one spec
+from one weight law.
 """
 
 from __future__ import annotations
@@ -37,12 +38,14 @@ __all__ = [
     "mixture_cdf",
     "converge",
     "mixture_point",
+    "nbsum_density",
+    "nbsum_cdf",
     "lookup",
     "evaluate",
 ]
 
 #: Method names ``lookup`` accepts besides "auto".
-METHODS = ("mathai", "moschopoulos", "approx")
+METHODS = ("mathai", "moschopoulos", "nbsum", "approx")
 
 
 def check_point(
@@ -545,6 +548,30 @@ def mixture_point(
     return converge(quantity, x, ctrl, weights)
 
 
+def nbsum_density(
+    spec: ConvolutionSpec,
+    x: float,
+    ctrl: SeriesControl = DEFAULT_CONTROL,
+    weights: WeightLaw | None = None,
+) -> EvalResult:
+    """The exact density as a mixture over the weight law built by
+    `nb_sum_law`: the moschopoulos series with its weights convolved in
+    place of recursed.  Pass a prebuilt law as `weights` to share it."""
+    return mixture_point("density", spec, x, ctrl, weights, nb_sum_law)
+
+
+def nbsum_cdf(
+    spec: ConvolutionSpec,
+    y: float,
+    ctrl: SeriesControl = DEFAULT_CONTROL,
+    weights: WeightLaw | None = None,
+) -> EvalResult:
+    """The exact CDF as a mixture over the weight law built by
+    `nb_sum_law`, its first stage cut at the point's kernel
+    (`mixture_point`); `mathai.cdf_n` is this at mathai's control."""
+    return mixture_point("cdf", spec, y, ctrl, weights, nb_sum_law, cut=True)
+
+
 class Method(NamedTuple):
     """A method's name, per-point density and CDF, default control, and
     for each quantity whose weight law does not depend on the point, the
@@ -562,19 +589,54 @@ class Method(NamedTuple):
     cdf_law: Callable[[ConvolutionSpec, SeriesControl], WeightLaw] | None = None
 
 
-def lookup(method: str, n: int) -> Method:
-    """The method `method` names for an n-component spec.
+#: `auto`'s predicted cost of building an exact weight law of K masses
+#: over n components, in multiply-adds of `nb_sum_law`'s convolution:
+#: (n - 2) K^2 by convolution, K (_RECURSION_STEP + _RECURSION_SQUARE K)
+#: by the recursion (`moschopoulos`): K Python steps and K^2/2
+#: multiply-adds in numpy dots.  Fitted to crossovers measured with both
+#: builds at K masses: the convolution is the cheaper up to K of about
+#: 6,250 at n = 4, 3,600 at n = 5, 2,400 at n = 6 and 1,900 at n = 7,
+#: and at n = 3 nearly up to the 10,000 cap.  Masses in the subnormal
+#: range slow the convolution by up to 2x, a cost n and K do not show: on
+#: a seeded sweep of 1,080 specs (n = 3..5, scale ratios up to 1e4) 97 %
+#: of the chosen builds were within 1.25x of the cheaper one, all within
+#: 1.55x.
+_RECURSION_STEP = 8_400.0
+_RECURSION_SQUARE = 0.65
 
-    "auto" stands for mathai when n <= 2, else moschopoulos; the mathai
-    CDF is `mathai.cdf_n` at every n.  The functions are read off their
-    modules at each call, so one that a test or tracer has replaced there
-    is the one that runs.  (Imported here because the method modules
-    import this one.)
+
+def _auto_exact(spec: ConvolutionSpec) -> str:
+    """The exact route `auto` takes for a canonical spec of three or more
+    components: nbsum unless the recursion is predicted to build the
+    law's first stage more cheaply.  K is that stage's size from the law's
+    cumulants, at the default cap (infinite cumulants give the cap; both
+    routes then raise before building)."""
+    mean, var, _ = nb_sum_cumulants(spec)
+    k = min(mean + 12.0 * math.sqrt(var), DEFAULT_CONTROL.max_terms) + 32.0
+    cheaper = (len(spec) - 2) * k <= _RECURSION_STEP + _RECURSION_SQUARE * k
+    return "nbsum" if cheaper else "moschopoulos"
+
+
+def lookup(method: str, spec: ConvolutionSpec) -> Method:
+    """The method `method` names for a canonical spec.
+
+    "auto" stands for mathai when the spec has at most two components;
+    past that for nbsum, unless the recursion is predicted to build the
+    weight law more cheaply (`_auto_exact`), then for moschopoulos.  Both
+    are exact at the default control.  The mathai CDF is `mathai.cdf_n` at
+    every n.  The functions are read off their modules at each call, so
+    one that a test or tracer has replaced there is the one that runs.
+    (Imported here because the method modules import this one.)
     """
     from . import barnabani, mathai, moschopoulos
 
+    n = len(spec)
     if method == "auto":
-        method = "mathai" if n <= 2 else "moschopoulos"
+        method = "mathai" if n <= 2 else _auto_exact(spec)
+    if method == "nbsum":
+        return Method(
+            method, nbsum_density, nbsum_cdf, DEFAULT_CONTROL, nb_sum_law, nb_sum_law
+        )
     if method == "mathai" and n <= 2:
         fns = mathai.density2, mathai.cdf_n, DEFAULT_CONTROL
         return Method(method, *fns, cdf_law=nb_sum_law)
@@ -605,18 +667,19 @@ def evaluate(
     """`quantity` ("density" or "cdf") of `spec` at every point, in order.
 
     Every point passes the entry check first, so a bad point raises
-    before any work.  Where the weight law does not depend on the point
-    (the moschopoulos series, the approximation, the mathai CDF) its
-    first stage is built once and handed to the per-point function at
-    each point as `weights`; a point that needs more terms extends it for
-    itself, so each result equals the per-point call on that point alone.
-    For the mathai density at n >= 3 the law is a shell table
-    (`mathai.ShellTable`), grown in place as the points need.  The n = 2
-    mathai density (a closed 1F1 form) runs per point.  `ctrl` defaults
-    to the method's own control.
+    before any work.  `method` is a name or "auto", resolved for the
+    canonical spec by `lookup`.  Where the weight law does not depend on
+    the point (the moschopoulos and nbsum series, the approximation, the
+    mathai CDF) its first stage is built once and handed to the per-point
+    function at each point as `weights`; a point that needs more terms
+    extends it for itself, so each result equals the per-point call on
+    that point alone.  For the mathai density at n >= 3 the law is a
+    shell table (`mathai.ShellTable`), grown in place as the points need.
+    The n = 2 mathai density (a closed 1F1 form) runs per point.  `ctrl`
+    defaults to the method's own control.
     """
     spec = canonicalize(spec)
-    chosen = lookup(method, len(spec))
+    chosen = lookup(method, spec)
     ctrl = chosen.control if ctrl is None else ctrl
     xs = [float(x) for x in points]
     open_points = [check_point(spec, x, quantity)[1] is None for x in xs]

@@ -237,7 +237,7 @@ def _conv_cdf(
     spec = canonicalize(
         ConvolutionSpec(tuple(GammaComponent(float(a), b) for a, b in kept))
     )
-    chosen = methods.lookup(method, len(spec))
+    chosen = methods.lookup(method, spec)
     try:
         value = chosen.cdf(spec, y, ctrl or chosen.control).value
     except FitFailureError:

@@ -76,13 +76,20 @@ class TestEval:
         v2 = float(parse_csv(out_s)[0]["value"])
         assert abs(v1 - v2) < 1e-12 * v1
 
-    def test_auto_picks_moschopoulos_for_n3(self, capsys):
-        _, out, _ = run_cli(
-            capsys,
-            "eval", "density", "--shape", "2,2,2", "--scale", "2,3,5",
-            "--at", "10.0",
-        )
-        assert parse_csv(out)[0]["method"] == "moschopoulos"
+    def test_auto_picks_by_predicted_build_cost(self, capsys):
+        # From three components auto takes nbsum, unless the recursion is
+        # predicted to build the weight law more cheaply: here at n = 6,
+        # whose first stage holds about 3,700 masses.
+        for shape, scale, at, want in (
+            ("2,2,2", "2,3,5", "10", "nbsum"),
+            ("5,5,5,5,5,5", "1,2.5,6.3,15.8,39.8,100", "1000", "moschopoulos"),
+        ):
+            code, out, _ = run_cli(
+                capsys,
+                "eval", "density", "--shape", shape, "--scale", scale, "--at", at,
+            )
+            assert code == EXIT_OK
+            assert parse_csv(out)[0]["method"] == want
 
     def test_mismatched_lengths_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -228,7 +235,7 @@ class TestExtremeSpecs:
     # non-convergence 3, fit failure 4), never in a traceback: a scale
     # ratio past 1e108, where q^3 of the weight cumulants underflows, and a
     # total shape past lgamma's range.
-    @pytest.mark.parametrize("method", ["mathai", "moschopoulos", "approx", "auto"])
+    @pytest.mark.parametrize("method", ["mathai", "moschopoulos", "nbsum", "approx", "auto"])
     @pytest.mark.parametrize("quantity", ["density", "cdf"])
     @pytest.mark.parametrize("shape,scale", [
         ("2,3", "1e-110,1"), ("2,3,1", "1e-110,1,2"), ("3e305,1", "1,2"),

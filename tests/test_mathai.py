@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from gammaconv import bench, methods, moschopoulos
-from gammaconv.errors import DomainError
+from gammaconv.errors import ConvergenceError, DomainError
 from gammaconv.mathai import CONTROL_N, ShellTable, cdf_n, density2, density_n
 from gammaconv.model import ConvolutionSpec, canonicalize
 from gammaconv.oracle import (
@@ -182,6 +182,23 @@ class TestShellTable:
         ):
             assert rel_err(density_n(spec, x).value, want) < 1e-12
             assert rel_err(density_n(spec, x, weights=table).value, want) < 1e-12
+
+    def test_infinite_cumulants_raise_before_growing(self, monkeypatch):
+        # Past a scale ratio of about 1e108 the point x = 1 needs about
+        # x/b1 = 1e110 shells; set-up raises before the table grows any.
+        grows = []
+        real = ShellTable.grow
+
+        def counted(self, size):
+            grows.append(size)
+            real(self, size)
+
+        monkeypatch.setattr(ShellTable, "grow", counted)
+        spec = ConvolutionSpec.of((2.0, 1e-110), (3.0, 1.0), (1.0, 2.0))
+        with pytest.raises(ConvergenceError) as failed:
+            density_n(spec, 1.0)
+        assert failed.value.terms_used == 0
+        assert grows == []
 
 
 class TestBoundaryAndDomain:

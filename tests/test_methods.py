@@ -39,7 +39,7 @@ ROUTES = [
 
 
 def route_fn(method, n, quantity):
-    return getattr(methods.lookup(method, n), quantity)
+    return getattr(methods.lookup(method, canonicalize(SPEC2 if n == 2 else SPEC3)), quantity)
 
 
 class TestEntryCheck:
@@ -189,8 +189,8 @@ class TestCdfTailBound:
             points = list(stats.gamma.ppf([1e-10, 0.05, 0.5, 0.95, 1.0 - 1e-7],
                                           mean**2 / var, scale=var / mean))
             points += [u * float(spec.scales[0]) for u in (0.5, 8.0, 40.0)]
-            for name in ("mathai", "moschopoulos"):
-                chosen = methods.lookup(name, len(spec))
+            for name in ("mathai", "moschopoulos", "nbsum"):
+                chosen = methods.lookup(name, spec)
                 law = chosen.cdf_law(spec, chosen.control)
                 got = [chosen.cdf(spec, float(y), chosen.control, weights=law) for y in points]
                 longer = law.stage(4 * max(r.terms_used for r in got))
@@ -296,14 +296,33 @@ class TestWeightLaw:
 
 class TestRegistry:
     def test_auto_rule(self):
-        assert methods.lookup("auto", 1).name == "mathai"
-        assert methods.lookup("auto", 2).cdf is mathai.cdf_n
-        assert methods.lookup("auto", 3).name == "moschopoulos"
-        assert methods.lookup("approx", 2).name == "approx"
+        # mathai up to two components.  Past that nbsum, unless the
+        # recursion is predicted to build the law's first stage of K masses
+        # more cheaply: at n = 4 from K of about 6,200, at n = 3 never
+        # below the 10,000 cap.
+        def auto(*components):
+            spec = canonicalize(ConvolutionSpec.of(*components))
+            mean, var, _ = methods.nb_sum_cumulants(spec)
+            k = min(mean + 12.0 * math.sqrt(var), DEFAULT_CONTROL.max_terms) + 32.0
+            return methods.lookup("auto", spec), k
+
+        assert auto((2.0, 3.0))[0].name == "mathai"
+        chosen, _ = auto((1.0, 2.0), (2.0, 3.0))
+        assert chosen.name == "mathai" and chosen.cdf is mathai.cdf_n
+        chosen, k = auto((2.0, 2.0), (2.0, 3.0), (2.0, 5.0))
+        assert chosen.name == "nbsum" and k < 200
+        assert chosen.density is methods.nbsum_density and chosen.cdf is methods.nbsum_cdf
+        chosen, k = auto((20.0, 1.0), (20.0, 100.0), (20.0, 1e4))
+        assert chosen.name == "nbsum" and k == 10_032
+        chosen, k = auto((1.0, 1.0), (1.0, 2.0), (1.0, 4.0), (1.0, 450.0))
+        assert chosen.name == "nbsum" and 5_500 < k < 6_000
+        chosen, k = auto((1.0, 1.0), (1.0, 2.0), (1.0, 4.0), (1.0, 500.0))
+        assert chosen.name == "moschopoulos" and 6_400 < k < 7_000
+        assert methods.lookup("approx", canonicalize(SPEC2)).name == "approx"
 
     def test_unknown_method(self):
         with pytest.raises(DomainError):
-            methods.lookup("nope", 2)
+            methods.lookup("nope", canonicalize(SPEC2))
 
     def test_cli_calls_the_module_attribute(self, capsys, monkeypatch):
         calls = []
@@ -347,23 +366,23 @@ class TestEvaluate:
             spec = bench.spec_for(alpha, scales)
             points = paper_points(spec)
             # the paper compares the approximation on n = 3 only
-            for method in ("moschopoulos", "mathai") + (("approx",) if n == 3 else ()):
+            for method in ("moschopoulos", "mathai", "nbsum") + (("approx",) if n == 3 else ()):
                 fn = route_fn(method, n, quantity)
                 rows = cli_rows(capsys, method, quantity, spec, points)
                 for x, row in zip(points, rows):
                     want = fn(spec, x)
                     assert (row["value"], row["terms_used"]) == (want.value, want.terms_used)
 
-    @pytest.mark.parametrize("method", ["moschopoulos", "mathai"])
+    @pytest.mark.parametrize("method", ["moschopoulos", "mathai", "nbsum"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_left_tail_cdf_rows_equal_per_point_calls(self, n, method):
         # Below u = y/b1 = 64 a row starts from the shared law sliced at the
         # point's kernel cut, a per-point call from a stage built to it.
         settings = bench.TABLE1_SETTINGS if n == 2 else bench.TABLE2_SETTINGS
-        chosen = methods.lookup(method, n)
         shorter = 0
         for alpha, scales in settings:
             spec = canonicalize(bench.spec_for(alpha, scales))
+            chosen = methods.lookup(method, spec)
             size = chosen.cdf_law(spec, chosen.control).masses.shape[0]
             b1 = float(spec.scales[0])
             points = [u * b1 for u in (0.05, 0.5, 3.0, 12.0, 30.0, 50.0, 63.9)]
@@ -373,6 +392,16 @@ class TestEvaluate:
                 assert (row.value, row.terms_used) == (want.value, want.terms_used)
                 shorter += row.terms_used < size
         assert shorter >= 3 * len(settings)
+
+    @pytest.mark.parametrize("quantity", ["density", "cdf"])
+    def test_nbsum_equals_moschopoulos_on_table2_grids(self, quantity):
+        # The same law built two ways, by convolution and by the recursion.
+        for alpha, scales in bench.TABLE2_SETTINGS:
+            spec = bench.spec_for(alpha, scales)
+            grid = [float(x) for x in bench.bulk_grid(spec)]
+            got = methods.evaluate("nbsum", quantity, spec, grid)
+            want = methods.evaluate("moschopoulos", quantity, spec, grid)
+            assert max(rel_err(g.value, w.value) for g, w in zip(got, want)) <= 1e-12
 
     def test_one_weight_build_per_request(self, capsys, monkeypatch):
         builds = []
