@@ -24,6 +24,7 @@ import numpy as np
 from . import barnabani, mathai, methods, moschopoulos, renewal
 from .errors import ConvergenceError, DomainError, FitFailureError
 from .model import ConvolutionSpec, MixtureExpSpec, canonicalize, validate_mixture
+from .specfun import DEFAULT_CONTROL
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -154,12 +155,12 @@ def _cmd_eval(args) -> int:
         )
         return EXIT_USAGE
     spec = canonicalize(ConvolutionSpec.of(*zip(args.shape, args.scale)))
-    chosen = methods.lookup(args.method, spec)
+    points = [float(point) for point in (args.at if args.at is not None else args.grid)]
+    chosen = methods.lookup(args.method, spec, args.quantity, points)
     given = {"rel_tol": args.tol, "max_terms": args.max_terms}
     ctrl = dataclasses.replace(
         chosen.control, **{k: v for k, v in given.items() if v is not None}
     )
-    points = [float(point) for point in (args.at if args.at is not None else args.grid)]
 
     start = time.perf_counter_ns()
     results = methods.evaluate(chosen.name, args.quantity, spec, points, ctrl)
@@ -276,6 +277,16 @@ def _cmd_selftest() -> int:
         "auto n=3 equals per-point and moschopoulos",
         auto == [methods.nbsum_density(spec3, x) for x in xs] and worst <= 1e-12,
         f"worst rel diff from moschopoulos {worst:.3e}, tol 1e-12",
+    )
+    full_law = methods.nb_sum_law(canonicalize(spec3), DEFAULT_CONTROL)
+    full = [methods.converge("density", x, DEFAULT_CONTROL, full_law) for x in xs]
+    cut = [methods.nbsum_density(spec3, x) for x in xs]
+    worst = max(abs(c.value - f.value) / f.value for c, f in zip(cut, full))
+    check(
+        "point-sized nbsum density equals the full stage",
+        worst <= DEFAULT_CONTROL.rel_tol,
+        f"worst rel diff {worst:.3e} over stages of {min(c.terms_used for c in cut)}-"
+        f"{full_law.masses.shape[0]} masses, tol {DEFAULT_CONTROL.rel_tol:g}",
     )
     shared = methods.evaluate("mathai", "density", spec3, xs)
     alone = [mathai.density_n(spec3, x) for x in xs]

@@ -23,7 +23,7 @@ from scipy import special as sp
 
 from .errors import ConvergenceError, DomainError
 from .model import ConvolutionSpec, EvalResult, canonicalize
-from .specfun import DEFAULT_CONTROL, SeriesControl
+from .specfun import DEFAULT_CONTROL, SeriesControl, stirling_series
 
 __all__ = [
     "METHODS",
@@ -172,17 +172,14 @@ _NB_GROUPED_FROM = 64.0
 def _stirling_error(z: np.ndarray) -> np.ndarray:
     """lgamma(z + 1) - (z log z - z + log(2 pi z) / 2) at z > 0.
 
-    Past z = 15 from the Stirling series, whose next term is below 1e-18
-    there; below it from lgamma itself, where every term is under 30.
+    Past z = 15 from the Stirling series (`specfun.stirling_series`);
+    below it from lgamma itself, where every term is under 30.
     """
     out = np.empty_like(z)
     small = z <= 15.0
     zs = z[small]
     out[small] = sp.gammaln(zs + 1.0) - (zs * np.log(zs) - zs + 0.5 * np.log(2.0 * math.pi * zs))
-    u = 1.0 / z[~small]
-    u2 = u * u
-    out[~small] = u * (1.0 / 12.0 - u2 * (1.0 / 360.0 - u2 * (1.0 / 1260.0 - u2 * (
-        1.0 / 1680.0 - u2 * (1.0 / 1188.0 - u2 * (691.0 / 360360.0 - u2 / 156.0))))))
+    out[~small] = stirling_series(z[~small])
     return out
 
 
@@ -288,9 +285,16 @@ class NBSumLaw(WeightLaw):
         """The stage w_0..w_upto: a slice of this one where that is
         shorter.  A slice of 12 or more masses equals the stage built at
         its size bit for bit (np.convolve sums a full overlap of at most
-        11 terms in another order); `_cdf_cut` asks for 33 or more."""
+        11 terms in another order); `_kernel_cut` asks for 33 or more.
+        The slice takes this law's `log_density_terms`, where computed, as
+        prefix views: they are elementwise in k, so they are the slice's
+        own to the bit, and many slices of one law share one computation."""
         if upto < self.masses.shape[0]:
-            return NBSumLaw(self.masses[: upto + 1], self.spec)
+            law = NBSumLaw(self.masses[: upto + 1], self.spec)
+            terms = self.__dict__.get("log_density_terms")
+            if terms is not None:
+                law.log_density_terms = tuple(t[: upto + 1] for t in terms)
+            return law
         return nb_sum_law(self.spec, count=upto + 1)
 
     def extend(self, ctrl: SeriesControl) -> NBSumLaw | None:
@@ -426,24 +430,28 @@ def mixture_density(law: WeightLaw, x: float) -> tuple[float, float]:
 #: composition) loses below K of about 300.  The renewal routes stay at
 #: u <= 34 (t = 10, scales >= 0.3), so below 64 the sum stays as written,
 #: and there an exact route's stage starts no longer than the point's
-#: kernel needs (`_cdf_cut`).
+#: kernel needs (`_kernel_cut`).
 _CDF_KERNEL_SUM_FROM = 64.0
 
 
-def _cdf_cut(spec: ConvolutionSpec, y: float) -> float:
-    """The last index of a CDF point's first stage over an exact law:
-    max(u - rho, 0) + 8 sqrt(u) + 32 at u = y/b1 < `_CDF_KERNEL_SUM_FROM`,
-    inf from it on.
+def _kernel_cut(spec: ConvolutionSpec, x: float, quantity: str) -> float:
+    """The last index of a point's first stage over an exact law:
+    max(u - rho, 0) + 8 sqrt(u) + 32 at u = x/b1, for the density at every
+    u and for the CDF below `_CDF_KERNEL_SUM_FROM`; inf elsewhere (and at
+    a point that is not finite and >= 0, which the entry check rejects).
 
-    P(a, u) decreases in a and, at integer a, is the chance that a
-    Poisson(u) count reaches a, so by a Chernoff bound it is below e^-40
-    once a passes u + 8 sqrt(u) + 31; a stage too short for the point's
-    tolerance (a value far below that, deep in the left tail) is extended
-    by `converge`.  From `_CDF_KERNEL_SUM_FROM` on, the points
-    of a grid share one stage and its cached `cdf_terms`, so the stage is
-    not cut."""
-    u = y / spec.components[0].scale
-    if u >= _CDF_KERNEL_SUM_FROM:
+    At integer a, P(a, u) is the chance that a Poisson(u) count reaches
+    a, and the density kernel g(x; a, b1) is the Poisson(u) mass at a - 1
+    over b1 (times b1, at most that chance at a - 1).  By a Chernoff
+    bound both are below e^-32 (e^-40 below u = 64) once a passes
+    u + 8 sqrt(u) + 31.  A stage too short for the point's tolerance (a
+    value far below that: deep in the left tail, or a law whose mass sits
+    far past the point) is extended by `converge`.  From
+    `_CDF_KERNEL_SUM_FROM` on, the CDF points of a grid share one stage
+    and its cached `cdf_terms`, so that stage is not cut.  The cut grows
+    with x, so a request's farthest point has its farthest cut."""
+    u = x / spec.components[0].scale
+    if not 0.0 <= u < (_CDF_KERNEL_SUM_FROM if quantity == "cdf" else math.inf):
         return math.inf
     return int(max(u - spec.total_shape, 0.0) + 8.0 * math.sqrt(u) + 32.0)
 
@@ -532,18 +540,23 @@ def mixture_point(
     the mixture `quantity` at x over `weights`, or where that is None over
     first_law(spec, ctrl) of the canonical spec, run to convergence.
 
-    With `cut` (the exact CDF routes, whose laws extend) the first stage
-    ends at the point's `_cdf_cut` where that is shorter: first_law takes
-    it as `upto`, and `weights` is sliced to it.  An exact law's stage is
-    a prefix of every longer one, so both give the same stage.
+    With `cut` (the nbsum density and the exact CDF routes, whose laws
+    extend) the first stage ends at the point's `_kernel_cut` where that
+    is shorter: first_law takes it as `upto`, and `weights` is sliced to
+    it.  An exact law's stage is a prefix of every longer one, so both
+    give the same stage.  Before slicing for a density, the shared law's
+    `log_density_terms` are computed, once for all the points that share
+    it, and the slice takes them as views (`NBSumLaw.stage`).
     """
     spec, done = check_point(spec, x, quantity)
     if done is not None:
         return done
-    upto = _cdf_cut(spec, x) if cut else math.inf
+    upto = _kernel_cut(spec, x, quantity) if cut else math.inf
     if weights is None:
         weights = first_law(spec, ctrl, upto=upto) if cut else first_law(spec, ctrl)
     if upto < weights.masses.shape[0] - 1:
+        if quantity == "density":
+            weights.log_density_terms
         weights = weights.stage(upto)
     return converge(quantity, x, ctrl, weights)
 
@@ -556,8 +569,9 @@ def nbsum_density(
 ) -> EvalResult:
     """The exact density as a mixture over the weight law built by
     `nb_sum_law`: the moschopoulos series with its weights convolved in
-    place of recursed.  Pass a prebuilt law as `weights` to share it."""
-    return mixture_point("density", spec, x, ctrl, weights, nb_sum_law)
+    place of recursed, its first stage cut at the point's kernel
+    (`mixture_point`).  Pass a prebuilt law as `weights` to share it."""
+    return mixture_point("density", spec, x, ctrl, weights, nb_sum_law, cut=True)
 
 
 def nbsum_cdf(
@@ -579,7 +593,9 @@ class Method(NamedTuple):
     builds for itself when called without one): density_law /
     cdf_law(spec, ctrl).  Every per-point function with a `WeightLaw`
     runs `mixture_point`; for the mathai density at n >= 3 the law is a
-    `mathai.ShellTable`, the series' x-free shells."""
+    `mathai.ShellTable`, the series' x-free shells.  `cuts` names the
+    quantities whose per-point function cuts its first stage at the
+    point's kernel; their law builders take the cut as `upto`."""
 
     name: str
     density: Callable[..., EvalResult]
@@ -587,6 +603,7 @@ class Method(NamedTuple):
     control: SeriesControl
     density_law: Callable[[ConvolutionSpec, SeriesControl], object] | None = None
     cdf_law: Callable[[ConvolutionSpec, SeriesControl], WeightLaw] | None = None
+    cuts: tuple[str, ...] = ()
 
 
 #: `auto`'s predicted cost of building an exact weight law of K masses
@@ -605,25 +622,41 @@ _RECURSION_STEP = 8_400.0
 _RECURSION_SQUARE = 0.65
 
 
-def _auto_exact(spec: ConvolutionSpec) -> str:
+def _auto_exact(spec: ConvolutionSpec, quantity: str, points: Sequence[float]) -> str:
     """The exact route `auto` takes for a canonical spec of three or more
-    components: nbsum unless the recursion is predicted to build the
-    law's first stage more cheaply.  K is that stage's size from the law's
-    cumulants, at the default cap (infinite cumulants give the cap; both
-    routes then raise before building)."""
+    components: nbsum unless the recursion is predicted to build the first
+    stage the request needs more cheaply.
+
+    The law's cumulant size, K = kappa_1 + 12 sqrt(kappa_2) + 32 at the
+    default cap (infinite cumulants give the cap; both routes then raise
+    before building), is the size the cost fit was made at.  nbsum's
+    stage is K cut at the farthest point's `_kernel_cut`, as `evaluate`
+    builds it; the recursion's is K for the density, which
+    `moschopoulos.density` does not cut, and the same cut K for the CDF.
+    Without points both are K."""
     mean, var, _ = nb_sum_cumulants(spec)
-    k = min(mean + 12.0 * math.sqrt(var), DEFAULT_CONTROL.max_terms) + 32.0
-    cheaper = (len(spec) - 2) * k <= _RECURSION_STEP + _RECURSION_SQUARE * k
+    full = min(mean + 12.0 * math.sqrt(var), DEFAULT_CONTROL.max_terms) + 32.0
+    k = min(full, _kernel_cut(spec, max(points), quantity) + 1.0) if points else full
+    k_rec = k if quantity == "cdf" else full
+    cheaper = (len(spec) - 2) * k * k <= k_rec * (_RECURSION_STEP + _RECURSION_SQUARE * k_rec)
     return "nbsum" if cheaper else "moschopoulos"
 
 
-def lookup(method: str, spec: ConvolutionSpec) -> Method:
-    """The method `method` names for a canonical spec.
+def lookup(
+    method: str,
+    spec: ConvolutionSpec,
+    quantity: str = "density",
+    points: Sequence[float] = (),
+) -> Method:
+    """The method `method` names for a canonical spec, to evaluate
+    `quantity` at `points`.
 
     "auto" stands for mathai when the spec has at most two components;
     past that for nbsum, unless the recursion is predicted to build the
-    weight law more cheaply (`_auto_exact`), then for moschopoulos.  Both
-    are exact at the default control.  The mathai CDF is `mathai.cdf_n` at
+    first weight stage the request needs more cheaply (`_auto_exact`,
+    which sizes nbsum's stage by the points), then for moschopoulos.  Both
+    are exact at the default control.  Without points the stages are
+    priced at the law's cumulant size.  The mathai CDF is `mathai.cdf_n` at
     every n.  The functions are read off their modules at each call, so
     one that a test or tracer has replaced there is the one that runs.
     (Imported here because the method modules import this one.)
@@ -632,21 +665,23 @@ def lookup(method: str, spec: ConvolutionSpec) -> Method:
 
     n = len(spec)
     if method == "auto":
-        method = "mathai" if n <= 2 else _auto_exact(spec)
+        method = "mathai" if n <= 2 else _auto_exact(spec, quantity, points)
     if method == "nbsum":
         return Method(
-            method, nbsum_density, nbsum_cdf, DEFAULT_CONTROL, nb_sum_law, nb_sum_law
+            method, nbsum_density, nbsum_cdf, DEFAULT_CONTROL, nb_sum_law, nb_sum_law,
+            ("density", "cdf"),
         )
     if method == "mathai" and n <= 2:
         fns = mathai.density2, mathai.cdf_n, DEFAULT_CONTROL
-        return Method(method, *fns, cdf_law=nb_sum_law)
+        return Method(method, *fns, cdf_law=nb_sum_law, cuts=("cdf",))
     if method == "mathai":
         fns = mathai.density_n, mathai.cdf_n, mathai.CONTROL_N
-        return Method(method, *fns, mathai.ShellTable, nb_sum_law)
+        return Method(method, *fns, mathai.ShellTable, nb_sum_law, ("cdf",))
     if method == "moschopoulos":
         law = moschopoulos.first_weights
         return Method(
-            method, moschopoulos.density, moschopoulos.cdf, DEFAULT_CONTROL, law, law
+            method, moschopoulos.density, moschopoulos.cdf, DEFAULT_CONTROL, law, law,
+            ("cdf",),
         )
     if method == "approx":
         law = barnabani.approx_law
@@ -668,24 +703,31 @@ def evaluate(
 
     Every point passes the entry check first, so a bad point raises
     before any work.  `method` is a name or "auto", resolved for the
-    canonical spec by `lookup`.  Where the weight law does not depend on
-    the point (the moschopoulos and nbsum series, the approximation, the
-    mathai CDF) its first stage is built once and handed to the per-point
-    function at each point as `weights`; a point that needs more terms
-    extends it for itself, so each result equals the per-point call on
-    that point alone.  For the mathai density at n >= 3 the law is a
+    canonical spec, quantity and points by `lookup`.  Where the weight law
+    does not depend on the point (the moschopoulos and nbsum series, the
+    approximation, the mathai CDF) its first stage is built once and
+    handed to the per-point function at each point as `weights`; a point
+    that needs more terms extends it for itself, so each result equals the
+    per-point call on that point alone.  Where the route cuts each point's
+    stage at its kernel (`Method.cuts`: the nbsum density and the exact
+    CDFs) the shared stage is built only to the farthest point's cut, the
+    one at the largest point; a CDF with a point from u = 64 on gets the
+    whole first stage.  For the mathai density at n >= 3 the law is a
     shell table (`mathai.ShellTable`), grown in place as the points need.
     The n = 2 mathai density (a closed 1F1 form) runs per point.  `ctrl`
     defaults to the method's own control.
     """
     spec = canonicalize(spec)
-    chosen = lookup(method, spec)
-    ctrl = chosen.control if ctrl is None else ctrl
     xs = [float(x) for x in points]
+    chosen = lookup(method, spec, quantity, xs)
+    ctrl = chosen.control if ctrl is None else ctrl
     open_points = [check_point(spec, x, quantity)[1] is None for x in xs]
     fn = getattr(chosen, quantity)
     build = getattr(chosen, f"{quantity}_law")
     if build is None or not any(open_points):
         return [fn(spec, x, ctrl) for x in xs]
-    law = build(spec, ctrl)
+    if quantity in chosen.cuts:
+        law = build(spec, ctrl, upto=_kernel_cut(spec, max(xs), quantity))
+    else:
+        law = build(spec, ctrl)
     return [fn(spec, x, ctrl, weights=law) for x in xs]

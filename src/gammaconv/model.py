@@ -54,6 +54,10 @@ class ConvolutionSpec:
 
     components: tuple[GammaComponent, ...]
 
+    #: True on the specs `canonicalize` returns.  Not a field, so equality
+    #: and hashing do not see it.
+    _canonical = False
+
     def __post_init__(self):
         comps = tuple(
             c if isinstance(c, GammaComponent) else GammaComponent(*c)
@@ -85,7 +89,6 @@ class ConvolutionSpec:
         return float(sum(c.shape for c in self.components))
 
 
-@functools.lru_cache(maxsize=4096)
 def canonicalize(spec: ConvolutionSpec) -> ConvolutionSpec:
     """Merge equal-scale components and sort ascending by scale.
 
@@ -93,8 +96,15 @@ def canonicalize(spec: ConvolutionSpec) -> ConvolutionSpec:
     merged by summing shapes; the represented distribution is unchanged.
     After canonicalization the first component carries the minimum scale.
     A total shape of MAX_TOTAL_SHAPE or more raises DomainError.
-    Idempotent.  Specs are immutable, so results are memoized.
+    Idempotent.  Specs are immutable, so results are memoized, and a
+    result is marked, so passing it again returns it without hashing it.
     """
+    return spec if spec._canonical else _canonical_form(spec)
+
+
+@functools.lru_cache(maxsize=4096)
+def _canonical_form(spec: ConvolutionSpec) -> ConvolutionSpec:
+    """`canonicalize` of an unmarked spec."""
     comps = sorted(spec.components, key=lambda c: c.scale)
     merged: list[list[float]] = []
     for c in comps:
@@ -106,7 +116,9 @@ def canonicalize(spec: ConvolutionSpec) -> ConvolutionSpec:
         raise DomainError(
             f"total shape must be below {MAX_TOTAL_SHAPE:g}, got {spec.total_shape:g}"
         )
-    return ConvolutionSpec(tuple(GammaComponent(a, b) for a, b in merged))
+    out = ConvolutionSpec(tuple(GammaComponent(a, b) for a, b in merged))
+    object.__setattr__(out, "_canonical", True)
+    return out
 
 
 @dataclass(frozen=True)

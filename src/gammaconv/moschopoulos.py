@@ -145,7 +145,11 @@ def density(
     achievable kernel value falls below rel_tol relative to the partial
     sum.  Pass a prebuilt law as `weights` (a `build_weights` snapshot) to
     amortize the recursion across calls (`methods.evaluate` does, once per
-    request).
+    request).  Unlike `cdf` and `methods.nbsum_density`, the first stage is
+    not cut at the point: this is the paper's per-point series, whose cost
+    the acceptance tests bracket from below against `mathai.density2` on
+    the (alpha = 20, scales 4/0.3) bulk grid, where a cut stage would make
+    it about 1.8x cheaper.
     """
     return mixture_point("density", spec, x, ctrl, weights, first_weights)
 

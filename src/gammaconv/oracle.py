@@ -164,6 +164,13 @@ def _gamma_pdf(x, shape, scale):
     return out
 
 
+def _log_power(t: float, e: float) -> float:
+    """log t^e at t >= 0, e >= 0, with 0^0 = 1."""
+    if e == 0.0:
+        return 0.0
+    return e * math.log(t) if t > 0.0 else -math.inf
+
+
 def quad_density(spec: ConvolutionSpec, x: float) -> float:
     """Convolution density at x by iterated adaptive quadrature (n <= 3)."""
     spec = canonicalize(spec)
@@ -175,12 +182,30 @@ def quad_density(spec: ConvolutionSpec, x: float) -> float:
     if len(comps) == 2:
         a1, b1 = comps[0].shape, comps[0].scale
         a2, b2 = comps[1].shape, comps[1].scale
+        # A shape below 1 makes the integrand singular at its end; quad's
+        # algebraic weight u^p1 (x - u)^p2 carries those powers exactly.
+        # A shape of 1 or more keeps its power in the integrand, in log
+        # space, where u^(a - 1) cannot overflow.
+        p1, p2 = min(a1 - 1.0, 0.0), min(a2 - 1.0, 0.0)
+        if p1 == p2 == 0.0:
 
-        def integrand(u):
-            return _gamma_pdf(u, a1, b1) * _gamma_pdf(x - u, a2, b2)
+            def integrand(u):
+                return _gamma_pdf(u, a1, b1) * _gamma_pdf(x - u, a2, b2)
+
+            value, _ = integrate.quad(
+                integrand, 0.0, x, limit=400, points=[0.0, x], epsabs=1e-13, epsrel=1e-11
+            )
+            return float(value)
+        e1, e2 = a1 - 1.0 - p1, a2 - 1.0 - p2
+        log_c = -(math.lgamma(a1) + a1 * math.log(b1) + math.lgamma(a2) + a2 * math.log(b2))
+
+        def smooth(u):
+            v = x - u
+            return math.exp(log_c - u / b1 - v / b2 + _log_power(u, e1) + _log_power(v, e2))
 
         value, _ = integrate.quad(
-            integrand, 0.0, x, limit=400, points=[0.0, x], epsabs=1e-13, epsrel=1e-11
+            smooth, 0.0, x, weight="alg", wvar=(p1, p2),
+            limit=400, epsabs=1e-13, epsrel=1e-11,
         )
         return float(value)
     if len(comps) == 3:

@@ -44,10 +44,16 @@ class SeriesControl:
 DEFAULT_CONTROL = SeriesControl()
 
 
-def _stirling_rest(x: float) -> float:
-    """lgamma(x) - ((x - 1/2) log x - x + log(2 pi)/2), to 2e-15 for x >= 20."""
-    y = 1.0 / (x * x)
-    return (1.0 / 12.0 - y * (1.0 / 360.0 - y * (1.0 / 1260.0 - y / 1680.0))) / x
+def stirling_series(z):
+    """The Stirling error s(z) = lgamma(z + 1) - (z log z - z + log(2 pi z)/2),
+    equally lgamma(z) - ((z - 1/2) log z - z + log(2 pi)/2), from its
+    Stirling series at z > 15, where the first term left out is below
+    1e-18.  Takes a float or an array: plain float arithmetic, so a float
+    pays no numpy call."""
+    u = 1.0 / z
+    u2 = u * u
+    return u * (1.0 / 12.0 - u2 * (1.0 / 360.0 - u2 * (1.0 / 1260.0 - u2 * (
+        1.0 / 1680.0 - u2 * (1.0 / 1188.0 - u2 * (691.0 / 360360.0 - u2 / 156.0))))))
 
 
 def _kummer_log_term_direct(a: float, b: float, z: float, k: float) -> float:
@@ -75,12 +81,12 @@ def _kummer_log_term(a: float, b: float, z: float, k: int) -> float:
     log_ratio = (
         (x - 0.5) * math.log1p((a - b) / y)
         + (a - b) * (math.log(y) - 1.0)
-        + _stirling_rest(x)
-        - _stirling_rest(y)
+        + stirling_series(x)
+        - stirling_series(y)
     )
     # k log z - lgamma(k + 1) = k (1 - log(k/z)) - log(2 pi k)/2 - ...
     log_power = (
-        k * (1.0 - math.log(k / z)) - 0.5 * math.log(2.0 * math.pi * k) - _stirling_rest(k)
+        k * (1.0 - math.log(k / z)) - 0.5 * math.log(2.0 * math.pi * k) - stirling_series(k)
     )
     return log_ratio - math.lgamma(a) + math.lgamma(b) + log_power
 

@@ -78,11 +78,15 @@ class TestEval:
 
     def test_auto_picks_by_predicted_build_cost(self, capsys):
         # From three components auto takes nbsum, unless the recursion is
-        # predicted to build the weight law more cheaply: here at n = 6,
-        # whose first stage holds about 3,700 masses.
+        # predicted to build the first stage the request needs more
+        # cheaply: at n = 6, whose cumulant stage holds about 3,700 masses,
+        # for a point at x = 3000, whose kernel reaches past that stage;
+        # at x = 1000 nbsum's stage is cut at about 1,250 masses.
+        n6 = ("5,5,5,5,5,5", "1,2.5,6.3,15.8,39.8,100")
         for shape, scale, at, want in (
             ("2,2,2", "2,3,5", "10", "nbsum"),
-            ("5,5,5,5,5,5", "1,2.5,6.3,15.8,39.8,100", "1000", "moschopoulos"),
+            (*n6, "1000", "nbsum"),
+            (*n6, "3000", "moschopoulos"),
         ):
             code, out, _ = run_cli(
                 capsys,

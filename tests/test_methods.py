@@ -23,7 +23,7 @@ from gammaconv.errors import ConvergenceError, DomainError, GammaConvError
 from gammaconv.model import ConvolutionSpec, EvalResult, canonicalize
 from gammaconv.specfun import DEFAULT_CONTROL, SeriesControl
 
-from conftest import rel_err
+from conftest import random_spec, rel_err
 
 SPEC2 = ConvolutionSpec.of((1.0, 2.0), (2.0, 3.0))
 SPEC3 = ConvolutionSpec.of((1.0, 2.0), (2.0, 3.0), (1.5, 5.0))
@@ -285,6 +285,23 @@ class TestWeightLaw:
         got = methods._stirling_error(z)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    def test_cut_density_stays_within_rel_tol_of_the_full_stage(self):
+        # The density over the point's cut stage against the same mixture
+        # over the law's whole cumulant stage, uncut.
+        rng = random.Random(17)
+        worst = 0.0
+        for _ in range(40):
+            spec = canonicalize(random_spec(rng, rng.randint(3, 5)))
+            mean = float(spec.shapes @ spec.scales)
+            sd = math.sqrt(float(spec.shapes @ spec.scales**2))
+            for x in (1e-3 * mean, 0.2 * mean, mean, mean + 2.0 * sd, mean + 5.0 * sd):
+                cut = methods.nbsum_density(spec, x)
+                full = methods.converge("density", x, DEFAULT_CONTROL,
+                                        methods.nb_sum_law(spec, DEFAULT_CONTROL))
+                assert cut.tail_bound <= DEFAULT_CONTROL.rel_tol * cut.value
+                worst = max(worst, rel_err(cut.value, full.value))
+        assert worst <= DEFAULT_CONTROL.rel_tol
+
     def test_extension_stops_at_max_terms(self):
         spec = canonicalize(SPEC3)
         ctrl = SeriesControl(max_terms=120)
@@ -319,6 +336,24 @@ class TestRegistry:
         chosen, k = auto((1.0, 1.0), (1.0, 2.0), (1.0, 4.0), (1.0, 500.0))
         assert chosen.name == "moschopoulos" and 6_400 < k < 7_000
         assert methods.lookup("approx", canonicalize(SPEC2)).name == "approx"
+
+    def test_auto_prices_the_stage_the_points_need(self, capsys):
+        # At n = 4 the cumulant stage holds about 6,500 masses, past the
+        # crossover, so without points auto takes the recursion.  Bulk
+        # points cut nbsum's stage to at most about 1,300 masses; the
+        # recursion's density stage is not cut.  CDF stages are cut alike
+        # below u = 64, and a CDF point from u = 64 on leaves both uncut.
+        spec = canonicalize(ConvolutionSpec.of((1.0, 1.0), (1.0, 2.0), (1.0, 4.0), (1.0, 500.0)))
+        mean = float(spec.shapes @ spec.scales)
+        points = [0.5 * mean, mean, 2.0 * mean]
+        assert methods.lookup("auto", spec).name == "moschopoulos"
+        assert methods.lookup("auto", spec, "density", points).name == "nbsum"
+        assert methods.lookup("auto", spec, "cdf", [10.0, 60.0]).name == "nbsum"
+        assert methods.lookup("auto", spec, "cdf", points).name == "moschopoulos"
+        rows = cli_rows(capsys, "auto", "density", spec, points)
+        assert {row["method"] for row in rows} == {"nbsum"}
+        want = [moschopoulos.density(spec, x).value for x in points]
+        assert max(rel_err(row["value"], w) for row, w in zip(rows, want)) <= 1e-12
 
     def test_unknown_method(self):
         with pytest.raises(DomainError):
@@ -402,6 +437,52 @@ class TestEvaluate:
             got = methods.evaluate("nbsum", quantity, spec, grid)
             want = methods.evaluate("moschopoulos", quantity, spec, grid)
             assert max(rel_err(g.value, w.value) for g, w in zip(got, want)) <= 1e-12
+
+    def test_cut_density_rows_equal_per_point_calls(self):
+        # C = prod (b1/b_i)^a_i is about e^-80 here, so the law's mass sits
+        # far past k = 0: at 0.3 x the mean the point's cut stage is too
+        # short and extends; at 1e-3 x the mean it is not.  The bulk points
+        # converge on their cuts; 6 sd out the cut stage extends, 10 sd out
+        # the first stage is the law's cumulant stage, and extends too.
+        spec = canonicalize(ConvolutionSpec.of((2.0, 1.0), (20.0, 10.0), (10.0, 30.0)))
+        mean = float(spec.shapes @ spec.scales)
+        sd = math.sqrt(float(spec.shapes @ spec.scales**2))
+        points = [mean + 10.0 * sd, 1e-3 * mean, 0.0, 0.3 * mean, mean, mean + 3.0 * sd,
+                  mean + 6.0 * sd, 0.7 * mean]
+        rows = methods.evaluate("nbsum", "density", spec, points)
+        assert rows == [methods.nbsum_density(spec, x) for x in points]
+        full = methods.nb_sum_law(spec, DEFAULT_CONTROL).masses.shape[0]
+        first = [min(full, methods._kernel_cut(spec, x, "density") + 1) for x in points]
+        sizes = [row.terms_used for row in rows]
+        assert sizes[1] == first[1] < sizes[3] and first[3] < sizes[3] < full
+        assert sizes[4] == first[4] < full
+        assert first[6] < full < sizes[6] and first[0] == full < sizes[0]
+
+    @pytest.mark.parametrize("quantity,points", [
+        ("density", [30.0, 80.0, 160.0, 130.0, 260.0]),
+        ("cdf", [2.0, 30.0, 63.0, 10.0]),
+        ("cdf", [30.0, 1.0, 160.0]),
+    ], ids=["density", "cdf-below-64", "cdf-past-64"])
+    def test_shared_stage_ends_at_the_farthest_cut(self, monkeypatch, quantity, points):
+        # b1 = 1, so u = x; the mean is 136.5.  No row here extends its
+        # stage, so the request builds exactly one: to the cut of its
+        # largest point, but a CDF with a point from u = 64 on builds the
+        # law's whole first stage.
+        builds = []
+        real = methods.nb_sum_law
+
+        def counted(spec, ctrl=None, count=None, upto=math.inf):
+            law = real(spec, ctrl, count, upto)
+            builds.append(law.masses.shape[0])
+            return law
+
+        spec = canonicalize(ConvolutionSpec.of((0.5, 1.0), (4.0, 5.0), (3.0, 12.0), (2.0, 40.0)))
+        full = real(spec, DEFAULT_CONTROL).masses.shape[0]
+        monkeypatch.setattr(methods, "nb_sum_law", counted)
+        rows = methods.evaluate("nbsum", quantity, spec, points)
+        want = min(full, methods._kernel_cut(spec, max(points), quantity) + 1)
+        assert builds == [want] and max(row.terms_used for row in rows) == want
+        assert (want == full) == (quantity == "cdf" and max(points) >= 64.0)
 
     def test_one_weight_build_per_request(self, capsys, monkeypatch):
         builds = []

@@ -80,6 +80,15 @@ class TestCanonicalize:
         once = canonicalize(spec)
         assert canonicalize(once) == once
 
+    def test_canonical_spec_returned_as_is(self):
+        # A result is marked, so it comes back without a cache lookup.  The
+        # mark is not a field: an equal spec built afresh compares and
+        # hashes equal, and is canonicalized through the cache.
+        once = canonicalize(ConvolutionSpec.of((1, 5), (2, 3)))
+        assert canonicalize(once) is once
+        fresh = ConvolutionSpec(once.components)
+        assert fresh == once and hash(fresh) == hash(once) and canonicalize(fresh) == once
+
     def test_memoized_same_object(self):
         spec = ConvolutionSpec.of((1.5, 2.5), (0.7, 0.9))
         assert canonicalize(spec) is canonicalize(
