@@ -111,10 +111,8 @@ class WeightLaw:
 
     Built from masses directly, as Barnabani's GNBD fit is, the law is
     fixed at its size: `extend` gives None and the mass it leaves out is
-    taken as 1 - sum(masses).  The exact law (`NBSumLaw`) extends.  The
-    x-free parts of the density's log terms are computed once per law,
-    on its first density evaluation, and those of the CDF's kernel sums on
-    its first CDF evaluation that takes them.
+    taken as 1 - sum(masses).  The exact law (`NBSumLaw`) extends.  Both
+    mixture sums read its cached `kernel_table`; the CDF's also `cdf_terms`.
     """
 
     def __init__(self, masses: np.ndarray, rho: float, beta1: float):
@@ -134,30 +132,29 @@ class WeightLaw:
         return math.log(rest) if rest > 0.0 else -math.inf
 
     @cached_property
-    def log_density_terms(self) -> tuple[np.ndarray, ...]:
-        """log w_k, rho + k - 1, lgamma(rho + k) and (rho + k) log b1: the
-        x-free parts of the density's log terms."""
+    def kernel_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The x-free parts of both mixture sums' kernels (`_saddle_deviance`):
+        the shapes a = rho + k, log c_a = -s(a) - log(2 pi a)/2 (s the Stirling
+        error) and the density's log weights log(a c_a w_k).  Elementwise in
+        k, so a prefix of it is a shorter stage's own table to the bit."""
         shapes = self.rho + np.arange(self.masses.shape[0], dtype=float)
+        log_c = -_stirling_error(shapes) - 0.5 * np.log(2.0 * math.pi * shapes)
         with np.errstate(divide="ignore"):
-            log_m = np.log(self.masses)
-        return log_m, shapes - 1.0, sp.gammaln(shapes), shapes * math.log(self.beta1)
+            return shapes, log_c, np.log(self.masses) + log_c + np.log(shapes)
 
     @cached_property
-    def cdf_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-        """The shapes a = rho + m; log W_m and log S_m, each plus
-        -s(a) - log(2 pi a)/2 (s the Stirling error), W_m the masses up to
-        index m and S_m those past it, summed from the tail; sum(masses);
-        and the mean shape rho + sum m w_m / sum w_m: the x-free parts of
-        `mixture_cdf`'s kernel sums."""
+    def cdf_terms(self) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """What `mixture_cdf`'s kernel sums add to `kernel_table`: log W_m and
+        log S_m plus log c_a, W_m the masses up to index m and S_m those past
+        it, summed from the tail; sum(masses); and the mean shape."""
         masses = self.masses
-        shapes = self.rho + np.arange(masses.shape[0], dtype=float)
-        log_c = -_stirling_error(shapes) - 0.5 * np.log(2.0 * math.pi * shapes)
+        shapes, log_c, _ = self.kernel_table
         past = np.append(np.cumsum(masses[:0:-1])[::-1], 0.0)
         total = float(masses.sum())
         mean_shape = float(shapes @ masses) / total if total > 0.0 else math.inf
         with np.errstate(divide="ignore"):
             log_cum, log_past = np.log(np.cumsum(masses)), np.log(past)
-        return shapes, log_c + log_cum, log_c + log_past, total, mean_shape
+        return log_c + log_cum, log_c + log_past, total, mean_shape
 
 
 #: Size from which `_nb_masses` takes the whole log-mass from its grouped
@@ -232,7 +229,7 @@ def _nb_masses(a: float, q: float, count: int) -> np.ndarray:
         log_w = (
             0.5 * np.log(a / (2.0 * math.pi * n * k))
             + _stirling_error(n)
-            - _stirling_error(np.array([a]))
+            - stirling_series(a)
             - _stirling_error(k)
             - _deviance(a, n * q)
             - _deviance(k, n * (1.0 - q))
@@ -286,14 +283,13 @@ class NBSumLaw(WeightLaw):
         shorter.  A slice of 12 or more masses equals the stage built at
         its size bit for bit (np.convolve sums a full overlap of at most
         11 terms in another order); `_kernel_cut` asks for 33 or more.
-        The slice takes this law's `log_density_terms`, where computed, as
-        prefix views: they are elementwise in k, so they are the slice's
-        own to the bit, and many slices of one law share one computation."""
+        The slice takes this law's `kernel_table`, where computed, as
+        prefix views, so many slices of one law share one computation."""
         if upto < self.masses.shape[0]:
             law = NBSumLaw(self.masses[: upto + 1], self.spec)
-            terms = self.__dict__.get("log_density_terms")
-            if terms is not None:
-                law.log_density_terms = tuple(t[: upto + 1] for t in terms)
+            table = self.__dict__.get("kernel_table")
+            if table is not None:
+                law.kernel_table = tuple(t[: upto + 1] for t in table)
             return law
         return nb_sum_law(self.spec, count=upto + 1)
 
@@ -398,25 +394,36 @@ def nb_sum_law(
     return NBSumLaw(masses, spec)
 
 
+def _saddle_deviance(shapes: np.ndarray, x: float, beta1: float) -> np.ndarray:
+    """D(a, u) = a log(a/u) + u - a at u = x/b1 for every shape a: in Loader's
+    saddle-point form the kernel e^-u u^a / Gamma(a + 1) is c_a e^-D(a, u),
+    c_a in `WeightLaw.kernel_table`.  As a log1p((a - u)/u) - (a - u), the
+    argument clamped above -1 where a/u < 2^-53 (moving D, about u, by under
+    2^-53 u log(u/a)); where a/u or u could overflow, as a (log a - log u) - (a - u)."""
+    u = x / beta1
+    d = shapes - u
+    if shapes[-1] * 1e-307 < u < math.inf:
+        return shapes * np.log1p(np.maximum(d / u, 2.0**-53 - 1.0)) - d
+    return shapes * (np.log(shapes) - (math.log(x) - math.log(beta1))) - d
+
+
 def mixture_density(law: WeightLaw, x: float) -> tuple[float, float]:
     """sum_k w_k g(x; rho + k, b1) at x > 0 over `law`, and its tail bound.
 
-    The sum is taken in log space, so kernels and masses far outside the
-    double range still combine.  The bound is the law's bound on the mass
-    it leaves out times the largest kernel value a later term could take.
-    Past the kernel peak each left-out term can carry a larger kernel than
-    any in the table, so an exact law bounds that mass in log space: 1 -
-    sum(masses) rounds to zero below about 1e-16.
+    The kernel is g(x; a, b1) = (a/x) k_a(u) (`_saddle_deviance`).  The sum
+    is taken in log space, 1/x included before the one exp, so kernels and
+    masses far outside the double range still combine.  The bound is the
+    law's bound on the mass it leaves out times the largest kernel value a
+    later term could take.  Past the kernel peak each left-out term can
+    carry a larger kernel than any in the table, so an exact law bounds
+    that mass in log space: 1 - sum(masses) rounds to zero below about 1e-16.
     """
-    log_m, powers, log_gammas, log_scales = law.log_density_terms
-    log_terms = log_m + powers * math.log(x) - x / law.beta1 - log_gammas - log_scales
-    m = float(log_terms.max())
-    value = math.exp(m) * float(np.exp(log_terms - m).sum()) if m > -math.inf else 0.0
-    log_tail = (
-        law.log_mass_past
-        + math.log(2.0)
-        + _log_kernel_peak(x, law.rho + law.masses.shape[0], law.beta1)
-    )
+    shapes, _, log_weights = law.kernel_table
+    logs = log_weights - _saddle_deviance(shapes, x, law.beta1)
+    m = float(logs.max())
+    value = math.exp(m - math.log(x)) * float(np.exp(logs - m).sum()) if m > -math.inf else 0.0
+    peak = _log_kernel_peak(x, law.rho + law.masses.shape[0], law.beta1)
+    log_tail = law.log_mass_past + math.log(2.0) + peak
     return value, math.exp(log_tail) if log_tail < 709.0 else math.inf
 
 
@@ -467,24 +474,21 @@ def mixture_cdf(law: WeightLaw, y: float) -> tuple[float, float]:
     misses are below the double spacing at the value.
 
     Below u = `_CDF_KERNEL_SUM_FROM` the sum is taken as written, one
-    gammainc per mass.  From it on, the recurrence
-    P(a, u) = P(a + 1, u) + k_a(u), with
-    k_a(u) = e^-u u^a / Gamma(a + 1), turns the same sum into kernel sums
-    with x-free weights and one incomplete-gamma value (W_m the masses up
-    to m, S_m those past it, W = sum(masses)):
+    gammainc per mass.  From it on, the recurrence P(a, u) = P(a + 1, u) +
+    k_a(u), with k_a(u) = e^-u u^a / Gamma(a + 1), turns the same sum into
+    kernel sums with x-free weights and one incomplete-gamma value (W_m the
+    masses up to m, S_m those past it, W = sum(masses)):
 
         lower:  sum_m W_m k_(rho+m)(u) + W P(rho + K, u)
         upper:  W - [sum_m S_m k_(rho+m)(u) + W Q(rho, u)]
 
     All their terms are non-negative.  The upper form, whose bracket is
     W - F to relative accuracy, is taken where u is above the law's mean
-    shape, the lower one elsewhere.  The kernel is in Loader's
-    saddle-point form, exp(-s(a) - log(2 pi a)/2 - D(a, u)), s the
-    Stirling error and D(a, u) = a log1p((a - u)/u) - (a - u), so nothing
-    of size a log a cancels; its x-free parts are the law's `cdf_terms`,
-    computed once per law (a cost `_CDF_KERNEL_SUM_FROM` weighs).  The
-    choice depends on the law and u alone, and the tail bound is the
-    same in both.
+    shape, the lower one elsewhere.  k_a(u) is the density's kernel
+    (`_saddle_deviance`), its x-free parts the law's `kernel_table` and
+    `cdf_terms`, computed once per law (a cost `_CDF_KERNEL_SUM_FROM`
+    weighs).  The choice depends on the law and u alone, and the tail
+    bound is the same in both.
     """
     masses, rho = law.masses, law.rho
     u = y / law.beta1
@@ -493,9 +497,8 @@ def mixture_cdf(law: WeightLaw, y: float) -> tuple[float, float]:
         value = float(masses @ sp.gammainc(rho + np.arange(masses.shape[0], dtype=float), u))
         total = float(masses.sum())
     else:
-        shapes, log_cum, log_past, total, mean_shape = law.cdf_terms
-        d = shapes - u
-        deviance = shapes * np.log1p(d / u) - d
+        log_cum, log_past, total, mean_shape = law.cdf_terms
+        deviance = _saddle_deviance(law.kernel_table[0], y, law.beta1)
         if u > mean_shape:
             rest = float(np.exp(log_past - deviance).sum()) + total * float(sp.gammaincc(rho, u))
             value = total - rest
@@ -545,8 +548,7 @@ def mixture_point(
     is shorter: first_law takes it as `upto`, and `weights` is sliced to
     it.  An exact law's stage is a prefix of every longer one, so both
     give the same stage.  Before slicing for a density, the shared law's
-    `log_density_terms` are computed, once for all the points that share
-    it, and the slice takes them as views (`NBSumLaw.stage`).
+    `kernel_table` is computed, and the slice takes it as views.
     """
     spec, done = check_point(spec, x, quantity)
     if done is not None:
@@ -556,7 +558,7 @@ def mixture_point(
         weights = first_law(spec, ctrl, upto=upto) if cut else first_law(spec, ctrl)
     if upto < weights.masses.shape[0] - 1:
         if quantity == "density":
-            weights.log_density_terms
+            weights.kernel_table
         weights = weights.stage(upto)
     return converge(quantity, x, ctrl, weights)
 

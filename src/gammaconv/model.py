@@ -176,12 +176,13 @@ class EvalResult:
 
     value: the evaluated density (1/x units) or probability.
     terms_used: number of series terms consumed.
-    tail_bound: rigorous bound on the truncation error when available.
-        The mixture routes (moschopoulos, the mathai CDF, the
-        approximation) bound it by the left-out weight mass times the
-        largest kernel value; the approximation's covers the truncation
-        of its fitted law, not the fit's error.  mathai's densities (the closed 1F1 form and the
-        n >= 3 multiple series) give None: their series stop on a
+    tail_bound: rigorous bound on the truncation error when available; it
+        does not cover the rounding of the terms summed.  The mixture
+        routes (moschopoulos, nbsum, the mathai CDF, the approximation)
+        bound it by the left-out weight mass times the largest kernel
+        value; the approximation's covers the truncation of its fitted
+        law, not the fit's error.  mathai's densities (the closed 1F1 form
+        and the n >= 3 multiple series) give None: their series stop on a
         relative rule, and their terms are not the masses of a law.
     """
 

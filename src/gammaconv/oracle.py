@@ -25,6 +25,7 @@ __all__ = [
     "sample_renewal_count",
     "quad_density",
     "hypoexp_closed_form",
+    "hypoexp_closed_form_cdf",
 ]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -222,35 +223,31 @@ def quad_density(spec: ConvolutionSpec, x: float) -> float:
     raise DomainError("quad_density supports at most 3 components")
 
 
+def _hypoexp_coefficients(rates) -> list[tuple[float, float]]:
+    """(l_i, prod_{j != i} l_j / (l_j - l_i)) for distinct rates l_i."""
+    rates = np.asarray(rates, dtype=float)
+    if np.unique(rates).shape[0] != rates.shape[0]:
+        raise DomainError("hypoexponential closed form needs distinct rates")
+    return [
+        (li, math.prod(lj / (lj - li) for j, lj in enumerate(rates) if j != i))
+        for i, li in enumerate(rates)
+    ]
+
+
 def hypoexp_closed_form(rates, x: float) -> float:
     """Density of a sum of exponentials with distinct rates at x.
 
     sum_i (prod_{j != i} l_j / (l_j - l_i)) l_i e^(-l_i x).
     """
-    rates = np.asarray(rates, dtype=float)
-    if np.unique(rates).shape[0] != rates.shape[0]:
-        raise DomainError("hypoexponential closed form needs distinct rates")
     total = 0.0
-    for i, li in enumerate(rates):
-        coef = 1.0
-        for j, lj in enumerate(rates):
-            if j != i:
-                coef *= lj / (lj - li)
+    for li, coef in _hypoexp_coefficients(rates):
         total += coef * li * math.exp(-li * x)
     return total
 
 
 def hypoexp_closed_form_cdf(rates, x: float) -> float:
     """CDF companion of hypoexp_closed_form."""
-    rates = np.asarray(rates, dtype=float)
-    if np.unique(rates).shape[0] != rates.shape[0]:
-        raise DomainError("hypoexponential closed form needs distinct rates")
     total = 0.0
-    for i, li in enumerate(rates):
-        coef = 1.0
-        for j, lj in enumerate(rates):
-            if j != i:
-                coef *= lj / (lj - li)
+    for li, coef in _hypoexp_coefficients(rates):
         total += coef * (1.0 - math.exp(-li * x))
     return total
-

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -83,6 +84,32 @@ class TestEntryCheck:
             fn(below, 0.0)
 
 
+def mp_density_sum(law, x):
+    """sum_k w_k g(x; rho + k, b1) over the law's float masses, each gamma
+    kernel taken at 50 digits; terms below e^-60 times the largest, found
+    from a rough float sum, are left out."""
+    shapes = law.rho + np.arange(law.masses.shape[0], dtype=float)
+    with np.errstate(divide="ignore"):
+        rough = (np.log(law.masses) + (shapes - 1.0) * math.log(x) - x / law.beta1
+                 - sp.gammaln(shapes) - shapes * math.log(law.beta1))
+    with mp.workdps(50):
+        xm, b = mp.mpf(x), mp.mpf(law.beta1)
+        terms = []
+        for k in np.flatnonzero(rough > rough.max() - 60.0):
+            a = mp.mpf(law.rho) + int(k)
+            log_g = (a - 1) * mp.log(xm) - xm / b - mp.loggamma(a) - a * mp.log(b)
+            terms.append(mp.mpf(float(law.masses[k])) * mp.exp(log_g))
+        return float(mp.fsum(terms))
+
+
+def converged_law(chosen, spec, result):
+    """The stage of `chosen`'s density law that `result` converged on."""
+    law = chosen.density_law(spec, chosen.control)
+    if law.masses.shape[0] != result.terms_used:
+        law = law.stage(result.terms_used - 1)
+    return law
+
+
 class TestMixture:
     def test_matches_direct_sum(self):
         masses = stats.nbinom.pmf(np.arange(40), 2.0, 0.6)
@@ -122,6 +149,49 @@ class TestMixture:
             value, tail = mixture(law, 4.0)
             assert tail > ctrl.rel_tol * value
             assert methods.converge(quantity, 4.0, ctrl, law) == EvalResult(value, 6, tail)
+
+    # Far-tail points, where the kernels' shapes reach the thousands and
+    # an lgamma-form kernel's parts would cancel: each route's value
+    # against the masses it converged on, summed with 50-digit kernels.
+    @pytest.mark.parametrize("method", ["moschopoulos", "nbsum"])
+    @pytest.mark.parametrize("spec, points", [
+        (ConvolutionSpec.of((300.0, 1.0), (2.5, 50.0), (0.7, 3.0)), [1281.0, 4271.0]),
+        (ConvolutionSpec.of((20.0, 4.0), (20.0, 0.3), (20.0, 0.2)), [90.0, 270.0, 900.0]),
+        (ConvolutionSpec.of((2.0, 10.0), (3.0, 0.5)), [400.0]),
+    ], ids=["shape-300", "alpha-20", "n2"])
+    def test_far_tail_density_matches_50_digit_kernels(self, method, spec, points):
+        spec = canonicalize(spec)
+        chosen = methods.lookup(method, spec)
+        for x in points:
+            result = chosen.density(spec, x)
+            law = converged_law(chosen, spec, result)
+            assert methods.mixture_density(law, x)[0] == result.value
+            assert rel_err(result.value, mp_density_sum(law, x)) <= 5e-14
+
+    @pytest.mark.parametrize("method", ["moschopoulos", "nbsum", "approx"])
+    def test_density_at_tiny_x(self, method):
+        # Near 1e-211 at x = 1e-300, where the kernels without their 1/x
+        # underflow; at x = 5e-324, u = x/b1 rounds to 0.
+        spec = canonicalize(ConvolutionSpec.of((0.3, 2.0), (0.4, 3.0), (1.0, 5.0)))
+        chosen = methods.lookup(method, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (1e-300, 5e-324):
+                result = chosen.density(spec, x)
+                want = mp_density_sum(converged_law(chosen, spec, result), x)
+                assert rel_err(result.value, want) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["moschopoulos", "nbsum", "approx"])
+    def test_points_far_past_the_mean(self, method):
+        # From u = x/b1 of about 2^53 times the smallest shape on, (a - u)/u
+        # rounds to -1 in the saddle-point kernels.
+        spec = canonicalize(ConvolutionSpec.of((2.0, 1.0), (3.0, 2.0), (1.0, 3.0)))
+        chosen = methods.lookup(method, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (1e17, 1e300):
+                assert chosen.density(spec, x).value == 0.0
+                assert chosen.cdf(spec, x).value == 1.0
 
     # Laws and points at u = y/b1 past the gammainc sum, where mixture_cdf
     # takes its kernel sums: the left tail, the bulk on both sides of the
