@@ -217,29 +217,50 @@ def _fit_for_spec(spec: ConvolutionSpec) -> GnbdParams:
     return fit_gnbd(weight_cumulants(spec))
 
 
+#: Mass a fitted table leaves out past its cut, as a share of its masses
+#: past k = 0: half an ulp of 1, so their sum moves by less than its own
+#: rounding.
+_TABLE_TAIL = 2.0**-54
+
+
 def _approx_weights(params: GnbdParams, ctrl: SeriesControl) -> np.ndarray:
-    """GNBD masses at k = 0..K: K starts at the mean + 14 sd and doubles
-    until the masses are within rel_tol/10 of one; K never passes
-    ctrl.max_terms."""
-    denom = 1.0 - params.theta * params.beta_g
-    mean_est = params.m * params.theta / denom
-    sd_est = math.sqrt(max(params.m * params.theta, 1e-12)) / denom**1.5
-    k_max = min(int(mean_est + 14.0 * sd_est + 100.0), ctrl.max_terms)
+    """GNBD masses at k = 0..K, cut where the tail is negligible.
+
+    The table starts at the mean + 14 sd of the GNBD (kappa_1 and kappa_2
+    of `gnbd_cumulants`) and doubles until its masses are within rel_tol/10
+    of one or it reaches ctrl.max_terms.  It is then cut at the first index
+    past which its masses, summed from the table's end, are at most
+    `_TABLE_TAIL` times those past k = 0, not times all: at a tiny total
+    shape rho the mass at k = 0 is near 1 but its kernel carries a factor
+    of about rho, so the density rests on the masses past it.  The masses
+    are elementwise in k, so the kept ones are the same at any table
+    length.
+    """
+    cum = gnbd_cumulants(params)
+    k_max = min(int(cum.k1 + 14.0 * math.sqrt(max(cum.k2, 1e-12)) + 100.0), ctrl.max_terms)
     while True:
         w = gnbd_pmf(params, np.arange(k_max + 1))
         if 1.0 - w.sum() <= 0.1 * ctrl.rel_tol or k_max >= ctrl.max_terms:
-            return w
+            break
         k_max = min(2 * k_max, ctrl.max_terms)
+    past = np.append(np.cumsum(w[::-1])[::-1], 0.0)
+    return w[: int(np.argmax(past <= _TABLE_TAIL * past[1]))]
 
 
-def approx_law(spec: ConvolutionSpec, ctrl: SeriesControl) -> WeightLaw:
-    """The fitted GNBD law of a canonical spec of two or more components.
+def approx_law(
+    spec: ConvolutionSpec, ctrl: SeriesControl, upto: float = math.inf
+) -> WeightLaw:
+    """The fitted GNBD law of a canonical spec of two or more components,
+    or its stage w_0..w_upto where that is shorter.
 
-    It never extends, so `methods.converge` answers a point over it
-    whatever its tail bound: the approximation's own error dominates any
-    truncation."""
+    Its stages are prefixes of one table (`_approx_weights`): `extend`
+    gives the next one and None only at the table's end.  There
+    `methods.converge` answers a point whatever its tail bound: the
+    approximation's own error dominates any truncation.
+    """
     masses = _approx_weights(_fit_for_spec(spec), ctrl)
-    return WeightLaw(masses, spec.total_shape, float(spec.scales[0]))
+    law = WeightLaw(masses, spec.total_shape, float(spec.scales[0]))
+    return law.stage(upto) if upto < masses.shape[0] - 1 else law
 
 
 def density_approx(
@@ -261,5 +282,9 @@ def cdf_approx(
     ctrl: SeriesControl = CONTROL_APPROX,
     weights: WeightLaw | None = None,
 ) -> EvalResult:
-    """Approximate CDF sum_k gnbd_pmf(k) G(y; rho + k, b1)."""
-    return mixture_point("cdf", spec, y, ctrl, weights, approx_law)
+    """Approximate CDF sum_k gnbd_pmf(k) G(y; rho + k, b1).
+
+    Below y/b1 = 64 the first stage, built or sliced from `weights`, ends
+    where the point's kernel dies (`methods.mixture_point`), and runs on
+    within the fitted table only if the tail bound asks for it."""
+    return mixture_point("cdf", spec, y, ctrl, weights, approx_law, cut=True)

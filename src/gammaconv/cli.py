@@ -271,6 +271,14 @@ def _cmd_selftest() -> int:
         shared == alone,
         f"worst |diff| {worst:.3e}",
     )
+    rows = methods.evaluate("approx", "cdf", spec3, xs)
+    calls = [barnabani.cdf_approx(spec3, x) for x in xs]
+    worst = max(abs(r.value - c.value) for r, c in zip(rows, calls))
+    check(
+        "20-point evaluate equals per-point approx CDF",
+        rows == calls,
+        f"worst |diff| {worst:.3e}",
+    )
     auto = methods.evaluate("auto", "density", spec3, xs)
     worst = max(abs(s.value - a.value) / a.value for s, a in zip(auto, alone))
     check(

@@ -107,22 +107,53 @@ def _log_kernel_peak(x: float, shape_min: float, beta: float) -> float:
 
 
 class WeightLaw:
-    """The masses w_0..w_K of the mixture sum_k w_k g(.; rho + k, b1).
+    """A stage w_0..w_K of the masses of the mixture sum_k w_k g(.; rho + k, b1).
 
-    Built from masses directly, as Barnabani's GNBD fit is, the law is
-    fixed at its size: `extend` gives None and the mass it leaves out is
-    taken as 1 - sum(masses).  The exact law (`NBSumLaw`) extends.  Both
-    mixture sums read its cached `kernel_table`; the CDF's also `cdf_terms`.
+    A law's stages are its prefixes.  Built from masses directly, as
+    Barnabani's GNBD fit is, they are prefixes of one fixed `table` (by
+    default the masses given): `stage` slices it, `extend` gives None at
+    its end, and the mass a stage leaves out is taken as 1 - sum(masses).
+    The exact law (`NBSumLaw`) builds its stages past its masses instead.
+    Both mixture sums read the stage's cached `kernel_table`; the CDF's
+    also `cdf_terms`.
     """
 
-    def __init__(self, masses: np.ndarray, rho: float, beta1: float):
+    def __init__(
+        self, masses: np.ndarray, rho: float, beta1: float, table: np.ndarray | None = None
+    ):
         self.masses = masses
         self.rho = rho
         self.beta1 = beta1
+        self.table = masses if table is None else table
+
+    @property
+    def _last_index(self) -> float:
+        """The last index a stage can reach, ctrl.max_terms aside."""
+        return self.table.shape[0] - 1
+
+    def _prefix(self, upto: int) -> WeightLaw:
+        """The stage w_0..w_upto, at most the whole table, with nothing cached."""
+        return WeightLaw(self.table[: upto + 1], self.rho, self.beta1, self.table)
+
+    def stage(self, upto: int) -> WeightLaw:
+        """The stage w_0..w_upto.  Where that is shorter than this one it
+        takes this stage's `kernel_table`, where computed, as prefix views,
+        so many slices of one stage share one computation."""
+        law = self._prefix(upto)
+        table = self.__dict__.get("kernel_table")
+        if table is not None and upto < self.masses.shape[0]:
+            law.kernel_table = tuple(t[: upto + 1] for t in table)
+        return law
 
     def extend(self, ctrl: SeriesControl) -> WeightLaw | None:
-        """The next, longer stage of the law, or None if there is none."""
-        return None
+        """The stage whose last index is 1.5 K + 64, K this stage's, capped
+        at ctrl.max_terms and at the law's last index; None once K has
+        reached them."""
+        upto = self.masses.shape[0] - 1
+        last = min(ctrl.max_terms, self._last_index)
+        if upto >= last:
+            return None
+        return self.stage(min(int(upto * 1.5) + 64, last))
 
     @cached_property
     def log_mass_past(self) -> float:
@@ -269,37 +300,27 @@ class NBSumLaw(WeightLaw):
     NB(a_i, q_i), q_i = b1/b_i, over the components past the first.
 
     Every stage is an exact prefix: a longer stage repeats this one's
-    masses bit for bit.  `stage(upto)` builds w_0..w_upto by convolving
-    the NB pmfs cut at upto + 1 terms; `moschopoulos.WeightDistribution`
-    builds them by the recursion instead.
+    masses bit for bit.  `stage(upto)` builds w_0..w_upto past this one by
+    convolving the NB pmfs cut at upto + 1 terms;
+    `moschopoulos.WeightDistribution` builds them by the recursion instead.
     """
 
     def __init__(self, masses: np.ndarray, spec: ConvolutionSpec):
         super().__init__(masses, spec.total_shape, spec.components[0].scale)
         self.spec = spec
 
-    def stage(self, upto: int) -> NBSumLaw:
-        """The stage w_0..w_upto: a slice of this one where that is
-        shorter.  A slice of 12 or more masses equals the stage built at
-        its size bit for bit (np.convolve sums a full overlap of at most
-        11 terms in another order); `_kernel_cut` asks for 33 or more.
-        The slice takes this law's `kernel_table`, where computed, as
-        prefix views, so many slices of one law share one computation."""
-        if upto < self.masses.shape[0]:
-            law = NBSumLaw(self.masses[: upto + 1], self.spec)
-            table = self.__dict__.get("kernel_table")
-            if table is not None:
-                law.kernel_table = tuple(t[: upto + 1] for t in table)
-            return law
-        return nb_sum_law(self.spec, count=upto + 1)
+    #: Stages are built to any size; `extend` stops at ctrl.max_terms.
+    _last_index = math.inf
 
-    def extend(self, ctrl: SeriesControl) -> NBSumLaw | None:
-        """The stage whose last index is 1.5 K + 64, K this stage's, capped
-        at ctrl.max_terms; None once K has reached it."""
-        upto = self.masses.shape[0] - 1
-        if upto >= ctrl.max_terms:
-            return None
-        return self.stage(min(int(upto * 1.5) + 64, ctrl.max_terms))
+    def _prefix(self, upto: int) -> NBSumLaw:
+        """A slice of this stage where upto is within it, else the stage
+        built by `nb_sum_law`.  A slice of 12 or more masses equals the
+        stage built at its size bit for bit (np.convolve sums a full
+        overlap of at most 11 terms in another order); `_kernel_cut` asks
+        for 33 or more."""
+        if upto < self.masses.shape[0]:
+            return NBSumLaw(self.masses[: upto + 1], self.spec)
+        return nb_sum_law(self.spec, count=upto + 1)
 
     @cached_property
     def log_mass_past(self) -> float:
@@ -309,8 +330,10 @@ class NBSumLaw(WeightLaw):
         t))^a_i is finite for t < 1/r, r = max_i (1 - q_i).  Each mass w_k
         is at most P(t) t^-k, so those past index K sum to at most
         P(t) t^-(K+1) / (1 - 1/t) for every 1 < t < 1/r; t is the
-        minimizer for one NB of size sum a_i and ratio r.  That bound does
-        not round to zero below 1e-16, as 1 - sum(masses) does.  Where
+        minimizer for one NB of size sum a_i and ratio r, kept a relative
+        2^-30 below 1/r (at a size under about 1e-9 K the minimizer rounds
+        to 1/r, where 1 - (1 - q_i) t is 0).  That bound does not round to
+        zero below 1e-16, as 1 - sum(masses) does.  Where
         1 - sum(masses) exceeds 1e-8 it is exact to far better than 1 %
         (its rounding error is near K * 1e-16), and 1.01 times it is the
         tighter bound.
@@ -319,7 +342,7 @@ class NBSumLaw(WeightLaw):
         others = self.spec.components[1:]
         k = float(self.masses.shape[0])
         r = max(1.0 - b1 / c.scale for c in others)
-        t = k / ((k + sum(c.shape for c in others)) * r)
+        t = min(k / ((k + sum(c.shape for c in others)) * r), (1.0 - 2.0**-30) / r)
         log_bound = 0.0
         if t > 1.0:
             log_p = sum(
@@ -436,13 +459,13 @@ def mixture_density(law: WeightLaw, x: float) -> tuple[float, float]:
 #: at one point (a per-point call, or the renewal routes' one law per
 #: composition) loses below K of about 300.  The renewal routes stay at
 #: u <= 34 (t = 10, scales >= 0.3), so below 64 the sum stays as written,
-#: and there an exact route's stage starts no longer than the point's
-#: kernel needs (`_kernel_cut`).
+#: and there a route's stage starts no longer than the point's kernel
+#: needs (`_kernel_cut`).
 _CDF_KERNEL_SUM_FROM = 64.0
 
 
 def _kernel_cut(spec: ConvolutionSpec, x: float, quantity: str) -> float:
-    """The last index of a point's first stage over an exact law:
+    """The last index of a point's first stage over a weight law:
     max(u - rho, 0) + 8 sqrt(u) + 32 at u = x/b1, for the density at every
     u and for the CDF below `_CDF_KERNEL_SUM_FROM`; inf elsewhere (and at
     a point that is not finite and >= 0, which the entry check rejects).
@@ -514,8 +537,9 @@ def converge(quantity: str, x: float, ctrl: SeriesControl, law: WeightLaw) -> Ev
     replaced by law.extend(ctrl), its next, longer stage.  terms_used is
     the size of the stage that converged.  When the law extends no
     further, an exact law (`NBSumLaw`) raises ConvergenceError; any other
-    law, a fitted one, is answered as it stands with its tail bound: the
-    approximation's own error dominates any truncation.
+    law, a fitted one at its table's end, is answered as it stands with
+    its tail bound: the approximation's own error dominates any
+    truncation.
     """
     mixture = mixture_cdf if quantity == "cdf" else mixture_density
     while True:
@@ -543,11 +567,11 @@ def mixture_point(
     the mixture `quantity` at x over `weights`, or where that is None over
     first_law(spec, ctrl) of the canonical spec, run to convergence.
 
-    With `cut` (the nbsum density and the exact CDF routes, whose laws
-    extend) the first stage ends at the point's `_kernel_cut` where that
-    is shorter: first_law takes it as `upto`, and `weights` is sliced to
-    it.  An exact law's stage is a prefix of every longer one, so both
-    give the same stage.  Before slicing for a density, the shared law's
+    With `cut` (the nbsum density and the CDF routes over a weight law)
+    the first stage ends at the point's `_kernel_cut` where that is
+    shorter: first_law takes it as `upto`, and `weights` is sliced to it.
+    A law's stage is a prefix of every longer one, so both give the same
+    stage.  Before slicing for a density, the shared law's
     `kernel_table` is computed, and the slice takes it as views.
     """
     spec, done = check_point(spec, x, quantity)
@@ -597,7 +621,10 @@ class Method(NamedTuple):
     runs `mixture_point`; for the mathai density at n >= 3 the law is a
     `mathai.ShellTable`, the series' x-free shells.  `cuts` names the
     quantities whose per-point function cuts its first stage at the
-    point's kernel; their law builders take the cut as `upto`."""
+    point's kernel (the nbsum density, and every CDF over a weight law:
+    the exact ones and the approximation's); their law builders take the
+    cut as `upto`.  The approximation's density is not cut: its fitted
+    stages would extend at many points."""
 
     name: str
     density: Callable[..., EvalResult]
@@ -659,8 +686,10 @@ def lookup(
     which sizes nbsum's stage by the points), then for moschopoulos.  Both
     are exact at the default control.  Without points the stages are
     priced at the law's cumulant size.  The mathai CDF is `mathai.cdf_n` at
-    every n.  The functions are read off their modules at each call, so
-    one that a test or tracer has replaced there is the one that runs.
+    every n.  Every CDF over a weight law, the approximation's included,
+    cuts its points' stages (`Method.cuts`).  The functions are read off
+    their modules at each call, so one that a test or tracer has replaced
+    there is the one that runs.
     (Imported here because the method modules import this one.)
     """
     from . import barnabani, mathai, moschopoulos
@@ -689,7 +718,7 @@ def lookup(
         law = barnabani.approx_law
         return Method(
             method, barnabani.density_approx, barnabani.cdf_approx,
-            barnabani.CONTROL_APPROX, law, law,
+            barnabani.CONTROL_APPROX, law, law, ("cdf",),
         )
     raise DomainError(f"unknown method {method!r}; use one of {METHODS}")
 
@@ -711,8 +740,8 @@ def evaluate(
     handed to the per-point function at each point as `weights`; a point
     that needs more terms extends it for itself, so each result equals the
     per-point call on that point alone.  Where the route cuts each point's
-    stage at its kernel (`Method.cuts`: the nbsum density and the exact
-    CDFs) the shared stage is built only to the farthest point's cut, the
+    stage at its kernel (`Method.cuts`: the nbsum density and the CDFs
+    over a weight law) the shared stage is built only to the farthest point's cut, the
     one at the largest point; a CDF with a point from u = 64 on gets the
     whole first stage.  For the mathai density at n >= 3 the law is a
     shell table (`mathai.ShellTable`), grown in place as the points need.

@@ -53,7 +53,7 @@ class WeightDistribution(NBSumLaw):
     def pmf(self, k: int) -> float:
         return self.c * float(self.deltas[k])
 
-    def stage(self, upto: int) -> WeightDistribution:
+    def _prefix(self, upto: int) -> WeightDistribution:
         """The stage delta_0..delta_upto: a slice of this one where that
         is shorter, else this one extended by the recursion."""
         if upto < self.upto:

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 from scipy import special as sp
 
+from gammaconv import barnabani, bench, methods
 from gammaconv.errors import DomainError, FitFailureError
 from gammaconv.barnabani import (
     GnbdParams,
@@ -19,7 +20,7 @@ from gammaconv.barnabani import (
     weight_cumulants,
 )
 from gammaconv.mathai import cdf_n, density_n
-from gammaconv.model import ConvolutionSpec
+from gammaconv.model import ConvolutionSpec, canonicalize
 from gammaconv.moschopoulos import build_weights
 
 from conftest import grid_between, rel_err
@@ -204,3 +205,77 @@ class TestApproxEvaluators:
             cdf_approx(spec, -1.0)
         with pytest.raises(DomainError):
             density_approx(ConvolutionSpec.of((0.3, 2.0), (0.3, 8.0)), 0.0)
+
+
+def doubled_table(params, first):
+    """GNBD masses at k = 0..K, K starting at `first` and doubling until the
+    masses are within rel_tol/10 of one: the rule that ends the fitted
+    table."""
+    ctrl = barnabani.CONTROL_APPROX
+    k_max = min(first, ctrl.max_terms)
+    while True:
+        w = gnbd_pmf(params, np.arange(k_max + 1))
+        if 1.0 - w.sum() <= 0.1 * ctrl.rel_tol or k_max >= ctrl.max_terms:
+            return w
+        k_max = min(2 * k_max, ctrl.max_terms)
+
+
+class TestApproxTable:
+    SETTINGS = [canonicalize(bench.spec_for(alpha, scales))
+                for alpha, scales in bench.TABLE2_SETTINGS]
+
+    @staticmethod
+    def fitted(spec):
+        return barnabani._fit_for_spec(spec), barnabani.approx_law(spec, barnabani.CONTROL_APPROX)
+
+    def test_masses_are_the_table_sized_by_the_gnbd_sd(self):
+        # The first table ends at the mean + 14 sd of the GNBD itself, not
+        # of sqrt(m theta) / D^1.5, which left 5,633 and 6,930 masses at
+        # alpha = 20 (scales 4/0.3/0.2 and 4/3/0.2).  Kept masses equal that
+        # wider table's wherever both reach.
+        for spec in self.SETTINGS:
+            params, law = self.fitted(spec)
+            d = 1.0 - params.theta * params.beta_g
+            wide_sd = math.sqrt(params.m * params.theta) / d**1.5
+            wide = doubled_table(params, int(params.m * params.theta / d + 14.0 * wide_sd + 100.0))
+            size = min(wide.shape[0], law.masses.shape[0])
+            assert np.array_equal(law.masses[:size], wide[:size])
+            assert law.table is law.masses
+        _, law = self.fitted(canonicalize(bench.spec_for(20.0, (4.0, 3.0, 0.2))))
+        assert law.masses.shape[0] <= 2_100
+
+    def test_cut_leaves_out_at_most_half_an_ulp_of_one(self):
+        # Of the masses past k = 0, which carry the density where the total
+        # shape is tiny (TestMixture::test_tiny_total_shape in test_methods).
+        for spec in self.SETTINGS:
+            params, law = self.fitted(spec)
+            cum = gnbd_cumulants(params)
+            table = doubled_table(params, int(cum.k1 + 14.0 * math.sqrt(cum.k2) + 100.0))
+            size = law.masses.shape[0]
+            assert np.array_equal(law.masses, table[:size])
+            past = np.cumsum(table[::-1])[::-1]  # past[j]: the masses from j on
+            tail = 2.0**-54 * past[1]
+            assert size == table.shape[0] or past[size] <= tail < past[size - 1]
+
+    def test_stages_are_prefixes_of_the_table(self):
+        spec = canonicalize(bench.spec_for(20.0, (4.0, 3.0, 0.2)))
+        ctrl = barnabani.CONTROL_APPROX
+        _, full = self.fitted(spec)
+        law = barnabani.approx_law(spec, ctrl, upto=40)
+        sizes = [law.masses.shape[0]]
+        while (law := law.extend(ctrl)) is not None:
+            assert np.array_equal(law.masses, full.masses[: law.masses.shape[0]])
+            sizes.append(law.masses.shape[0])
+        assert sizes[:3] == [41, 125, 251] and sizes[-1] == full.masses.shape[0]
+
+    def test_deep_left_tail_cdf_extends_within_the_table(self):
+        # At u = y/b1 = 30 the point's cut stage (77 masses) holds almost
+        # none of a law whose mass sits near k = 800; its tail bound fails,
+        # and the stage runs on within the table.
+        spec = canonicalize(bench.spec_for(20.0, (4.0, 3.0, 0.2)))
+        ctrl = barnabani.CONTROL_APPROX
+        y = 30.0 * float(spec.scales[0])
+        got = cdf_approx(spec, y)
+        assert methods._kernel_cut(spec, y, "cdf") + 1 < got.terms_used
+        uncut = methods.converge("cdf", y, ctrl, barnabani.approx_law(spec, ctrl))
+        assert 0.0 < got.value and rel_err(got.value, uncut.value) <= 1e-15

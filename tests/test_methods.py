@@ -1,5 +1,6 @@
 """Tests of the shared entry check, the mixture evaluator and the registry."""
 
+import functools
 import importlib
 import json
 import math
@@ -102,6 +103,33 @@ def mp_density_sum(law, x):
         return float(mp.fsum(terms))
 
 
+@functools.lru_cache(maxsize=None)
+def mp_tiny_masses(count=320):
+    """The exact weight law of Gamma(1e-20, 1) + Gamma(1e-20, 2) +
+    Gamma(1e-20, 3) at k < count, its NB pmfs convolved at 40 digits."""
+    with mp.workdps(40):
+        a = mp.mpf(1e-20)
+        pmfs = [[mp.rf(a, k) / mp.factorial(k) * q**a * (1 - q)**k for k in range(count)]
+                for q in (mp.mpf(1) / 2, mp.mpf(1) / 3)]
+        return [mp.fsum(pmfs[0][i] * pmfs[1][k - i] for i in range(k + 1))
+                for k in range(count)]
+
+
+def mp_tiny_series(quantity, x):
+    """The density or CDF of that convolution at x, summed over
+    `mp_tiny_masses` with 40-digit kernels (b1 = 1)."""
+    with mp.workdps(40):
+        rho, xm = mp.mpf(3e-20), mp.mpf(x)
+        terms = []
+        for k, w in enumerate(mp_tiny_masses()):
+            a = rho + k
+            if quantity == "density":
+                terms.append(w * mp.exp((a - 1) * mp.log(xm) - xm - mp.loggamma(a)))
+            else:
+                terms.append(w * mp.gammainc(a, 0, xm, regularized=True))
+        return float(mp.fsum(terms))
+
+
 def converged_law(chosen, spec, result):
     """The stage of `chosen`'s density law that `result` converged on."""
     law = chosen.density_law(spec, chosen.control)
@@ -139,9 +167,10 @@ class TestMixture:
                 assert 0.0 <= full - short <= tail
 
     def test_converge_answers_a_fixed_law_as_it_stands(self):
-        # A law that does not extend, as a fitted one, is answered with its
-        # value, size and tail whatever the bound; the exact law at its cap
-        # raises instead (test_moschopoulos.py::test_budget_exhaustion).
+        # A law at the end of its fixed table, as a fitted one there, is
+        # answered with its value, size and tail whatever the bound; the
+        # exact law at its cap raises instead
+        # (test_moschopoulos.py::test_budget_exhaustion).
         law = methods.WeightLaw(stats.nbinom.pmf(np.arange(6), 2.0, 0.6), 1.2, 1.0)
         ctrl = SeriesControl(rel_tol=1e-13)
         for quantity, mixture in (("density", methods.mixture_density),
@@ -192,6 +221,38 @@ class TestMixture:
             for x in (1e17, 1e300):
                 assert chosen.density(spec, x).value == 0.0
                 assert chosen.cdf(spec, x).value == 1.0
+
+    # Total shape 3e-20: the exact law's tail bound takes its t at the
+    # edge 1/r of the generating function's domain, where it once raised a
+    # bare ValueError.  The exact values stay within rounding of the 40-digit
+    # sum: rel_tol bounds truncation only, and scipy's gammainc(3e-20, 1) is
+    # itself 3e-15 below its value.  The approximation keeps criterion 7's
+    # envelope to x = 1, which its table holds only if cut by the masses past
+    # k = 0 (the k = 0 kernel carries a factor of about 3e-20); at x = 100
+    # the fitted law is half off.
+    TINY = ConvolutionSpec.of((1e-20, 1.0), (1e-20, 2.0), (1e-20, 3.0))
+
+    @pytest.mark.parametrize("method", methods.METHODS + ("auto",))
+    @pytest.mark.parametrize("quantity", ["density", "cdf"])
+    def test_tiny_total_shape(self, method, quantity):
+        spec = canonicalize(self.TINY)
+        exact = method != "approx"
+        for x in (1e-3, 1.0, 100.0) if exact else (1e-3, 1.0):
+            chosen = methods.lookup(method, spec, quantity, [x])
+            try:
+                result = getattr(chosen, quantity)(spec, x)
+            except GammaConvError:
+                continue
+            assert result == methods.evaluate(method, quantity, spec, [x])[0]
+            want = mp_tiny_series(quantity, x)
+            assert rel_err(result.value, want) <= (5e-14 if exact else 5e-2)
+
+    def test_cli_answers_a_tiny_total_shape(self, capsys):
+        code = cli.main(["eval", "density", "--shape", "1e-20,1e-20,1e-20",
+                         "--scale", "1,2,3", "--at", "1", "--method", "auto",
+                         "--format", "json"])
+        assert code == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)[0]["value"] > 0.0
 
     # Laws and points at u = y/b1 past the gammainc sum, where mixture_cdf
     # takes its kernel sums: the left tail, the bulk on both sides of the
@@ -478,7 +539,7 @@ class TestEvaluate:
                     want = fn(spec, x)
                     assert (row["value"], row["terms_used"]) == (want.value, want.terms_used)
 
-    @pytest.mark.parametrize("method", ["moschopoulos", "mathai", "nbsum"])
+    @pytest.mark.parametrize("method", ["moschopoulos", "mathai", "nbsum", "approx"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_left_tail_cdf_rows_equal_per_point_calls(self, n, method):
         # Below u = y/b1 = 64 a row starts from the shared law sliced at the
