@@ -255,7 +255,7 @@ def approx_law(
 
     Its stages are prefixes of one table (`_approx_weights`): `extend`
     gives the next one and None only at the table's end.  There
-    `methods.converge` answers a point whatever its tail bound: the
+    `methods.converge_rows` answers a point whatever its tail bound: the
     approximation's own error dominates any truncation.
     """
     masses = _approx_weights(_fit_for_spec(spec), ctrl)
@@ -284,7 +284,7 @@ def cdf_approx(
 ) -> EvalResult:
     """Approximate CDF sum_k gnbd_pmf(k) G(y; rho + k, b1).
 
-    Below y/b1 = 64 the first stage, built or sliced from `weights`, ends
-    where the point's kernel dies (`methods.mixture_point`), and runs on
+    Below y/b1 = 64 the first stage, built or taken as a prefix of
+    `weights`, ends where the point's kernel dies (`methods.mixture_point`), and runs on
     within the fitted table only if the tail bound asks for it."""
     return mixture_point("cdf", spec, y, ctrl, weights, approx_law, cut=True)

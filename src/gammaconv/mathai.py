@@ -226,8 +226,8 @@ def density_n(
     x factors out of every shell, so the point reads them from a
     `ShellTable`, grown as it needs.  Without `weights` it builds one of
     its own; pass the spec's table as `weights` to share it across calls
-    (`methods.evaluate` does, once per request).  The result is the same
-    bit for bit either way.
+    (`methods.evaluate` does, once per request, still point by point).
+    The result is the same bit for bit either way.
 
     tail_bound is None: the stop rule (two consecutive shells below
     rel_tol of the running sum, past the shell peak) is relative and
@@ -257,13 +257,13 @@ def cdf_n(
     the law `methods.nb_sum_law` builds.  This is `methods.nbsum_cdf`,
     at CONTROL_N for n >= 3 by default.  The reported tail bound is
     (1 - sum W) G(y/b1; gamma + R + 1); terms_used counts the shell
-    weights W_0..W_R.  `methods.mixture_cdf` sums the series, from
+    weights W_0..W_R.  `methods.mixture_rows` sums the series, from
     y/b1 = 64 up as kernel sums with one incomplete-gamma value; the terms
     and the bound are the same either way.  Pass a prebuilt law as
     `weights` to share it across calls.  Below y/b1 = 64 the first stage,
-    built or sliced from `weights`, ends where the point's kernel dies
-    (`methods.mixture_point`) and is extended only if the tail bound asks
-    for it.
+    built or taken as a prefix of `weights`, ends where the point's kernel
+    dies (`methods.mixture_point`) and is extended only if the tail bound
+    asks for it.
     """
     if ctrl is None:
         ctrl = DEFAULT_CONTROL if len(canonicalize(spec)) <= 2 else CONTROL_N

@@ -4,12 +4,13 @@ The series methods all evaluate a gamma-kernel mixture
 sum_k w_k g(x; rho + k, b1), b1 the minimum scale, and differ only in how
 they build the masses w_k, their weight law.  Here are the entry check
 every method runs first, the gamma kernel, the weight law and its exact
-negative-binomial-sum constructor, the mixture evaluator, the one
-convergence loop, the one per-point body of every weight-law route
-(`mixture_point`: the moschopoulos series, the approximation, and the
-nbsum route, whose CDF is also the mathai CDF), the method registry with
-`auto`'s cost rule, and `evaluate`, which answers many points of one spec
-from one weight law.
+negative-binomial-sum constructor, the mixture evaluator (`mixture_rows`:
+one stage's kernel sums for a block of points at once), the one
+convergence loop (`converge_rows`), the one per-point body of every
+weight-law route (`mixture_point`, the one-row case: the moschopoulos
+series, the approximation, and the nbsum route, whose CDF is also the
+mathai CDF), the method registry with `auto`'s cost rule, and `evaluate`,
+which answers many points of one spec as rows over one weight law.
 """
 
 from __future__ import annotations
@@ -34,9 +35,12 @@ __all__ = [
     "NBSumLaw",
     "nb_sum_law",
     "poisson_masses",
+    "mixture_rows",
     "mixture_density",
     "mixture_cdf",
+    "converge_rows",
     "converge",
+    "Answers",
     "mixture_point",
     "nbsum_density",
     "nbsum_cdf",
@@ -74,7 +78,7 @@ def check_point(
     if len(spec) == 1:
         (c,) = spec.components
         if quantity == "cdf":
-            return spec, EvalResult(float(sp.gammainc(c.shape, x / c.scale)), 1, 0.0)
+            return spec, EvalResult(_lower_gamma(c.shape, x / c.scale), 1, 0.0)
         return spec, EvalResult(math.exp(log_gamma_pdf(x, c.shape, c.scale)), 1, 0.0)
     return spec, None
 
@@ -114,8 +118,10 @@ class WeightLaw:
     default the masses given): `stage` slices it, `extend` gives None at
     its end, and the mass a stage leaves out is taken as 1 - sum(masses).
     The exact law (`NBSumLaw`) builds its stages past its masses instead.
-    Both mixture sums read the stage's cached `kernel_table`; the CDF's
-    also `cdf_terms`.
+    Both mixture sums (`mixture_rows`) read the stage's cached
+    `kernel_table`, a row over a shorter prefix the prefix of it, and
+    `prefix_total` and `log_mass_past` at the row's size; the CDF's kernel
+    sums also `cdf_terms`, which hold for the whole stage alone.
     """
 
     def __init__(
@@ -125,6 +131,8 @@ class WeightLaw:
         self.rho = rho
         self.beta1 = beta1
         self.table = masses if table is None else table
+        #: sum(masses), summed as np.sum sums.
+        self.total = float(masses.sum())
 
     @property
     def _last_index(self) -> float:
@@ -149,17 +157,18 @@ class WeightLaw:
         """The stage whose last index is 1.5 K + 64, K this stage's, capped
         at ctrl.max_terms and at the law's last index; None once K has
         reached them."""
-        upto = self.masses.shape[0] - 1
+        size = self.masses.shape[0]
         last = min(ctrl.max_terms, self._last_index)
-        if upto >= last:
-            return None
-        return self.stage(min(int(upto * 1.5) + 64, last))
+        return None if size > last else self.stage(_next_upto(size, last))
 
-    @cached_property
-    def log_mass_past(self) -> float:
-        """log of a bound on the mass past the table: log(1 - sum(masses)),
-        -inf where that rounds to zero."""
-        rest = 1.0 - float(self.masses.sum())
+    def prefix_total(self, size: int) -> float:
+        """sum(masses[:size]), summed as np.sum sums that prefix."""
+        return self.total if size == self.masses.shape[0] else float(self.masses[:size].sum())
+
+    def log_mass_past(self, size: int) -> float:
+        """log of a bound on the mass past the prefix of `size` masses:
+        log(1 - its sum), -inf where that rounds to zero."""
+        rest = 1.0 - self.prefix_total(size)
         return math.log(rest) if rest > 0.0 else -math.inf
 
     @cached_property
@@ -175,13 +184,14 @@ class WeightLaw:
 
     @cached_property
     def cdf_terms(self) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """What `mixture_cdf`'s kernel sums add to `kernel_table`: log W_m and
-        log S_m plus log c_a, W_m the masses up to index m and S_m those past
-        it, summed from the tail; sum(masses); and the mean shape."""
+        """What the CDF's kernel sums (`mixture_rows`) add to `kernel_table`:
+        log W_m and log S_m plus log c_a, W_m the masses up to index m and S_m
+        those past it, summed from the tail; sum(masses); and the mean
+        shape."""
         masses = self.masses
         shapes, log_c, _ = self.kernel_table
         past = np.append(np.cumsum(masses[:0:-1])[::-1], 0.0)
-        total = float(masses.sum())
+        total = self.total
         mean_shape = float(shapes @ masses) / total if total > 0.0 else math.inf
         with np.errstate(divide="ignore"):
             log_cum, log_past = np.log(np.cumsum(masses)), np.log(past)
@@ -322,9 +332,8 @@ class NBSumLaw(WeightLaw):
             return NBSumLaw(self.masses[: upto + 1], self.spec)
         return nb_sum_law(self.spec, count=upto + 1)
 
-    @cached_property
-    def log_mass_past(self) -> float:
-        """log of a bound on the mass past the table.
+    def log_mass_past(self, size: int) -> float:
+        """log of a bound on the mass past the prefix of `size` masses.
 
         The law's generating function P(t) = prod_i (q_i / (1 - (1 - q_i)
         t))^a_i is finite for t < 1/r, r = max_i (1 - q_i).  Each mass w_k
@@ -340,7 +349,7 @@ class NBSumLaw(WeightLaw):
         """
         b1 = self.beta1
         others = self.spec.components[1:]
-        k = float(self.masses.shape[0])
+        k = float(size)
         r = max(1.0 - b1 / c.scale for c in others)
         t = min(k / ((k + sum(c.shape for c in others)) * r), (1.0 - 2.0**-30) / r)
         log_bound = 0.0
@@ -351,7 +360,7 @@ class NBSumLaw(WeightLaw):
             )
             log_bound = min(0.0, log_p - k * math.log(t) - math.log1p(-1.0 / t))
         if log_bound > math.log(1e-8):
-            rest = 1.0 - float(self.masses.sum())
+            rest = 1.0 - self.prefix_total(size)
             if rest > 1e-8:
                 return min(log_bound, math.log(1.01 * rest))
         return log_bound
@@ -417,51 +426,116 @@ def nb_sum_law(
     return NBSumLaw(masses, spec)
 
 
-def _saddle_deviance(shapes: np.ndarray, x: float, beta1: float) -> np.ndarray:
-    """D(a, u) = a log(a/u) + u - a at u = x/b1 for every shape a: in Loader's
-    saddle-point form the kernel e^-u u^a / Gamma(a + 1) is c_a e^-D(a, u),
-    c_a in `WeightLaw.kernel_table`.  As a log1p((a - u)/u) - (a - u), the
-    argument clamped above -1 where a/u < 2^-53 (moving D, about u, by under
-    2^-53 u log(u/a)); where a/u or u could overflow, as a (log a - log u) - (a - u)."""
-    u = x / beta1
-    d = shapes - u
-    if shapes[-1] * 1e-307 < u < math.inf:
-        return shapes * np.log1p(np.maximum(d / u, 2.0**-53 - 1.0)) - d
-    return shapes * (np.log(shapes) - (math.log(x) - math.log(beta1))) - d
+def _saddle_deviance(
+    shapes: np.ndarray, xs: list[float], beta1: float, last: list[float]
+) -> np.ndarray:
+    """D(a, u) = a log(a/u) + u - a at u = x/b1, a row per point x and a
+    column per shape a: in Loader's saddle-point form the kernel
+    e^-u u^a / Gamma(a + 1) is c_a e^-D(a, u), c_a in `WeightLaw.kernel_table`.
+    As a log1p((a - u)/u) - (a - u), the argument clamped above -1 where
+    a/u < 2^-53 (moving D, about u, by under 2^-53 u log(u/a)); in a row
+    whose largest shape last[i] over u could overflow, or whose u does, as
+    a (log a - log u) - (a - u).  The first form is taken in those rows
+    too, under the callers' errstate, and replaced."""
+    u = np.array(xs) / beta1
+    d = shapes - u[:, None]
+    dev = shapes * np.log1p(np.maximum(d / u[:, None], 2.0**-53 - 1.0)) - d
+    far = [
+        i for i, (x, top) in enumerate(zip(xs, last)) if not top * 1e-307 < x / beta1 < math.inf
+    ]
+    if far:
+        log_u = np.log([xs[i] for i in far]) - math.log(beta1)
+        dev[far] = shapes * (np.log(shapes) - log_u[:, None]) - d[far]
+    return dev
 
 
-def mixture_density(law: WeightLaw, x: float) -> tuple[float, float]:
-    """sum_k w_k g(x; rho + k, b1) at x > 0 over `law`, and its tail bound.
+#: Entries (rows times masses) one block of `mixture_rows`' kernel sums
+#: holds: its temporaries, 64 kB each, stay in a core's cache, so a stage
+#: of 2,000 masses runs four rows at a time.
+_BLOCK_ENTRIES = 8192
 
-    The kernel is g(x; a, b1) = (a/x) k_a(u) (`_saddle_deviance`).  The sum
-    is taken in log space, 1/x included before the one exp, so kernels and
+
+def _blocks(count: int, width: int) -> list[slice]:
+    """`count` consecutive rows in blocks of at most `_BLOCK_ENTRIES`
+    entries at `width` entries a row, one row at least."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _row_bounds(sizes: list[int], width: int) -> tuple[np.ndarray, slice]:
+    """`reduceat` indices over a rows x width array, flattened, and the
+    positions of the reduction that hold each row's own prefix of sizes[i]
+    entries, summed by itself.  Where a row is shorter than `width` its
+    start is followed by its end, and the entries past it, reduced at the
+    odd positions, are dropped."""
+    starts = np.arange(0, len(sizes) * width, width)
+    if min(sizes) == width:
+        return starts, slice(None)
+    bounds = np.column_stack((starts, starts + sizes)).ravel()
+    return (bounds[:-1] if sizes[-1] == width else bounds), slice(None, None, 2)
+
+
+def _density_rows(
+    law: WeightLaw, xs: list[float], sizes: list[int]
+) -> tuple[list[float], list[float]]:
+    """sum_k w_k g(x; rho + k, b1) at every x > 0 over the stage's first
+    sizes[i] masses, and its tail bound.
+
+    The kernel is g(x; a, b1) = (a/x) k_a(u) (`_saddle_deviance`).  Each row
+    is summed in log space, 1/x included before the one exp, so kernels and
     masses far outside the double range still combine.  The bound is the
-    law's bound on the mass it leaves out times the largest kernel value a
-    later term could take.  Past the kernel peak each left-out term can
-    carry a larger kernel than any in the table, so an exact law bounds
-    that mass in log space: 1 - sum(masses) rounds to zero below about 1e-16.
+    law's bound on the mass a row leaves out times the largest kernel value
+    a later term could take.  Past the kernel peak each left-out term can
+    carry a larger kernel than any in the row, so an exact law bounds that
+    mass in log space: 1 - sum(masses) rounds to zero below about 1e-16.
     """
+    rho, beta1 = law.rho, law.beta1
     shapes, _, log_weights = law.kernel_table
-    logs = log_weights - _saddle_deviance(shapes, x, law.beta1)
-    m = float(logs.max())
-    value = math.exp(m - math.log(x)) * float(np.exp(logs - m).sum()) if m > -math.inf else 0.0
-    peak = _log_kernel_peak(x, law.rho + law.masses.shape[0], law.beta1)
-    log_tail = law.log_mass_past + math.log(2.0) + peak
-    return value, math.exp(log_tail) if log_tail < 709.0 else math.inf
+    peaks, sums = [], []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for block in _blocks(len(sizes), max(sizes)):
+            size = sizes[block]
+            width = max(size)
+            logs = log_weights[:width] - _saddle_deviance(
+                shapes[:width], xs[block], beta1, [rho + (n - 1) for n in size]
+            )
+            bounds, rows = _row_bounds(size, width)
+            peak = np.maximum.reduceat(logs.ravel(), bounds)[rows]
+            shift = np.where(peak > -math.inf, peak, 0.0)
+            sums += np.add.reduceat(np.exp(logs - shift[:, None]).ravel(), bounds)[rows].tolist()
+            peaks += peak.tolist()
+    values, tails, last_size = [], [], None
+    for x, size, peak, total in zip(xs, sizes, peaks, sums):
+        values.append(math.exp(peak - math.log(x)) * total if peak > -math.inf else 0.0)
+        if size != last_size:  # rows of one stage share its left-out mass
+            log_past, last_size = law.log_mass_past(size) + math.log(2.0), size
+        log_tail = log_past + _log_kernel_peak(x, rho + size, beta1)
+        tails.append(math.exp(log_tail) if log_tail < 709.0 else math.inf)
+    return values, tails
 
 
-#: u = y/b1 from which `mixture_cdf` takes its kernel sums in place of one
-#: gammainc per mass.  Measured per point on NB-sum laws of K = 36-970
-#: masses at u = 8-1024: the gammainc sum costs 14-230 us (75-310 ns per
-#: mass, more as u grows), the kernel sums 12-38 us, so on a law shared by
-#: many points they win at every u measured; no size condition on K pays.
-#: What decides is their x-free parts, 63-114 us once per law: a law used
-#: at one point (a per-point call, or the renewal routes' one law per
-#: composition) loses below K of about 300.  The renewal routes stay at
-#: u <= 34 (t = 10, scales >= 0.3), so below 64 the sum stays as written,
-#: and there a route's stage starts no longer than the point's kernel
-#: needs (`_kernel_cut`).
+#: u = y/b1 from which `mixture_rows` takes a CDF row's kernel sums in
+#: place of one gammainc per mass.  Measured per point on NB-sum laws of
+#: K = 36-970 masses at u = 8-1024: the gammainc sum costs 14-230 us
+#: (75-310 ns per mass, more as u grows), the kernel sums 12-38 us, so on
+#: a law shared by many points they win at every u measured; no size
+#: condition on K pays.  What decides is their x-free parts, 63-114 us
+#: once per law: a law used at one point (a per-point call, or the renewal
+#: routes' one law per composition) loses below K of about 300.  The
+#: renewal routes stay at u <= 34 (t = 10, scales >= 0.3), so below 64 the
+#: sum stays as written, and there a route's stage starts no longer than
+#: the point's kernel needs (`_kernel_cut`).
 _CDF_KERNEL_SUM_FROM = 64.0
+
+
+def _lower_gamma(a: float, u: float) -> float:
+    """P(a, u), the regularized lower incomplete gamma function.  For a < 1
+    where P exceeds 1/2 it is taken as 1 - Q(a, u): there scipy's P loses
+    several ulps of 1 at tiny a (P(3e-20, 1) comes out 1 - 3.2e-15), while
+    1 - Q is within 1.4e-18.  From a = 1 on P is the closer (at a = 1.5,
+    1 - Q is 2.0e-15 off, P 1.7e-16)."""
+    p = float(sp.gammainc(a, u))
+    return 1.0 - float(sp.gammaincc(a, u)) if a < 1.0 and p > 0.5 else p
 
 
 def _kernel_cut(spec: ConvolutionSpec, x: float, quantity: str) -> float:
@@ -474,117 +548,229 @@ def _kernel_cut(spec: ConvolutionSpec, x: float, quantity: str) -> float:
     a, and the density kernel g(x; a, b1) is the Poisson(u) mass at a - 1
     over b1 (times b1, at most that chance at a - 1).  By a Chernoff
     bound both are below e^-32 (e^-40 below u = 64) once a passes
-    u + 8 sqrt(u) + 31.  A stage too short for the point's tolerance (a
+    u + 8 sqrt(u) + 31.  A row too short for the point's tolerance (a
     value far below that: deep in the left tail, or a law whose mass sits
-    far past the point) is extended by `converge`.  From
-    `_CDF_KERNEL_SUM_FROM` on, the CDF points of a grid share one stage
-    and its cached `cdf_terms`, so that stage is not cut.  The cut grows
-    with x, so a request's farthest point has its farthest cut."""
+    far past the point) is extended by `converge_rows`.  From
+    `_CDF_KERNEL_SUM_FROM` on, the CDF rows of a grid share one stage and
+    its cached `cdf_terms`, so that stage is not cut.  The cut grows with
+    x, so a request's farthest point has its farthest cut."""
     u = x / spec.components[0].scale
     if not 0.0 <= u < (_CDF_KERNEL_SUM_FROM if quantity == "cdf" else math.inf):
         return math.inf
     return int(max(u - spec.total_shape, 0.0) + 8.0 * math.sqrt(u) + 32.0)
 
 
-def mixture_cdf(law: WeightLaw, y: float) -> tuple[float, float]:
-    """sum_k w_k P(rho + k, u) over `law`, u = y/b1, clamped to 1, and its
-    tail bound.
+def _cdf_rows(
+    law: WeightLaw, ys: list[float], sizes: list[int]
+) -> tuple[list[float], list[float]]:
+    """sum_k w_k P(rho + k, u) at every u = y/b1 over the stage's first
+    sizes[i] masses, clamped to 1, and its tail bound.
 
     P is the regularized lower incomplete gamma function.  It decreases in
     the shape, so the left-out mass times P(rho + K, u) bounds the terms
-    past the table's last index K - 1.  The left-out mass is taken as
+    past a row's last index K - 1.  The left-out mass is taken as
     1 - sum(masses): P <= 1, so where that rounds to zero the terms it
     misses are below the double spacing at the value.
 
-    Below u = `_CDF_KERNEL_SUM_FROM` the sum is taken as written, one
-    gammainc per mass.  From it on, the recurrence P(a, u) = P(a + 1, u) +
-    k_a(u), with k_a(u) = e^-u u^a / Gamma(a + 1), turns the same sum into
-    kernel sums with x-free weights and one incomplete-gamma value (W_m the
-    masses up to m, S_m those past it, W = sum(masses)):
+    Below u = `_CDF_KERNEL_SUM_FROM` a row is the sum as written, one
+    gammainc per mass (the shape-rho term by `_lower_gamma`).  From it on,
+    the recurrence P(a, u) = P(a + 1, u) + k_a(u), with
+    k_a(u) = e^-u u^a / Gamma(a + 1), turns the same sum into kernel sums
+    with x-free weights and one incomplete-gamma value (W_m the masses up
+    to m, S_m those past it, W = sum(masses)):
 
         lower:  sum_m W_m k_(rho+m)(u) + W P(rho + K, u)
         upper:  W - [sum_m S_m k_(rho+m)(u) + W Q(rho, u)]
 
     All their terms are non-negative.  The upper form, whose bracket is
     W - F to relative accuracy, is taken where u is above the law's mean
-    shape, the lower one elsewhere.  k_a(u) is the density's kernel
-    (`_saddle_deviance`), its x-free parts the law's `kernel_table` and
-    `cdf_terms`, computed once per law (a cost `_CDF_KERNEL_SUM_FROM`
-    weighs).  The choice depends on the law and u alone, and the tail
-    bound is the same in both.
+    shape, the lower one elsewhere; a row takes only its own.  k_a(u) is
+    the density's kernel (`_saddle_deviance`), its x-free parts the law's
+    `kernel_table` and `cdf_terms`, computed once per stage (a cost
+    `_CDF_KERNEL_SUM_FROM` weighs).  They hold for the whole stage, and a
+    row from u = 64 on spans it: `_kernel_cut` does not cut it, and
+    `converge_rows` builds each stage to its farthest row (a shorter one
+    would be summed as written).  The choice depends on the law and u
+    alone, and the tail bound is the same in both.
     """
-    masses, rho = law.masses, law.rho
-    u = y / law.beta1
-    p_past = float(sp.gammainc(rho + masses.shape[0], u))
-    if u < _CDF_KERNEL_SUM_FROM:
-        value = float(masses @ sp.gammainc(rho + np.arange(masses.shape[0], dtype=float), u))
-        total = float(masses.sum())
-    else:
+    masses, rho, beta1 = law.masses, law.rho, law.beta1
+    values, tails, p_pasts, high = [], [], [], []
+    shapes = rho + np.arange(max(sizes), dtype=float)
+    for i, (y, size) in enumerate(zip(ys, sizes)):
+        u = y / beta1
+        p_past = float(sp.gammainc(rho + size, u))
+        p_pasts.append(p_past)
+        tails.append(max(1.0 - law.prefix_total(size), 0.0) * p_past)
+        if u >= _CDF_KERNEL_SUM_FROM and size == masses.shape[0]:
+            high.append(i)
+            values.append(1.0)  # the kernel sums below replace it
+            continue
+        p = sp.gammainc(shapes[:size], u)
+        if rho < 1.0:
+            p[0] = _lower_gamma(rho, u)
+        values.append(min(float(masses[:size] @ p), 1.0))
+    if high:
         log_cum, log_past, total, mean_shape = law.cdf_terms
-        deviance = _saddle_deviance(law.kernel_table[0], y, law.beta1)
-        if u > mean_shape:
-            rest = float(np.exp(log_past - deviance).sum()) + total * float(sp.gammaincc(rho, u))
-            value = total - rest
-        else:
-            value = float(np.exp(log_cum - deviance).sum()) + total * p_past
-    return min(value, 1.0), max(1.0 - total, 0.0) * p_past
+        shapes = law.kernel_table[0]
+        ys_high = [ys[i] for i in high]
+        u = np.array(ys_high) / beta1
+        p_past = np.array([p_pasts[i] for i in high])
+        top = [float(shapes[-1])] * len(high)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for block in _blocks(len(high), shapes.shape[0]):
+                upper = u[block] > mean_shape
+                sums = np.exp(
+                    np.where(upper[:, None], log_past, log_cum)
+                    - _saddle_deviance(shapes, ys_high[block], beta1, top)
+                ).sum(axis=1)
+                part = np.where(
+                    upper,
+                    total - (sums + total * sp.gammaincc(rho, u[block])),
+                    sums + total * p_past[block],
+                )
+                for i, value in zip(high[block], part.tolist()):
+                    values[i] = min(value, 1.0)
+    return values, tails
+
+
+def mixture_rows(
+    quantity: str, law: WeightLaw, xs: list[float], sizes: list[int]
+) -> tuple[list[float], list[float]]:
+    """The mixture `quantity` ("density" or "cdf") at every point xs[i] > 0,
+    row i over the first sizes[i] masses of the stage `law`: the rows'
+    values and tail bounds, as two lists.
+
+    The kernel sums (the density's, and the CDF's from u = 64 on) are
+    taken for a block of rows at once (`_BLOCK_ENTRIES`): a rows x width
+    array of kernel terms over the stage's cached `kernel_table` (and
+    `cdf_terms`), which every row shares.  A row shorter than its block's
+    widest is reduced over its own prefix alone (`np.maximum.reduceat` /
+    `np.add.reduceat`), so a row is the same to the bit in any block as
+    alone.  Entries past a row's prefix, and rows of the far deviance
+    form, may overflow or meet inf - inf; they are computed and dropped,
+    so the blocks silence those warnings.  The rest of a row is a few
+    scalar steps, taken row by row: its tail bound, the density's scaling
+    and the CDF's sum below u = 64, whose one gammainc per mass outweighs
+    them.  So a one-row call (`mixture_point`) costs about what a per-point
+    sum did.
+    """
+    return (_cdf_rows if quantity == "cdf" else _density_rows)(law, xs, sizes)
+
+
+def mixture_density(law: WeightLaw, x: float) -> tuple[float, float]:
+    """The density's row (`mixture_rows`) at one x > 0 over the whole
+    stage `law`: its value and tail bound."""
+    values, tails = mixture_rows("density", law, [x], [law.masses.shape[0]])
+    return values[0], tails[0]
+
+
+def mixture_cdf(law: WeightLaw, y: float) -> tuple[float, float]:
+    """The CDF's row (`mixture_rows`) at one y > 0 over the whole stage
+    `law`: its value and tail bound."""
+    values, tails = mixture_rows("cdf", law, [y], [law.masses.shape[0]])
+    return values[0], tails[0]
+
+
+def _next_upto(size: int, last: int) -> int:
+    """The last index of the stage after one of `size` masses: 1.5 K + 64
+    at K = size - 1, capped at `last`."""
+    return min((size - 1) * 3 // 2 + 64, last)
+
+
+def converge_rows(
+    quantity: str, xs: Sequence[float], ctrl: SeriesControl, law: WeightLaw,
+    sizes: Sequence[int],
+) -> list[EvalResult]:
+    """The mixture `quantity` ("density" or "cdf") at every point xs[i] > 0,
+    starting over the first sizes[i] masses of `law`, each row run to
+    convergence.
+
+    While a row's tail bound exceeds rel_tol times its value, the row
+    moves to its next, longer stage, as `WeightLaw.extend` gives it: its
+    last index K grows to 1.5 K + 64, capped at ctrl.max_terms and at the
+    law's last index.  The rows that move are answered together over one
+    stage built to the farthest of them; each row's masses are a prefix of
+    it, the masses of its own stage, so every row is the same as alone.
+    terms_used is the size of the stage a row converged on.  When a row's
+    stage extends no further, an exact law (`NBSumLaw`) raises
+    ConvergenceError, that of the first such row in order, as a per-point
+    loop would; any other law, a fitted one at its table's end, answers
+    the row as it stands with its tail bound: the approximation's own
+    error dominates any truncation.
+    """
+    results: list[EvalResult] = [None] * len(xs)
+    last = min(ctrl.max_terms, law._last_index)
+    rows, row_xs, row_sizes = range(len(xs)), xs, sizes
+    failed: tuple[int, ConvergenceError] | None = None
+    while True:
+        values, tails = mixture_rows(quantity, law, row_xs, row_sizes)
+        moving = []
+        for row, size, value, tail in zip(rows, row_sizes, values, tails):
+            if tail <= ctrl.rel_tol * max(value, 5e-324):
+                results[row] = EvalResult(value, size, tail)
+            elif size <= last:
+                moving.append((row, size))
+            elif not isinstance(law, NBSumLaw):
+                results[row] = EvalResult(value, size, tail)
+            elif failed is None or row < failed[0]:
+                failed = row, ConvergenceError(
+                    f"{quantity} series not converged after {size} terms (remaining weight "
+                    f"mass {1.0 - float(law.masses[:size].sum()):.3e}, tail bound {tail:.3e})",
+                    terms_used=size, last_term=tail,
+                )
+        if failed is not None:
+            moving = [(row, size) for row, size in moving if row < failed[0]]
+        if not moving:
+            break
+        rows = [row for row, _ in moving]
+        row_xs = [xs[row] for row in rows]
+        row_sizes = [_next_upto(size, last) + 1 for _, size in moving]
+        law = law.stage(max(row_sizes) - 1)
+    if failed is not None:
+        raise failed[1]
+    return results
 
 
 def converge(quantity: str, x: float, ctrl: SeriesControl, law: WeightLaw) -> EvalResult:
-    """The mixture `quantity` ("density" or "cdf") at x > 0 over `law`.
+    """`converge_rows` at one point x > 0, starting over the whole stage `law`."""
+    return converge_rows(quantity, [x], ctrl, law, [law.masses.shape[0]])[0]
 
-    While the tail bound exceeds rel_tol times the value, the law is
-    replaced by law.extend(ctrl), its next, longer stage.  terms_used is
-    the size of the stage that converged.  When the law extends no
-    further, an exact law (`NBSumLaw`) raises ConvergenceError; any other
-    law, a fitted one at its table's end, is answered as it stands with
-    its tail bound: the approximation's own error dominates any
-    truncation.
-    """
-    mixture = mixture_cdf if quantity == "cdf" else mixture_density
-    while True:
-        value, tail = mixture(law, x)
-        size = law.masses.shape[0]
-        if tail <= ctrl.rel_tol * max(value, 5e-324):
-            return EvalResult(value, size, tail)
-        longer = law.extend(ctrl)
-        if longer is None:
-            if not isinstance(law, NBSumLaw):
-                return EvalResult(value, size, tail)
-            raise ConvergenceError(
-                f"{quantity} series not converged after {size} terms (remaining weight "
-                f"mass {1.0 - float(law.masses.sum()):.3e}, tail bound {tail:.3e})",
-                terms_used=size, last_term=tail,
-            )
-        law = longer
+
+class Answers(dict):
+    """The results of a request's points, by point, as `evaluate` computes
+    them.  Passed to a route's per-point function as `weights`, it makes
+    that call return the point's result, so a request still calls the
+    function once per point: the function `lookup` reads off its module,
+    which a test or tracer may have replaced."""
 
 
 def mixture_point(
     quantity: str, spec: ConvolutionSpec, x: float, ctrl: SeriesControl,
-    weights: WeightLaw | None, first_law: Callable[..., WeightLaw], cut: bool = False,
+    weights: WeightLaw | Answers | None, first_law: Callable[..., WeightLaw],
+    cut: bool = False,
 ) -> EvalResult:
-    """The per-point body of every weight-law route: the entry check, then
-    the mixture `quantity` at x over `weights`, or where that is None over
-    first_law(spec, ctrl) of the canonical spec, run to convergence.
+    """The per-point body of every weight-law route: the point's result
+    where `weights` holds the request's `Answers`; otherwise the entry
+    check, then the mixture `quantity` at x over `weights`, or where that
+    is None over first_law(spec, ctrl) of the canonical spec, run to
+    convergence as the one-row case of `converge_rows`.
 
     With `cut` (the nbsum density and the CDF routes over a weight law)
-    the first stage ends at the point's `_kernel_cut` where that is
-    shorter: first_law takes it as `upto`, and `weights` is sliced to it.
-    A law's stage is a prefix of every longer one, so both give the same
-    stage.  Before slicing for a density, the shared law's
-    `kernel_table` is computed, and the slice takes it as views.
+    the row starts over the stage that ends at the point's `_kernel_cut`
+    where that is shorter: first_law takes it as `upto`, and over
+    `weights` the row takes that prefix.  A law's stage is a prefix of
+    every longer one, so both give the same stage.
     """
+    if isinstance(weights, Answers):
+        return weights[x]
     spec, done = check_point(spec, x, quantity)
     if done is not None:
         return done
     upto = _kernel_cut(spec, x, quantity) if cut else math.inf
     if weights is None:
         weights = first_law(spec, ctrl, upto=upto) if cut else first_law(spec, ctrl)
-    if upto < weights.masses.shape[0] - 1:
-        if quantity == "density":
-            weights.kernel_table
-        weights = weights.stage(upto)
-    return converge(quantity, x, ctrl, weights)
+    size = min(upto + 1, weights.masses.shape[0])
+    return converge_rows(quantity, [x], ctrl, weights, [size])[0]
 
 
 def nbsum_density(
@@ -618,7 +804,8 @@ class Method(NamedTuple):
     builder of the law its per-point function takes as `weights` (and
     builds for itself when called without one): density_law /
     cdf_law(spec, ctrl).  Every per-point function with a `WeightLaw`
-    runs `mixture_point`; for the mathai density at n >= 3 the law is a
+    runs `mixture_point`, and `evaluate` answers its points as rows over
+    one law (`converge_rows`); for the mathai density at n >= 3 the law is a
     `mathai.ShellTable`, the series' x-free shells.  `cuts` names the
     quantities whose per-point function cuts its first stage at the
     point's kernel (the nbsum density, and every CDF over a weight law:
@@ -732,33 +919,43 @@ def evaluate(
 ) -> list[EvalResult]:
     """`quantity` ("density" or "cdf") of `spec` at every point, in order.
 
-    Every point passes the entry check first, so a bad point raises
-    before any work.  `method` is a name or "auto", resolved for the
-    canonical spec, quantity and points by `lookup`.  Where the weight law
-    does not depend on the point (the moschopoulos and nbsum series, the
-    approximation, the mathai CDF) its first stage is built once and
-    handed to the per-point function at each point as `weights`; a point
-    that needs more terms extends it for itself, so each result equals the
-    per-point call on that point alone.  Where the route cuts each point's
-    stage at its kernel (`Method.cuts`: the nbsum density and the CDFs
-    over a weight law) the shared stage is built only to the farthest point's cut, the
-    one at the largest point; a CDF with a point from u = 64 on gets the
-    whole first stage.  For the mathai density at n >= 3 the law is a
-    shell table (`mathai.ShellTable`), grown in place as the points need.
-    The n = 2 mathai density (a closed 1F1 form) runs per point.  `ctrl`
-    defaults to the method's own control.
+    Every point passes the entry check once, first, so a bad point raises
+    before any weight law is built.  `method` is a name or "auto",
+    resolved for the canonical spec, quantity and points by `lookup`.
+    Where the weight law does not depend on the point (the moschopoulos
+    and nbsum series, the approximation, the mathai CDF) the request runs
+    as rows: its first stage is built once, and `converge_rows` answers
+    every point that the entry check leaves open over it, in blocks of
+    rows, moving the rows that need more terms to longer stages together.
+    Each row is the mixture over its own stage, so each result equals the
+    per-point call on that point alone, bit for bit.  Where the route cuts
+    each point's stage at its kernel (`Method.cuts`: the nbsum density and
+    the CDFs over a weight law) a row starts over its prefix to the
+    point's cut, and the shared stage is built only to the farthest cut,
+    the one at the largest point; a CDF with a point from u = 64 on gets
+    the whole first stage.  The route's per-point function is still called
+    at every point, with the request's `Answers` as `weights`.  The mathai
+    densities run per point: at n >= 3 over one shell table
+    (`mathai.ShellTable`), grown in place as the points need; at n = 2
+    (a closed 1F1 form) alone.  `ctrl` defaults to the method's own
+    control.
     """
     spec = canonicalize(spec)
     xs = [float(x) for x in points]
     chosen = lookup(method, spec, quantity, xs)
     ctrl = chosen.control if ctrl is None else ctrl
-    open_points = [check_point(spec, x, quantity)[1] is None for x in xs]
+    settled = [check_point(spec, x, quantity)[1] for x in xs]
     fn = getattr(chosen, quantity)
     build = getattr(chosen, f"{quantity}_law")
-    if build is None or not any(open_points):
+    open_xs = [x for x, done in zip(xs, settled) if done is None]
+    if build is None or not open_xs:
         return [fn(spec, x, ctrl) for x in xs]
-    if quantity in chosen.cuts:
-        law = build(spec, ctrl, upto=_kernel_cut(spec, max(xs), quantity))
-    else:
-        law = build(spec, ctrl)
-    return [fn(spec, x, ctrl, weights=law) for x in xs]
+    cuts = [_kernel_cut(spec, x, quantity) for x in open_xs] if quantity in chosen.cuts else None
+    law = build(spec, ctrl, upto=max(cuts)) if cuts else build(spec, ctrl)
+    if not isinstance(law, WeightLaw):
+        return [fn(spec, x, ctrl, weights=law) for x in xs]
+    size = law.masses.shape[0]
+    sizes = [min(cut + 1, size) for cut in cuts] if cuts else [size] * len(open_xs)
+    rows = iter(converge_rows(quantity, open_xs, ctrl, law, sizes))
+    answers = Answers((x, next(rows) if done is None else done) for x, done in zip(xs, settled))
+    return [fn(spec, x, ctrl, weights=answers) for x in xs]

@@ -83,7 +83,7 @@ class ConvolutionSpec:
     def scales(self) -> np.ndarray:
         return np.array([c.scale for c in self.components])
 
-    @property
+    @functools.cached_property
     def total_shape(self) -> float:
         """Sum of shapes (gamma / rho in the series representations)."""
         return float(sum(c.shape for c in self.components))

@@ -144,12 +144,13 @@ def density(
     Stops once a bound on the remaining weight mass times the maximum
     achievable kernel value falls below rel_tol relative to the partial
     sum.  Pass a prebuilt law as `weights` (a `build_weights` snapshot) to
-    amortize the recursion across calls (`methods.evaluate` does, once per
-    request).  Unlike `cdf` and `methods.nbsum_density`, the first stage is
-    not cut at the point: this is the paper's per-point series, whose cost
-    the acceptance tests bracket from below against `mathai.density2` on
-    the (alpha = 20, scales 4/0.3) bulk grid, where a cut stage would make
-    it about 1.8x cheaper.
+    amortize the recursion across calls (`methods.evaluate` builds one per
+    request and answers its points as rows over it).  Unlike `cdf` and
+    `methods.nbsum_density`, the first stage is not cut at the point:
+    this is the paper's per-point series, whose cost the acceptance tests
+    bracket from below against `mathai.density2` on the (alpha = 20,
+    scales 4/0.3) bulk grid, where a cut stage would make it about 1.8x
+    cheaper.
     """
     return mixture_point("density", spec, x, ctrl, weights, first_weights)
 
@@ -163,11 +164,11 @@ def cdf(
     """CDF F(y) = C sum_k delta_k G(y; rho + k, b1) with a rigorous tail.
 
     tail_bound = (1 - C sum_{k<=K} delta_k) G(y/b1; rho + K + 1), valid
-    since G decreases in the shape argument.  `methods.mixture_cdf` sums
+    since G decreases in the shape argument.  `methods.mixture_rows` sums
     the series, from y/b1 = 64 up as kernel sums with one incomplete-gamma
     value in place of one per weight; the terms and the bound are the
-    same either way.  Below y/b1 = 64 the first stage, built or sliced
-    from `weights`, ends where the point's kernel dies
+    same either way.  Below y/b1 = 64 the first stage, built or taken as
+    a prefix of `weights`, ends where the point's kernel dies
     (`methods.mixture_point`), and the recursion runs on from there only
     if the tail bound asks for it.
     """

@@ -455,6 +455,7 @@ def test_criterion_7_approximation_accuracy(capsys):
     assert not failures, "; ".join(failures)
 
 
+@pytest.mark.timing
 def test_criterion_8_timing_rankings(capsys):
     reps = 7
     # (a) n = 2 density: closed-form method faster everywhere, >= 50x on

@@ -21,7 +21,7 @@ from scipy import stats
 
 import gammaconv
 from gammaconv import barnabani, bench, cli, mathai, methods, moschopoulos
-from gammaconv.errors import ConvergenceError, DomainError, GammaConvError
+from gammaconv.errors import ConvergenceError, DomainError, FitFailureError, GammaConvError
 from gammaconv.model import ConvolutionSpec, EvalResult, canonicalize
 from gammaconv.specfun import DEFAULT_CONTROL, SeriesControl
 
@@ -225,7 +225,8 @@ class TestMixture:
     # Total shape 3e-20: the exact law's tail bound takes its t at the
     # edge 1/r of the generating function's domain, where it once raised a
     # bare ValueError.  The exact values stay within rounding of the 40-digit
-    # sum: rel_tol bounds truncation only, and scipy's gammainc(3e-20, 1) is
+    # sum: rel_tol bounds truncation only.  At y = 1 the CDF is within 1e-15:
+    # its shape-rho term is 1 - Q there, as scipy's gammainc(3e-20, 1) is
     # itself 3e-15 below its value.  The approximation keeps criterion 7's
     # envelope to x = 1, which its table holds only if cut by the masses past
     # k = 0 (the k = 0 kernel carries a factor of about 3e-20); at x = 100
@@ -246,6 +247,19 @@ class TestMixture:
             assert result == methods.evaluate(method, quantity, spec, [x])[0]
             want = mp_tiny_series(quantity, x)
             assert rel_err(result.value, want) <= (5e-14 if exact else 5e-2)
+            if exact and quantity == "cdf" and x == 1.0:
+                assert abs(result.value - want) <= 1e-15
+
+    @pytest.mark.parametrize("shape, u", [(1e-20, 1.0), (1e-20, 5.0), (0.3, 2.0), (0.9, 3.0)])
+    def test_single_component_cdf_at_a_small_shape(self, shape, u):
+        # The entry check's own CDF: below shape 1, where P > 1/2, as 1 - Q
+        # (scipy's gammainc(1e-20, 1) is 5.6e-16 below its value).
+        spec = ConvolutionSpec.of((shape, 2.0))
+        with mp.workdps(40):
+            want = mp.gammainc(mp.mpf(shape), 0, mp.mpf(u), regularized=True)
+        for method in methods.METHODS:
+            got = methods.lookup(method, canonicalize(spec)).cdf(spec, 2.0 * u).value
+            assert abs(mp.mpf(got) - want) <= 4e-16 * want
 
     def test_cli_answers_a_tiny_total_shape(self, capsys):
         code = cli.main(["eval", "density", "--shape", "1e-20,1e-20,1e-20",
@@ -568,6 +582,81 @@ class TestEvaluate:
             got = methods.evaluate("nbsum", quantity, spec, grid)
             want = methods.evaluate("moschopoulos", quantity, spec, grid)
             assert max(rel_err(g.value, w.value) for g, w in zip(got, want)) <= 1e-12
+
+    def test_rows_equal_per_point_calls_on_seeded_specs(self):
+        # Seeded specs of two to five components, and points that reach every
+        # branch of a row: x = 0, u = y/b1 just below and above 64 (the
+        # gammainc sum and the kernel sums), the deep left tail, the bulk and
+        # right-tail points whose stage extends.  Every row must equal the
+        # per-point call on its point alone, as a whole EvalResult.  One
+        # spec merges into a single component, settled by the entry check;
+        # in another the law's mass sits far past k = 0 (C is about e^-80),
+        # so left-tail rows cut at their kernel extend too.
+        routes = [("moschopoulos", "density"), ("moschopoulos", "cdf"), ("nbsum", "density"),
+                  ("nbsum", "cdf"), ("approx", "density"), ("approx", "cdf"), ("mathai", "cdf")]
+        seen = set()
+        specs = [canonicalize(random_spec(random.Random(4100 + n), n, shape_hi=30.0))
+                 for n in (2, 3, 4, 5)]
+        specs.append(canonicalize(ConvolutionSpec.of((1.0, 1.5), (1.5, 1.5))))
+        specs.append(canonicalize(ConvolutionSpec.of((2.0, 1.0), (20.0, 10.0), (10.0, 30.0))))
+        for spec in specs:
+            b1 = float(spec.scales[0])
+            mean = float(spec.shapes @ spec.scales)
+            sd = math.sqrt(float(spec.shapes @ spec.scales**2))
+            points = [0.0, 63.9 * b1, 64.1 * b1, 1e-4 * mean, 0.05 * mean, 0.3 * mean,
+                      max(mean - 2.0 * sd, 0.5 * mean), mean, mean + 4.0 * sd,
+                      mean + 12.0 * sd, mean + 30.0 * sd]
+            random.Random(len(spec)).shuffle(points)
+            for method, quantity in routes:
+                chosen = methods.lookup(method, spec)
+                try:
+                    want = [getattr(chosen, quantity)(spec, x) for x in points]
+                except FitFailureError:
+                    with pytest.raises(FitFailureError):
+                        methods.evaluate(method, quantity, spec, points)
+                    seen.add("fit failure")
+                    continue
+                rows = methods.evaluate(method, quantity, spec, points)
+                assert rows == want
+                if len(spec) == 1:
+                    continue
+                first = getattr(chosen, f"{quantity}_law")(spec, chosen.control).masses.shape[0]
+                for row in rows:
+                    if row.terms_used > first:
+                        seen.add(f"{quantity} extended")
+                    if method == "approx" and row.terms_used == first and (
+                            row.tail_bound > chosen.control.rel_tol * row.value):
+                        seen.add("fitted law at its table's end")
+        assert seen == {"density extended", "cdf extended", "fit failure",
+                        "fitted law at its table's end"}
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    def test_bad_point_anywhere_raises_before_any_law_is_built(self, monkeypatch, bad):
+        builds = []
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def build(*args, **kwargs):
+                builds.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, build)
+
+        for module, name in ((methods, "nb_sum_law"), (moschopoulos, "build_weights"),
+                             (barnabani, "approx_law"), (mathai, "ShellTable")):
+            counted(module, name)
+        for spec in (SPEC2, SPEC3):
+            for position in range(4):
+                points = [1.0, 2.0, 3.0, 4.0]
+                points[position] = bad
+                for method in methods.METHODS + ("auto",):
+                    for quantity in ("density", "cdf"):
+                        with pytest.raises(DomainError):
+                            methods.evaluate(method, quantity, spec, points)
+        assert builds == []
+        methods.evaluate("nbsum", "cdf", SPEC3, [1.0, 2.0])
+        assert builds == ["nb_sum_law"]
 
     def test_cut_density_rows_equal_per_point_calls(self):
         # C = prod (b1/b_i)^a_i is about e^-80 here, so the law's mass sits

@@ -230,4 +230,4 @@ class TestDensityAndCdf:
         past = np.cumsum(masses[::-1])[::-1]  # past[k]: mass at indices >= k
         for k in range(10, 2500, 23):
             if past[k] > 1e-300:
-                assert past[k] <= math.exp(NBSumLaw(masses[:k], spec).log_mass_past)
+                assert past[k] <= math.exp(NBSumLaw(masses[:k], spec).log_mass_past(k))
