@@ -279,6 +279,15 @@ def _cmd_selftest() -> int:
         rows == calls,
         f"worst |diff| {worst:.3e}",
     )
+    ys = [0.8 * k for k in range(1, 21)]  # u = y/0.2 from 4 to 80
+    rows = methods.evaluate("moschopoulos", "cdf", spec3, ys)
+    calls = [moschopoulos.cdf(spec3, y) for y in ys]
+    worst = max(abs(r.value - c.value) for r, c in zip(rows, calls))
+    check(
+        "20-point evaluate equals per-point moschopoulos CDF across u = 64",
+        rows == calls,
+        f"worst |diff| {worst:.3e}",
+    )
     auto = methods.evaluate("auto", "density", spec3, xs)
     worst = max(abs(s.value - a.value) / a.value for s, a in zip(auto, alone))
     check(
@@ -287,7 +296,9 @@ def _cmd_selftest() -> int:
         f"worst rel diff from moschopoulos {worst:.3e}, tol 1e-12",
     )
     full_law = methods.nb_sum_law(canonicalize(spec3), DEFAULT_CONTROL)
-    full = [methods.converge("density", x, DEFAULT_CONTROL, full_law) for x in xs]
+    full = methods.converge_rows(
+        "density", xs, DEFAULT_CONTROL, full_law, [full_law.masses.shape[0]] * len(xs)
+    )
     cut = [methods.nbsum_density(spec3, x) for x in xs]
     worst = max(abs(c.value - f.value) / f.value for c, f in zip(cut, full))
     check(

@@ -7,9 +7,10 @@ x-free log-sums (`ShellTable`) are built once, for one point or many,
 and each point then sums base_r + r log x.  The one CDF, `cdf_n`, serves
 every n: it integrates the same series term by term, which turns the
 shell weights into the masses of a sum of negative binomials (at n = 2,
-one negative binomial) with total mass exactly one, an incomplete-gamma
-series with a rigorous truncation bound: the nbsum route's CDF
-(`methods.nbsum_cdf`).
+one negative binomial) with total mass exactly one: a mixture of
+incomplete-gamma functions with a rigorous truncation bound, summed by
+parts from one incomplete-gamma value a point (`methods.mixture_rows`).
+That is the nbsum route's CDF (`methods.nbsum_cdf`).
 """
 
 from __future__ import annotations
@@ -257,13 +258,13 @@ def cdf_n(
     the law `methods.nb_sum_law` builds.  This is `methods.nbsum_cdf`,
     at CONTROL_N for n >= 3 by default.  The reported tail bound is
     (1 - sum W) G(y/b1; gamma + R + 1); terms_used counts the shell
-    weights W_0..W_R.  `methods.mixture_rows` sums the series, from
-    y/b1 = 64 up as kernel sums with one incomplete-gamma value; the terms
-    and the bound are the same either way.  Pass a prebuilt law as
-    `weights` to share it across calls.  Below y/b1 = 64 the first stage,
-    built or taken as a prefix of `weights`, ends where the point's kernel
-    dies (`methods.mixture_point`) and is extended only if the tail bound
-    asks for it.
+    weights W_0..W_R.  `methods.mixture_rows` sums the series by parts:
+    kernel sums over the cumulative weights plus G(y/b1; gamma + R + 1)
+    itself, the one incomplete-gamma value, which the bound takes too.
+    Pass a prebuilt law as `weights` to share it across calls.  Below
+    y/b1 = 64 the first stage, built or taken as a prefix of `weights`,
+    ends where the point's kernel dies (`methods.mixture_point`) and is
+    extended only if the tail bound asks for it.
     """
     if ctrl is None:
         ctrl = DEFAULT_CONTROL if len(canonicalize(spec)) <= 2 else CONTROL_N

@@ -36,10 +36,7 @@ __all__ = [
     "nb_sum_law",
     "poisson_masses",
     "mixture_rows",
-    "mixture_density",
-    "mixture_cdf",
     "converge_rows",
-    "converge",
     "Answers",
     "mixture_point",
     "nbsum_density",
@@ -83,6 +80,16 @@ def check_point(
     return spec, None
 
 
+def _lower_gamma(a: float, u: float) -> float:
+    """P(a, u), the regularized lower incomplete gamma function.  For a < 1
+    where P exceeds 1/2 it is taken as 1 - Q(a, u): there scipy's P loses
+    several ulps of 1 at tiny a (P(3e-20, 1) comes out 1 - 3.2e-15), while
+    1 - Q is within 1.4e-18.  From a = 1 on P is the closer (at a = 1.5,
+    1 - Q is 2.0e-15 off, P 1.7e-16)."""
+    p = float(sp.gammainc(a, u))
+    return 1.0 - float(sp.gammaincc(a, u)) if a < 1.0 and p > 0.5 else p
+
+
 def log_gamma_pdf(x: float, shape: float, scale: float) -> float:
     """log of the gamma density g(x; shape, scale) at x > 0."""
     return (
@@ -118,10 +125,10 @@ class WeightLaw:
     default the masses given): `stage` slices it, `extend` gives None at
     its end, and the mass a stage leaves out is taken as 1 - sum(masses).
     The exact law (`NBSumLaw`) builds its stages past its masses instead.
-    Both mixture sums (`mixture_rows`) read the stage's cached
-    `kernel_table`, a row over a shorter prefix the prefix of it, and
-    `prefix_total` and `log_mass_past` at the row's size; the CDF's kernel
-    sums also `cdf_terms`, which hold for the whole stage alone.
+    The mixture sums (`mixture_rows`) read the stage's cached x-free
+    tables (`kernel_table`, and from u = 64 on the CDF's
+    `log_cdf_weights`), a row over a shorter prefix the prefix of them,
+    and `prefix_total` and `log_mass_past` at the row's size.
     """
 
     def __init__(
@@ -183,27 +190,17 @@ class WeightLaw:
             return shapes, log_c, np.log(self.masses) + log_c + np.log(shapes)
 
     @cached_property
-    def cdf_terms(self) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """What the CDF's kernel sums (`mixture_rows`) add to `kernel_table`:
-        log W_m and log S_m plus log c_a, W_m the masses up to index m and S_m
-        those past it, summed from the tail; sum(masses); and the mean
-        shape."""
-        masses = self.masses
-        shapes, log_c, _ = self.kernel_table
-        past = np.append(np.cumsum(masses[:0:-1])[::-1], 0.0)
-        total = self.total
-        mean_shape = float(shapes @ masses) / total if total > 0.0 else math.inf
+    def log_cdf_weights(self) -> np.ndarray:
+        """log W_m + log c_a, W_m the masses up to index m and c_a as in
+        `kernel_table`: the x-free part of the CDF's saddle-point kernel
+        terms (`_saddle_terms`).  W_m is a running sum, the same in every
+        prefix."""
         with np.errstate(divide="ignore"):
-            log_cum, log_past = np.log(np.cumsum(masses)), np.log(past)
-        return log_c + log_cum, log_c + log_past, total, mean_shape
+            return self.kernel_table[1] + np.log(np.cumsum(self.masses))
 
 
-#: Size from which `_nb_masses` takes the whole log-mass from its grouped
-#: Stirling form: there lgamma(a) alone exceeds 200, and the plain form's
-#: rounding of a log q - lgamma(a) + lgamma(a + k) passes 3e-14.  Below
-#: it the plain form stays: it costs 15-70 us per pmf of 60-1000 terms
-#: against 250-420 us, and the raw renewal routes build hundreds of small
-#: NB pmfs per query.
+#: Size from which `_nb_masses` takes its grouped Stirling form: past it the
+#: plain form's rounding passes 3e-14, below it the plain form is far cheaper.
 _NB_GROUPED_FROM = 64.0
 
 
@@ -514,28 +511,27 @@ def _density_rows(
     return values, tails
 
 
-#: u = y/b1 from which `mixture_rows` takes a CDF row's kernel sums in
-#: place of one gammainc per mass.  Measured per point on NB-sum laws of
-#: K = 36-970 masses at u = 8-1024: the gammainc sum costs 14-230 us
-#: (75-310 ns per mass, more as u grows), the kernel sums 12-38 us, so on
-#: a law shared by many points they win at every u measured; no size
-#: condition on K pays.  What decides is their x-free parts, 63-114 us
-#: once per law: a law used at one point (a per-point call, or the renewal
-#: routes' one law per composition) loses below K of about 300.  The
-#: renewal routes stay at u <= 34 (t = 10, scales >= 0.3), so below 64 the
-#: sum stays as written, and there a route's stage starts no longer than
-#: the point's kernel needs (`_kernel_cut`).
+#: u = y/b1 from which a CDF row's kernels come from the stage's shared
+#: saddle-point tables; below it from one anchor a row, so that a law used at
+#: one point (a per-point call, a renewal composition) builds no table.
 _CDF_KERNEL_SUM_FROM = 64.0
 
 
-def _lower_gamma(a: float, u: float) -> float:
-    """P(a, u), the regularized lower incomplete gamma function.  For a < 1
-    where P exceeds 1/2 it is taken as 1 - Q(a, u): there scipy's P loses
-    several ulps of 1 at tiny a (P(3e-20, 1) comes out 1 - 3.2e-15), while
-    1 - Q is within 1.4e-18.  From a = 1 on P is the closer (at a = 1.5,
-    1 - Q is 2.0e-15 off, P 1.7e-16)."""
-    p = float(sp.gammainc(a, u))
-    return 1.0 - float(sp.gammaincc(a, u)) if a < 1.0 and p > 0.5 else p
+def _anchor_kernel(rho: float, u: float) -> float:
+    """k_rho(u) = e^-u u^rho / Gamma(rho + 1) at 0 < u < 64.  Up to rho =
+    170 as written, to a few ulps: u^rho stays below 64^170 < 2^1021 and
+    Gamma(rho + 1) finite, and where u^rho underflows so does the kernel.
+    From rho = 1 on Gamma(rho + 1) is taken as rho Gamma(rho): rho + 1
+    rounds off low bits of rho, an error Gamma magnifies by digamma(rho + 1)
+    (up to 6.9e-14 over rho = 1-170).  Past rho = 170 the kernel, below e^-60
+    there, is taken in the saddle-point form c_rho e^-D(rho, u)
+    (`_saddle_deviance`)."""
+    if rho <= 170.0:
+        gamma = math.gamma(rho + 1.0) if rho < 1.0 else rho * math.gamma(rho)
+        return math.exp(-u) * u**rho / gamma
+    shape = np.array([rho])
+    log_c = -_stirling_error(shape) - 0.5 * np.log(2.0 * math.pi * shape)
+    return float(np.exp(log_c - _deviance(shape, u))[0])
 
 
 def _kernel_cut(spec: ConvolutionSpec, x: float, quantity: str) -> float:
@@ -552,8 +548,9 @@ def _kernel_cut(spec: ConvolutionSpec, x: float, quantity: str) -> float:
     value far below that: deep in the left tail, or a law whose mass sits
     far past the point) is extended by `converge_rows`.  From
     `_CDF_KERNEL_SUM_FROM` on, the CDF rows of a grid share one stage and
-    its cached `cdf_terms`, so that stage is not cut.  The cut grows with
-    x, so a request's farthest point has its farthest cut."""
+    its x-free tables (`WeightLaw.log_cdf_weights`), so that stage is not
+    cut.  The cut grows with x, so a request's farthest point has its
+    farthest cut."""
     u = x / spec.components[0].scale
     if not 0.0 <= u < (_CDF_KERNEL_SUM_FROM if quantity == "cdf" else math.inf):
         return math.inf
@@ -567,70 +564,83 @@ def _cdf_rows(
     sizes[i] masses, clamped to 1, and its tail bound.
 
     P is the regularized lower incomplete gamma function.  It decreases in
-    the shape, so the left-out mass times P(rho + K, u) bounds the terms
-    past a row's last index K - 1.  The left-out mass is taken as
+    the shape, so the left-out mass times P(rho + L, u) bounds the terms
+    past a row of L masses.  The left-out mass is taken as
     1 - sum(masses): P <= 1, so where that rounds to zero the terms it
     misses are below the double spacing at the value.
 
-    Below u = `_CDF_KERNEL_SUM_FROM` a row is the sum as written, one
-    gammainc per mass (the shape-rho term by `_lower_gamma`).  From it on,
-    the recurrence P(a, u) = P(a + 1, u) + k_a(u), with
-    k_a(u) = e^-u u^a / Gamma(a + 1), turns the same sum into kernel sums
-    with x-free weights and one incomplete-gamma value (W_m the masses up
-    to m, S_m those past it, W = sum(masses)):
+    The recurrence P(a, u) = P(a + 1, u) + k_a(u), with
+    k_a(u) = e^-u u^a / Gamma(a + 1) (DLMF 8.8.5), turns every row into
+    one form of non-negative terms,
 
-        lower:  sum_m W_m k_(rho+m)(u) + W P(rho + K, u)
-        upper:  W - [sum_m S_m k_(rho+m)(u) + W Q(rho, u)]
+        sum_(m<L) W_m k_(rho+m)(u) + W_(L-1) P(rho + L, u),
 
-    All their terms are non-negative.  The upper form, whose bracket is
-    W - F to relative accuracy, is taken where u is above the law's mean
-    shape, the lower one elsewhere; a row takes only its own.  k_a(u) is
-    the density's kernel (`_saddle_deviance`), its x-free parts the law's
-    `kernel_table` and `cdf_terms`, computed once per stage (a cost
-    `_CDF_KERNEL_SUM_FROM` weighs).  They hold for the whole stage, and a
-    row from u = 64 on spans it: `_kernel_cut` does not cut it, and
-    `converge_rows` builds each stage to its farthest row (a shorter one
-    would be summed as written).  The choice depends on the law and u
-    alone, and the tail bound is the same in both.
+    W_m the masses up to index m, a running sum and so the same in every
+    prefix, and P(rho + L, u) and W_(L-1) the tail bound's own values
+    (W_(L-1) summed as np.sum sums, the closer rounding).  Below u =
+    `_CDF_KERNEL_SUM_FROM` a row takes its kernels from one anchor
+    k_rho(u) (`_anchor_kernel`) times the running product of u/(rho + m)
+    and sums them as one dot product with W (`_anchor_tables`), so a law
+    used at one point builds no x-free table.  From it on a block of rows
+    takes the stage's saddle-point kernels (`_saddle_terms`), each row
+    summed over its own prefix (`_row_bounds`).  Either way a row is the
+    same to the bit in any call as alone, so rows of any length share one
+    stage.
     """
-    masses, rho, beta1 = law.masses, law.rho, law.beta1
-    values, tails, p_pasts, high = [], [], [], []
-    shapes = rho + np.arange(max(sizes), dtype=float)
+    rho, beta1 = law.rho, law.beta1
+    values, tails, low, high = [], [], [], []
     for i, (y, size) in enumerate(zip(ys, sizes)):
         u = y / beta1
-        p_past = float(sp.gammainc(rho + size, u))
-        p_pasts.append(p_past)
-        tails.append(max(1.0 - law.prefix_total(size), 0.0) * p_past)
-        if u >= _CDF_KERNEL_SUM_FROM and size == masses.shape[0]:
-            high.append(i)
-            values.append(1.0)  # the kernel sums below replace it
-            continue
-        p = sp.gammainc(shapes[:size], u)
-        if rho < 1.0:
-            p[0] = _lower_gamma(rho, u)
-        values.append(min(float(masses[:size] @ p), 1.0))
-    if high:
-        log_cum, log_past, total, mean_shape = law.cdf_terms
-        shapes = law.kernel_table[0]
-        ys_high = [ys[i] for i in high]
-        u = np.array(ys_high) / beta1
-        p_past = np.array([p_pasts[i] for i in high])
-        top = [float(shapes[-1])] * len(high)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for block in _blocks(len(high), shapes.shape[0]):
-                upper = u[block] > mean_shape
-                sums = np.exp(
-                    np.where(upper[:, None], log_past, log_cum)
-                    - _saddle_deviance(shapes, ys_high[block], beta1, top)
-                ).sum(axis=1)
-                part = np.where(
-                    upper,
-                    total - (sums + total * sp.gammaincc(rho, u[block])),
-                    sums + total * p_past[block],
-                )
-                for i, value in zip(high[block], part.tolist()):
-                    values[i] = min(value, 1.0)
+        p_past, total = float(sp.gammainc(rho + size, u)), law.prefix_total(size)
+        tails.append(max(1.0 - total, 0.0) * p_past)
+        values.append(total * p_past)
+        (low if u < _CDF_KERNEL_SUM_FROM else high).append(i)
+    if low:
+        shapes, cumulative = _anchor_tables(law, max([sizes[i] for i in low]))
+        for i in low:
+            u, size = ys[i] / beta1, sizes[i]
+            kernels = np.empty(size)
+            kernels[0] = _anchor_kernel(rho, u)
+            np.divide(u, shapes[: size - 1], out=kernels[1:])
+            np.multiply.accumulate(kernels, out=kernels)
+            values[i] = min(float(kernels @ cumulative[:size]) + values[i], 1.0)
+    high_sizes = [sizes[i] for i in high]
+    for block in _blocks(len(high), max(high_sizes)) if high else ():
+        rows, size = high[block], high_sizes[block]
+        terms = _saddle_terms(law, [ys[i] for i in rows], size)
+        bounds, own = _row_bounds(size, terms.shape[1])
+        for i, total in zip(rows, np.add.reduceat(terms.ravel(), bounds)[own].tolist()):
+            values[i] = min(total + values[i], 1.0)
     return values, tails
+
+
+def _anchor_tables(law: WeightLaw, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """What a call's CDF rows below u = 64 share over the stage's first
+    `width` masses: the shapes rho + m at 0 < m < width, and W_m at
+    m < width (a running sum, the same in every prefix).
+
+    rho + m is taken as n (1 + f/n), n = floor(rho) + m and f the fraction
+    of rho.  Rounded as n + f, the shapes of one binade would all lose the
+    same low bits of f, an error that the kernels' cumulative product
+    repeats term after term (3.6e-15 after 100 terms at rho = 7.77,
+    against 4e-16)."""
+    whole = float(math.floor(law.rho))
+    shapes = whole + np.arange(1.0, width)
+    if law.rho > whole:
+        shapes *= 1.0 + (law.rho - whole) / shapes
+    return shapes, np.add.accumulate(law.masses[:width])
+
+
+def _saddle_terms(law: WeightLaw, ys: list[float], sizes: list[int]) -> np.ndarray:
+    """W_m k_(rho+m)(u) from u = 64 on, a row per point y = u b1 and a
+    column per m < max(sizes): the saddle-point kernels
+    (`_saddle_deviance`) over the stage's `log_cdf_weights`.  Entries past
+    a row's prefix may overflow or meet inf - inf; the caller drops them."""
+    width = max(sizes)
+    shapes = law.kernel_table[0][:width]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        deviance = _saddle_deviance(shapes, ys, law.beta1, [law.rho + (n - 1) for n in sizes])
+        return np.exp(law.log_cdf_weights[:width] - deviance)
 
 
 def mixture_rows(
@@ -640,35 +650,22 @@ def mixture_rows(
     row i over the first sizes[i] masses of the stage `law`: the rows'
     values and tail bounds, as two lists.
 
-    The kernel sums (the density's, and the CDF's from u = 64 on) are
+    The kernel sums, the density's and, from u = 64 on, the CDF's, are
     taken for a block of rows at once (`_BLOCK_ENTRIES`): a rows x width
-    array of kernel terms over the stage's cached `kernel_table` (and
-    `cdf_terms`), which every row shares.  A row shorter than its block's
+    array of kernel terms over the stage's cached x-free tables, which
+    every row shares.  (Below u = 64 a CDF row is a few numpy calls of
+    its own, from one anchor kernel.)  A row shorter than its block's
     widest is reduced over its own prefix alone (`np.maximum.reduceat` /
     `np.add.reduceat`), so a row is the same to the bit in any block as
     alone.  Entries past a row's prefix, and rows of the far deviance
     form, may overflow or meet inf - inf; they are computed and dropped,
-    so the blocks silence those warnings.  The rest of a row is a few
-    scalar steps, taken row by row: its tail bound, the density's scaling
-    and the CDF's sum below u = 64, whose one gammainc per mass outweighs
-    them.  So a one-row call (`mixture_point`) costs about what a per-point
-    sum did.
+    so the saddle-point blocks silence those warnings.  The rest of a row
+    is a few scalar steps, taken row by row: its tail bound (for the CDF
+    one incomplete-gamma value, which the row's sum reuses) and the
+    density's scaling.  So a one-row call (`mixture_point`) costs about
+    what a per-point sum did.
     """
     return (_cdf_rows if quantity == "cdf" else _density_rows)(law, xs, sizes)
-
-
-def mixture_density(law: WeightLaw, x: float) -> tuple[float, float]:
-    """The density's row (`mixture_rows`) at one x > 0 over the whole
-    stage `law`: its value and tail bound."""
-    values, tails = mixture_rows("density", law, [x], [law.masses.shape[0]])
-    return values[0], tails[0]
-
-
-def mixture_cdf(law: WeightLaw, y: float) -> tuple[float, float]:
-    """The CDF's row (`mixture_rows`) at one y > 0 over the whole stage
-    `law`: its value and tail bound."""
-    values, tails = mixture_rows("cdf", law, [y], [law.masses.shape[0]])
-    return values[0], tails[0]
 
 
 def _next_upto(size: int, last: int) -> int:
@@ -729,11 +726,6 @@ def converge_rows(
     if failed is not None:
         raise failed[1]
     return results
-
-
-def converge(quantity: str, x: float, ctrl: SeriesControl, law: WeightLaw) -> EvalResult:
-    """`converge_rows` at one point x > 0, starting over the whole stage `law`."""
-    return converge_rows(quantity, [x], ctrl, law, [law.masses.shape[0]])[0]
 
 
 class Answers(dict):
@@ -822,18 +814,9 @@ class Method(NamedTuple):
     cuts: tuple[str, ...] = ()
 
 
-#: `auto`'s predicted cost of building an exact weight law of K masses
-#: over n components, in multiply-adds of `nb_sum_law`'s convolution:
-#: (n - 2) K^2 by convolution, K (_RECURSION_STEP + _RECURSION_SQUARE K)
-#: by the recursion (`moschopoulos`): K Python steps and K^2/2
-#: multiply-adds in numpy dots.  Fitted to crossovers measured with both
-#: builds at K masses: the convolution is the cheaper up to K of about
-#: 6,250 at n = 4, 3,600 at n = 5, 2,400 at n = 6 and 1,900 at n = 7,
-#: and at n = 3 nearly up to the 10,000 cap.  Masses in the subnormal
-#: range slow the convolution by up to 2x, a cost n and K do not show: on
-#: a seeded sweep of 1,080 specs (n = 3..5, scale ratios up to 1e4) 97 %
-#: of the chosen builds were within 1.25x of the cheaper one, all within
-#: 1.55x.
+#: `auto`'s cost of an exact law of K masses over n components, in
+#: multiply-adds: (n - 2) K^2 by convolution, K (_RECURSION_STEP +
+#: _RECURSION_SQUARE K) by the recursion, fitted to the builds' crossovers.
 _RECURSION_STEP = 8_400.0
 _RECURSION_SQUARE = 0.65
 

@@ -165,9 +165,9 @@ def cdf(
 
     tail_bound = (1 - C sum_{k<=K} delta_k) G(y/b1; rho + K + 1), valid
     since G decreases in the shape argument.  `methods.mixture_rows` sums
-    the series, from y/b1 = 64 up as kernel sums with one incomplete-gamma
-    value in place of one per weight; the terms and the bound are the
-    same either way.  Below y/b1 = 64 the first stage, built or taken as
+    the series by parts: kernel sums over the cumulative weights plus
+    G(y/b1; rho + K + 1) itself, the one incomplete-gamma value, which the
+    bound takes too.  Below y/b1 = 64 the first stage, built or taken as
     a prefix of `weights`, ends where the point's kernel dies
     (`methods.mixture_point`), and the recursion runs on from there only
     if the tail bound asks for it.

@@ -130,6 +130,18 @@ def mp_tiny_series(quantity, x):
         return float(mp.fsum(terms))
 
 
+def whole_stage(quantity, law, x):
+    """The `mixture_rows` row at one point x over the whole stage `law`:
+    its value and tail bound."""
+    values, tails = methods.mixture_rows(quantity, law, [x], [law.masses.shape[0]])
+    return values[0], tails[0]
+
+
+def converge_whole_stage(quantity, x, ctrl, law):
+    """`converge_rows` at one point x, starting over the whole stage `law`."""
+    return methods.converge_rows(quantity, [x], ctrl, law, [law.masses.shape[0]])[0]
+
+
 def converged_law(chosen, spec, result):
     """The stage of `chosen`'s density law that `result` converged on."""
     law = chosen.density_law(spec, chosen.control)
@@ -144,14 +156,14 @@ class TestMixture:
         rho, beta1 = 1.7, 0.8
         for x in (0.3, 2.0, 9.0):
             law = methods.WeightLaw(masses, rho, beta1)
-            value, tail = methods.mixture_density(law, x)
+            value, tail = whole_stage("density", law, x)
             want = sum(
                 w * stats.gamma.pdf(x, rho + k, scale=beta1)
                 for k, w in enumerate(masses)
             )
             assert rel_err(value, want) < 1e-12
             assert 0.0 <= tail < 1e-12
-            value, tail = methods.mixture_cdf(law, x)
+            value, tail = whole_stage("cdf", law, x)
             want = sum(
                 w * stats.gamma.cdf(x, rho + k, scale=beta1)
                 for k, w in enumerate(masses)
@@ -161,9 +173,9 @@ class TestMixture:
     def test_tail_covers_left_out_terms(self):
         masses = stats.nbinom.pmf(np.arange(60), 2.0, 0.6)
         for x in (0.5, 4.0, 20.0):
-            for mixture in (methods.mixture_density, methods.mixture_cdf):
-                full, _ = mixture(methods.WeightLaw(masses, 1.2, 1.0), x)
-                short, tail = mixture(methods.WeightLaw(masses[:6], 1.2, 1.0), x)
+            for quantity in ("density", "cdf"):
+                full, _ = whole_stage(quantity, methods.WeightLaw(masses, 1.2, 1.0), x)
+                short, tail = whole_stage(quantity, methods.WeightLaw(masses[:6], 1.2, 1.0), x)
                 assert 0.0 <= full - short <= tail
 
     def test_converge_answers_a_fixed_law_as_it_stands(self):
@@ -173,11 +185,10 @@ class TestMixture:
         # (test_moschopoulos.py::test_budget_exhaustion).
         law = methods.WeightLaw(stats.nbinom.pmf(np.arange(6), 2.0, 0.6), 1.2, 1.0)
         ctrl = SeriesControl(rel_tol=1e-13)
-        for quantity, mixture in (("density", methods.mixture_density),
-                                  ("cdf", methods.mixture_cdf)):
-            value, tail = mixture(law, 4.0)
+        for quantity in ("density", "cdf"):
+            value, tail = whole_stage(quantity, law, 4.0)
             assert tail > ctrl.rel_tol * value
-            assert methods.converge(quantity, 4.0, ctrl, law) == EvalResult(value, 6, tail)
+            assert converge_whole_stage(quantity, 4.0, ctrl, law) == EvalResult(value, 6, tail)
 
     # Far-tail points, where the kernels' shapes reach the thousands and
     # an lgamma-form kernel's parts would cancel: each route's value
@@ -194,7 +205,7 @@ class TestMixture:
         for x in points:
             result = chosen.density(spec, x)
             law = converged_law(chosen, spec, result)
-            assert methods.mixture_density(law, x)[0] == result.value
+            assert whole_stage("density", law, x)[0] == result.value
             assert rel_err(result.value, mp_density_sum(law, x)) <= 5e-14
 
     @pytest.mark.parametrize("method", ["moschopoulos", "nbsum", "approx"])
@@ -226,11 +237,11 @@ class TestMixture:
     # edge 1/r of the generating function's domain, where it once raised a
     # bare ValueError.  The exact values stay within rounding of the 40-digit
     # sum: rel_tol bounds truncation only.  At y = 1 the CDF is within 1e-15:
-    # its shape-rho term is 1 - Q there, as scipy's gammainc(3e-20, 1) is
-    # itself 3e-15 below its value.  The approximation keeps criterion 7's
-    # envelope to x = 1, which its table holds only if cut by the masses past
-    # k = 0 (the k = 0 kernel carries a factor of about 3e-20); at x = 100
-    # the fitted law is half off.
+    # its row takes no incomplete-gamma value at the shape rho, where
+    # scipy's gammainc(3e-20, 1) is itself 3e-15 below its value.  The
+    # approximation keeps criterion 7's envelope to x = 1, which its table
+    # holds only if cut by the masses past k = 0 (the k = 0 kernel carries
+    # a factor of about 3e-20); at x = 100 the fitted law is half off.
     TINY = ConvolutionSpec.of((1e-20, 1.0), (1e-20, 2.0), (1e-20, 3.0))
 
     @pytest.mark.parametrize("method", methods.METHODS + ("auto",))
@@ -268,9 +279,9 @@ class TestMixture:
         assert code == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)[0]["value"] > 0.0
 
-    # Laws and points at u = y/b1 past the gammainc sum, where mixture_cdf
-    # takes its kernel sums: the left tail, the bulk on both sides of the
-    # law's mean shape (the lower and the upper form) and the right tail.
+    # Laws and points from u = y/b1 = 64 on, where a CDF row takes the
+    # stage's saddle-point kernels: the left tail, the bulk on both sides
+    # of the law's mean shape and the right tail.
     @pytest.mark.parametrize("law, points", [
         # Shapes 200 and 300: the kernels' a log a is near 3,000.
         (methods.nb_sum_law(canonicalize(ConvolutionSpec.of((200.0, 1.0), (300.0, 2.0)))),
@@ -295,7 +306,7 @@ class TestMixture:
                 # The reference: one gammainc per mass, summed exactly.
                 want = math.fsum(masses * sp.gammainc(law.rho + np.arange(size, dtype=float), u))
                 bound = max(1.0 - float(masses.sum()), 0.0) * float(sp.gammainc(law.rho + size, u))
-                value, tail = methods.mixture_cdf(law, y)
+                value, tail = whole_stage("cdf", law, y)
                 assert tail == bound
                 if region == "left":
                     assert want < 1e-10
@@ -304,6 +315,55 @@ class TestMixture:
                     assert abs(value - want) <= 1e-15
                 else:
                     assert rel_err(value, want) <= 1e-14
+
+    # Seeded specs of n = 2..5 with total shapes 0.2-100, and the tiny
+    # total shape, at u = y/b1 on both sides of 64 and of each kernel
+    # source: each CDF row, shared (`evaluate`) and one-row (`nbsum_cdf`),
+    # within 4e-15 of sum_k w_k P(rho + k, u) over the masses it converged
+    # on, each P at 40 digits.  A value below the smallest normal double
+    # is held to 4e-15 of that.
+    CDF_ROW_US = (1e-3, 0.5, 8.0, 40.0, 63.9, 64.1, 300.0)
+
+    @staticmethod
+    def cdf_row_specs():
+        rng = random.Random(20261019)
+        specs = [TestMixture.TINY]
+        for i, n in enumerate((2, 3, 4, 5) * 2):
+            total = 0.2 * 500.0 ** ((i + rng.random()) / 8)  # one spec per eighth of the range
+            parts = [rng.uniform(0.2, 1.0) for _ in range(n)]
+            b1 = math.exp(rng.uniform(-1.0, 1.0))
+            scales = [b1] + [b1 * math.exp(rng.uniform(0.05, math.log(8.0))) for _ in range(n - 1)]
+            specs.append(ConvolutionSpec.of(*((total * p / sum(parts), b)
+                                              for p, b in zip(parts, scales))))
+        return [canonicalize(spec) for spec in specs]
+
+    @staticmethod
+    def mp_cdf_sum(masses, rho, u):
+        """sum_k w_k P(rho + k, u) over the float masses, each P at 40
+        digits, stopped once P(rho + k, u) times the masses left (which
+        bounds the rest, P falling in its shape) is below 1e-25 of it."""
+        with mp.workdps(40):
+            ws = [mp.mpf(float(w)) for w in masses]
+            left, total = mp.fsum(ws), mp.mpf(0)
+            for k, w in enumerate(ws):
+                p = mp.gammainc(mp.mpf(rho) + k, 0, mp.mpf(u), regularized=True)
+                total += w * p
+                left -= w
+                if p * left <= 1e-25 * total:
+                    break
+            return total
+
+    def test_cdf_rows_match_40_digit_sums(self):
+        tiny = np.finfo(float).tiny
+        for spec in self.cdf_row_specs():
+            b1 = float(spec.scales[0])
+            ys = [u * b1 for u in self.CDF_ROW_US]
+            shared = methods.evaluate("nbsum", "cdf", spec, ys)
+            for u, y, row in zip(self.CDF_ROW_US, ys, shared):
+                assert methods.nbsum_cdf(spec, y) == row
+                masses = methods.nb_sum_law(spec, count=row.terms_used).masses
+                want = self.mp_cdf_sum(masses, spec.total_shape, u)
+                assert abs(row.value - want) <= 4e-15 * max(want, tiny), (spec, u)
 
 
 class TestCdfTailBound:
@@ -340,7 +400,7 @@ class TestCdfTailBound:
                 got = [chosen.cdf(spec, float(y), chosen.control, weights=law) for y in points]
                 longer = law.stage(4 * max(r.terms_used for r in got))
                 for y, r in zip(points, got):
-                    value, _ = methods.mixture_cdf(longer, float(y))
+                    value, _ = whole_stage("cdf", longer, float(y))
                     assert abs(r.value - value) <= r.tail_bound + 4 * 2.2e-16 * r.value
 
 
@@ -441,8 +501,8 @@ class TestWeightLaw:
             sd = math.sqrt(float(spec.shapes @ spec.scales**2))
             for x in (1e-3 * mean, 0.2 * mean, mean, mean + 2.0 * sd, mean + 5.0 * sd):
                 cut = methods.nbsum_density(spec, x)
-                full = methods.converge("density", x, DEFAULT_CONTROL,
-                                        methods.nb_sum_law(spec, DEFAULT_CONTROL))
+                full = converge_whole_stage("density", x, DEFAULT_CONTROL,
+                                            methods.nb_sum_law(spec, DEFAULT_CONTROL))
                 assert cut.tail_bound <= DEFAULT_CONTROL.rel_tol * cut.value
                 worst = max(worst, rel_err(cut.value, full.value))
         assert worst <= DEFAULT_CONTROL.rel_tol
