@@ -41,13 +41,21 @@ def density2(
 
     f(x) = (b1/b2)^a2 g(x; a1+a2, b1) 1F1(a2; a1+a2; (1/b1 - 1/b2) x)
     with b1 the smaller scale; fully assembled in log space.  A spec whose
-    components merged to a single gamma is evaluated directly.
+    components merged to a single gamma is evaluated directly; one whose
+    scale ratio passes about 1e108 raises ConvergenceError, as at n >= 3
+    (`ShellTable`) and on every weight-law route.  Where the
+    1F1 takes its large-z form, Gamma(b)/Gamma(a) e^z z^(a-b) A
+    (`specfun.kummer_1f1_terms`), e^z folds into e^(-x/b1) analytically:
 
-    tail_bound is None: the 1F1 series stops once its terms past the peak
-    fall below rel_tol of the running sum, a relative stop rule that
-    bounds nothing.  The mixture routes' bound, left-out weight mass times
-    the largest kernel, has no counterpart here, since the 1F1 terms are
-    not the masses of a law.
+        f(x) = g(x; a2, b2) (1 - b1/b2)^-a1 A,
+
+    so -x/b1 + z, which cancels at large x, is never formed.
+
+    tail_bound is the value times the 1F1's relative truncation bound: for
+    the power series past its last term t_K, t_K rho / (1 - rho) with rho
+    a bound on the term ratios from K on (z max(1, a/b) / (K+1), or the
+    ratio at K where the ratios fall); for the large-z form its computed
+    remainder.  Rounding is not included.
     """
     spec, done = check_point(spec, x, "density")
     if done is not None:
@@ -55,15 +63,25 @@ def density2(
     if len(spec) > 2:
         raise DomainError(f"density2 requires n <= 2 components, got {len(spec)}")
     c1, c2 = spec.components
+    if (c1.scale / c2.scale) ** 3 == 0.0:
+        finite_cumulants(spec)  # raises, as every route does for this spec
     gamma = c1.shape + c2.shape
     z = (1.0 / c1.scale - 1.0 / c2.scale) * x
-    log_f1, terms = kummer_1f1_terms(c2.shape, gamma, z, ctrl)
-    log_f = (
-        c2.shape * (math.log(c1.scale) - math.log(c2.scale))
-        + log_gamma_pdf(x, gamma, c1.scale)
-        + log_f1
-    )
-    return EvalResult(0.0 if log_f < _LOG_TINY else math.exp(log_f), terms, None)
+    f1 = kummer_1f1_terms(c2.shape, gamma, z, ctrl)
+    if f1.log_large_z is None:
+        log_f = (
+            c2.shape * (math.log(c1.scale) - math.log(c2.scale))
+            + log_gamma_pdf(x, gamma, c1.scale)
+            + f1.log
+        )
+    else:
+        log_f = (
+            log_gamma_pdf(x, c2.shape, c2.scale)
+            - c1.shape * math.log1p(-c1.scale / c2.scale)
+            + f1.log_large_z
+        )
+    value = 0.0 if log_f < _LOG_TINY else math.exp(log_f)
+    return EvalResult(value, f1.terms, value * f1.rel_bound)
 
 
 def _log_sum(log_w: np.ndarray) -> float:
@@ -121,6 +139,11 @@ class ShellTable:
         finite_cumulants(spec)
         self.spec = spec
         self.c = 1.0 / spec.scales[0] - 1.0 / spec.scales[1:]
+        self._c = self.c.tolist()
+        #: The density's x-free log factor, -sum a_i log b_i - lgamma(gamma).
+        self.log_scale = -float(np.sum(spec.shapes * np.log(spec.scales))) - math.lgamma(
+            spec.total_shape
+        )
         # _levels[j] is the log-convolution of sequences 0..j; the last
         # one is S.
         self._seqs = [np.empty(0) for _ in self.c]
@@ -188,21 +211,28 @@ class ShellTable:
 
         With kj = `_series_cutoff` of the total argument sum(c) x, shell r
         counts the index pairs (i, j) with i + j = r, 0 <= j < kj and
-        0 <= i < (n-2)(kj-1)+1: the terms of the last sequence and of the
-        convolution of the others, each sequence cut at kj terms."""
-        kj = _series_cutoff(float(np.sum(self.c * x)), ctrl)
-        head = (self.c.shape[0] - 1) * (kj - 1) + 1
-        r = np.arange(shells)
-        return int(np.sum(np.minimum(r, head - 1) - np.maximum(0, r - kj + 1) + 1))
+        0 <= i < h, h = (n-2)(kj-1)+1: the terms of the last sequence and
+        of the convolution of the others, each sequence cut at kj terms.
+        That is min(r, h-1) - max(0, r-kj+1) + 1 (negative past the
+        last pair), summed here in closed form over r < shells.  The
+        total argument is summed in order, as np.sum sums fewer than
+        eight entries."""
+        cx = [c * x for c in self._c]
+        kj = _series_cutoff(sum(cx) if len(cx) < 8 else float(np.sum(self.c * x)), ctrl)
+        head = (len(cx) - 1) * (kj - 1) + 1
+        if shells <= head:
+            low = shells * (shells - 1) // 2
+        else:
+            low = head * (head - 1) // 2 + (shells - head) * (head - 1)
+        past = max(0, shells - kj)
+        return low - past * (past + 1) // 2 + shells
 
 
-def _log_density(
-    spec: ConvolutionSpec, x: float, log_phi: float, terms_used: int
-) -> EvalResult:
+def _log_density(table: ShellTable, x: float, log_phi: float, terms_used: int) -> EvalResult:
     """The density from the log of the multiple series at x."""
+    spec = table.spec
     log_f = (
-        -float(np.sum(spec.shapes * np.log(spec.scales)))
-        - math.lgamma(spec.total_shape)
+        table.log_scale
         + (spec.total_shape - 1.0) * math.log(x)
         - x / spec.scales[0]
         + log_phi
@@ -242,7 +272,7 @@ def density_n(
     if ctrl is None:
         ctrl = DEFAULT_CONTROL if len(spec) <= 2 else CONTROL_N
     table = weights if weights is not None else ShellTable(spec)
-    return _log_density(spec, x, *table.log_series(x, ctrl))
+    return _log_density(table, x, *table.log_series(x, ctrl))
 
 
 def cdf_n(

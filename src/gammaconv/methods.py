@@ -75,9 +75,25 @@ def check_point(
     if len(spec) == 1:
         (c,) = spec.components
         if quantity == "cdf":
-            return spec, EvalResult(_lower_gamma(c.shape, x / c.scale), 1, 0.0)
+            return spec, EvalResult(_single_cdf(spec, x), 1, 0.0)
         return spec, EvalResult(math.exp(log_gamma_pdf(x, c.shape, c.scale)), 1, 0.0)
     return spec, None
+
+
+def _single_cdf(spec: ConvolutionSpec, x: float) -> float:
+    """P(a, x/b) for a one-component canonical spec (a, b).  Below u = x/b =
+    `_CDF_KERNEL_SUM_FROM` it is the CDF row of the single mass, padded
+    with zeros to the point's `_kernel_cut`: kernel sums plus one far
+    incomplete-gamma value (`_cdf_rows`), where scipy's P alone is up to
+    2e-13 off in the left tail at large a.  From there on `_lower_gamma`."""
+    (c,) = spec.components
+    u = x / c.scale
+    if u >= _CDF_KERNEL_SUM_FROM:
+        return _lower_gamma(c.shape, u)
+    size = _kernel_cut(spec, x, "cdf") + 1
+    masses = np.zeros(size)
+    masses[0] = 1.0
+    return _cdf_rows(WeightLaw(masses, c.shape, c.scale), [x], [size])[0][0]
 
 
 def _lower_gamma(a: float, u: float) -> float:

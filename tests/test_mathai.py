@@ -1,6 +1,7 @@
 """Tests for the confluent-hypergeometric convolution evaluators."""
 
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -9,14 +10,21 @@ from scipy import stats
 
 from gammaconv import bench, methods, moschopoulos
 from gammaconv.errors import ConvergenceError, DomainError
-from gammaconv.mathai import CONTROL_N, ShellTable, cdf_n, density2, density_n
+from gammaconv.mathai import (
+    CONTROL_N,
+    ShellTable,
+    _series_cutoff,
+    cdf_n,
+    density2,
+    density_n,
+)
 from gammaconv.model import ConvolutionSpec, canonicalize
 from gammaconv.oracle import (
     hypoexp_closed_form,
     hypoexp_closed_form_cdf,
     quad_density,
 )
-from gammaconv.specfun import DEFAULT_CONTROL
+from gammaconv.specfun import DEFAULT_CONTROL, kummer_1f1_terms
 
 from conftest import grid_between, random_spec, rel_err
 
@@ -183,6 +191,29 @@ class TestShellTable:
             assert rel_err(density_n(spec, x).value, want) < 1e-12
             assert rel_err(density_n(spec, x, weights=table).value, want) < 1e-12
 
+    @staticmethod
+    def numpy_terms_used(table, x, ctrl, shells):
+        """The count `_terms_used` gives, as the numpy sum it replaced."""
+        kj = _series_cutoff(float(np.sum(table.c * x)), ctrl)
+        head = (table.c.shape[0] - 1) * (kj - 1) + 1
+        r = np.arange(shells)
+        return int(np.sum(np.minimum(r, head - 1) - np.maximum(0, r - kj + 1) + 1))
+
+    def test_terms_used_closed_form_equals_the_numpy_count(self):
+        rng = random.Random(20261021)
+        cap = CONTROL_N.max_terms
+        for n in (3, 4, 5, 6, 10):
+            for _ in range(6):
+                table = ShellTable(canonicalize(random_spec(rng, n)))
+                for x in (rng.uniform(1e-3, 1.0), rng.uniform(1.0, 50.0),
+                          rng.uniform(50.0, 5e3), rng.uniform(5e3, 1e6)):
+                    kj = _series_cutoff(float(np.sum(table.c * x)), CONTROL_N)
+                    head = (n - 2) * (kj - 1) + 1
+                    for shells in {1, 2, rng.randint(1, cap), cap, kj, kj + 1, head,
+                                   head + 1, min(head + kj + 5, cap)}:
+                        assert table._terms_used(x, CONTROL_N, shells) == \
+                            self.numpy_terms_used(table, x, CONTROL_N, shells), (n, x, shells)
+
     def test_infinite_cumulants_raise_before_growing(self, monkeypatch):
         # Past a scale ratio of about 1e108 the point x = 1 needs about
         # x/b1 = 1e110 shells; set-up raises before the table grows any.
@@ -246,6 +277,50 @@ class TestLargeKummerArgument:
         assert abs(float(want) - 0.009896) < 1e-6
         spec = ConvolutionSpec.of((500.0, 1.0), (500.0, 1.5))
         assert rel_err(density2(spec, 1250.0).value, float(want)) < 1e-10
+
+
+def mp_density2(a1, b1, a2, b2, x):
+    """The 1F1 form of the n = 2 density at 40 digits, b1 < b2."""
+    with mp.workdps(40):
+        a1, b1, a2, b2, x = (mp.mpf(v) for v in (a1, b1, a2, b2, x))
+        g = a1 + a2
+        gamma_pdf = x ** (g - 1) * mp.exp(-x / b1) / (mp.gamma(g) * b1**g)
+        return (b1 / b2) ** a2 * gamma_pdf * mp.hyp1f1(a2, g, (1 / b1 - 1 / b2) * x)
+
+
+class TestDensity2TailBound:
+    def test_large_z_form_folds_e_z(self):
+        # z = (1/0.3 - 1/4) 600 = 1850: -x/b1 + z is formed by neither
+        # side, so the value keeps its digits (the power series read
+        # 2.3e-13 off here).
+        spec = ConvolutionSpec.of((20.0, 0.3), (20.0, 4.0))
+        got = density2(spec, 600.0)
+        assert rel_err(got.value, mp_density2(20, 0.3, 20, 4, 600)) <= 1e-14
+        assert got.terms_used < 20
+
+    def test_bound_covers_the_truncation(self):
+        # Seeded specs over the bulk and the far right tail, every 1F1
+        # regime among them: the bound is finite, it is the value times
+        # the 1F1's relative bound (which `tests/test_specfun.py` checks
+        # against the exact left-out terms), and the value is within the
+        # bound plus its rounding of the 40-digit reference.
+        rng = random.Random(20261022)
+        regimes = set()
+        for _ in range(12):
+            a1, a2 = rng.uniform(0.2, 30.0), rng.uniform(0.2, 30.0)
+            b1 = math.exp(rng.uniform(-1.5, 0.5))
+            b2 = b1 * math.exp(rng.uniform(0.1, math.log(30.0)))
+            spec = ConvolutionSpec.of((a1, b1), (a2, b2))
+            mean = a1 * b1 + a2 * b2
+            for x in (0.2 * mean, mean, 3.0 * mean, 10.0 * mean):
+                got = density2(spec, x)
+                f1 = kummer_1f1_terms(a2, a1 + a2, (1.0 / b1 - 1.0 / b2) * x)
+                regimes.add(f1.log_large_z is not None)
+                assert math.isfinite(got.tail_bound)
+                assert got.tail_bound == got.value * f1.rel_bound
+                want = mp_density2(a1, b1, a2, b2, x)
+                assert abs(got.value - want) <= got.tail_bound + 5e-14 * want, (spec, x)
+        assert regimes == {True, False}
 
 
 class TestCdfShape:

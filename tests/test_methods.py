@@ -272,6 +272,22 @@ class TestMixture:
             got = methods.lookup(method, canonicalize(spec)).cdf(spec, 2.0 * u).value
             assert abs(mp.mpf(got) - want) <= 4e-16 * want
 
+    def test_single_component_cdf_matches_mpmath(self):
+        # The entry check's CDF below u = 64: the one-mass CDF row, not
+        # scipy's gammainc, which read 2.06e-13 off at shape 142.89, u = 8
+        # (a median of 2e-14 over shapes 10-150).  Scale 2, so that u is
+        # exact; a value below the smallest normal double is held to 4e-15
+        # of that.
+        tiny = np.finfo(float).tiny
+        rng = random.Random(20261023)
+        cases = [(142.89, 8.0)] + [(rng.uniform(10.0, 150.0), u) for _ in range(25)
+                                   for u in (1e-3, 0.5, 8.0, 40.0)]
+        for shape, u in cases:
+            got = methods.check_point(ConvolutionSpec.of((shape, 2.0)), 2.0 * u, "cdf")[1]
+            with mp.workdps(40):
+                want = mp.gammainc(mp.mpf(shape), 0, mp.mpf(u), regularized=True)
+            assert abs(got.value - want) <= 4e-15 * max(want, tiny), (shape, u)
+
     def test_cli_answers_a_tiny_total_shape(self, capsys):
         code = cli.main(["eval", "density", "--shape", "1e-20,1e-20,1e-20",
                          "--scale", "1,2,3", "--at", "1", "--method", "auto",
