@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import barnabani, mathai, methods, moschopoulos, renewal, specfun
+from . import barnabani, mathai, methods, moschopoulos, renewal
 from .errors import ConvergenceError, DomainError, FitFailureError
 from .model import ConvolutionSpec, MixtureExpSpec, canonicalize, validate_mixture
 from .specfun import DEFAULT_CONTROL
@@ -232,16 +232,6 @@ def _cmd_figure_error(args) -> int:
     return EXIT_OK
 
 
-def _kummer_regime(spec: ConvolutionSpec, x: float) -> str:
-    """The regime of the 1F1 in `mathai.density2` at x (`specfun`)."""
-    c1, c2 = canonicalize(spec).components
-    a, b = c2.shape, c1.shape + c2.shape
-    z = (1.0 / c1.scale - 1.0 / c2.scale) * x
-    if specfun.kummer_1f1_terms(a, b, z).log_large_z is not None:
-        return "large-z"
-    return "short" if z * max(1.0, a / b) <= specfun._SHORT_SERIES_TO else "blocks"
-
-
 def _cmd_selftest() -> int:
     failures = 0
 
@@ -264,21 +254,18 @@ def _cmd_selftest() -> int:
         "n=2 Mathai/Moschopoulos density agreement",
         moschopoulos.density(spec2, 1.0).value, d, 1e-12,
     )
-    # density2 on both sides of each switch between 1F1 regimes: here
-    # z = (1/0.3 - 1/4) x passes from the short series to the log-space
-    # blocks near z = 48 and to the large-z form near z = 109.
+    # density2 over z = (1/0.3 - 1/4) x of about 30-130, which spans the
+    # 1F1's switches from the short series to the log-space blocks and on
+    # to the large-z form.
     wide = ConvolutionSpec.of((20.0, 0.3), (20.0, 4.0))
-    regimes = [_kummer_regime(wide, 10.0 + 0.25 * i) for i in range(121)]
-    sides = sorted({10.0 + 0.25 * j for i in range(120) if regimes[i] != regimes[i + 1]
-                    for j in (i, i + 1)})
     worst = max(
         abs(mathai.density2(wide, x).value / moschopoulos.density(wide, x).value - 1.0)
-        for x in sides
+        for x in np.linspace(10.0, 42.0, 33)
     )
     check(
-        "n=2 density2 equals per-point moschopoulos across the 1F1 regime switches",
-        len(sides) >= 4 and worst <= 1e-12,
-        f"{len(sides) // 2} switches, worst rel diff {worst:.3e}, tol 1e-12",
+        "n=2 density2 equals per-point moschopoulos on z = 30-130",
+        worst <= 1e-12,
+        f"worst rel diff {worst:.3e}, tol 1e-12",
     )
     spec3 = ConvolutionSpec.of((0.2, 4.0), (0.2, 0.3), (0.2, 0.2))
     for x in (0.3, 1.0, 3.0):

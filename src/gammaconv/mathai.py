@@ -53,18 +53,18 @@ def density2(
 
     tail_bound is the value times the 1F1's relative truncation bound: for
     the power series past its last term t_K, t_K rho / (1 - rho) with rho
-    a bound on the term ratios from K on (z max(1, a/b) / (K+1), or the
-    ratio at K where the ratios fall); for the large-z form its computed
-    remainder.  Rounding is not included.
+    a bound on the term ratios from K on (the ratio at K where the ratios
+    fall, else the lesser of z / (b+K) and z max(1, a/b) / (K+1)); for
+    the large-z form its computed remainder; 0 where the value underflows
+    to 0.  Rounding is not included.
     """
     spec, done = check_point(spec, x, "density")
     if done is not None:
         return done
     if len(spec) > 2:
         raise DomainError(f"density2 requires n <= 2 components, got {len(spec)}")
+    finite_cumulants(spec)
     c1, c2 = spec.components
-    if (c1.scale / c2.scale) ** 3 == 0.0:
-        finite_cumulants(spec)  # raises, as every route does for this spec
     gamma = c1.shape + c2.shape
     z = (1.0 / c1.scale - 1.0 / c2.scale) * x
     f1 = kummer_1f1_terms(c2.shape, gamma, z, ctrl)
@@ -80,7 +80,9 @@ def density2(
             - c1.shape * math.log1p(-c1.scale / c2.scale)
             + f1.log_large_z
         )
-    value = 0.0 if log_f < _LOG_TINY else math.exp(log_f)
+    if log_f < _LOG_TINY:
+        return EvalResult(0.0, f1.terms, 0.0)
+    value = math.exp(log_f)
     return EvalResult(value, f1.terms, value * f1.rel_bound)
 
 
@@ -139,7 +141,6 @@ class ShellTable:
         finite_cumulants(spec)
         self.spec = spec
         self.c = 1.0 / spec.scales[0] - 1.0 / spec.scales[1:]
-        self._c = self.c.tolist()
         #: The density's x-free log factor, -sum a_i log b_i - lgamma(gamma).
         self.log_scale = -float(np.sum(spec.shapes * np.log(spec.scales))) - math.lgamma(
             spec.total_shape
@@ -214,12 +215,9 @@ class ShellTable:
         0 <= i < h, h = (n-2)(kj-1)+1: the terms of the last sequence and
         of the convolution of the others, each sequence cut at kj terms.
         That is min(r, h-1) - max(0, r-kj+1) + 1 (negative past the
-        last pair), summed here in closed form over r < shells.  The
-        total argument is summed in order, as np.sum sums fewer than
-        eight entries."""
-        cx = [c * x for c in self._c]
-        kj = _series_cutoff(sum(cx) if len(cx) < 8 else float(np.sum(self.c * x)), ctrl)
-        head = (len(cx) - 1) * (kj - 1) + 1
+        last pair), summed here in closed form over r < shells."""
+        kj = _series_cutoff(float(np.sum(self.c * x)), ctrl)
+        head = (self.c.shape[0] - 1) * (kj - 1) + 1
         if shells <= head:
             low = shells * (shells - 1) // 2
         else:

@@ -167,10 +167,11 @@ def _tail_ratio(a: float, b: float, z: float, k: int) -> float:
     z > 0 power series.  The ratio falls with j wherever
     (1-a)(b+j) <= (a+j)(j+1) (always for a >= 1), and once that holds at
     j = k it holds past it, so the ratio at k bounds the rest; elsewhere
-    z max(1, a/b) / (k+1) does.  Past a term t_k at which this is below
-    1, the terms left out sum to at most t_k rho / (1 - rho)."""
+    (a < 1) both z / (b+k), since (a+j) / (j+1) < 1, and
+    z max(1, a/b) / (k+1) do.  Past a term t_k at which this is below 1,
+    the terms left out sum to at most t_k rho / (1 - rho)."""
     if a < 1.0 and (1.0 - a) * (b + k) > (a + k) * (k + 1.0):
-        return z * max(1.0, a / b) / (k + 1.0)
+        return z * min(1.0 / (b + k), max(1.0, a / b) / (k + 1.0))
     return (a + k) * z / ((b + k) * (k + 1.0))
 
 

@@ -322,6 +322,15 @@ class TestDensity2TailBound:
                 assert abs(got.value - want) <= got.tail_bound + 5e-14 * want, (spec, x)
         assert regimes == {True, False}
 
+    def test_bound_where_the_ratios_still_rise(self):
+        # z = 49 with a2 = 0.01 and gamma = 500 or 1500: the 1F1 stops
+        # after a few terms while its term ratios still rise, and the
+        # bound stays finite; where the value underflows it is 0, not nan.
+        got = density2(ConvolutionSpec.of((499.99, 1.0), (0.01, 2.0)), 98.0)
+        assert 0.0 < got.tail_bound <= 1e-15 * got.value
+        gone = density2(ConvolutionSpec.of((1500.0, 1.0), (0.01, 2.0)), 98.0)
+        assert (gone.value, gone.tail_bound) == (0.0, 0.0)
+
 
 class TestCdfShape:
     def test_monotone_and_bounded(self, seeded_random):
