@@ -250,17 +250,14 @@ def _approx_weights(params: GnbdParams, ctrl: SeriesControl) -> np.ndarray:
 def approx_law(
     spec: ConvolutionSpec, ctrl: SeriesControl, upto: float = math.inf
 ) -> WeightLaw:
-    """The fitted GNBD law of a canonical spec of two or more components,
-    or its stage w_0..w_upto where that is shorter.
-
-    Its stages are prefixes of one table (`_approx_weights`): `extend`
-    gives the next one and None only at the table's end.  There
-    `methods.converge_rows` answers a point whatever its tail bound: the
-    approximation's own error dominates any truncation.
+    """The fitted GNBD law of a canonical spec of two or more components:
+    its whole table (`_approx_weights`), which never grows.  A row that
+    reaches the table's end is answered by `methods.converge_rows`
+    whatever its tail bound: the approximation's own error dominates any
+    truncation.  (`upto` is unused: each row reads its own prefix.)
     """
     masses = _approx_weights(_fit_for_spec(spec), ctrl)
-    law = WeightLaw(masses, spec.total_shape, float(spec.scales[0]))
-    return law.stage(upto) if upto < masses.shape[0] - 1 else law
+    return WeightLaw(masses, spec.total_shape, float(spec.scales[0]))
 
 
 def density_approx(
@@ -284,7 +281,7 @@ def cdf_approx(
 ) -> EvalResult:
     """Approximate CDF sum_k gnbd_pmf(k) G(y; rho + k, b1).
 
-    Below y/b1 = 64 the first stage, built or taken as a prefix of
-    `weights`, ends where the point's kernel dies (`methods.mixture_point`), and runs on
-    within the fitted table only if the tail bound asks for it."""
+    Below y/b1 = 64 the row starts over its prefix of the table that ends
+    where the point's kernel dies (`methods.mixture_point`), and runs on
+    within the table only if the tail bound asks for it."""
     return mixture_point("cdf", spec, y, ctrl, weights, approx_law, cut=True)

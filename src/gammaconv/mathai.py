@@ -128,8 +128,8 @@ class ShellTable:
     need, in blocks of a quarter of its size plus 16, up to
     ctrl.max_terms shells: no shell is computed twice, and a longer table
     repeats a shorter one's entries bit for bit, so a point's value does
-    not depend on which table it read.  (`ctrl` is unused; it keeps the
-    signature of the other routes' first laws.)
+    not depend on which table it read.  (`ctrl` and `upto` are unused;
+    they keep the signature of the other routes' first laws.)
 
     Where the weight law's cumulants are infinite (scale ratios past about
     1e108) set-up raises ConvergenceError, as the weight-law routes do:
@@ -137,7 +137,9 @@ class ShellTable:
     x/b1 > 1e108 shells, past any cap.
     """
 
-    def __init__(self, spec: ConvolutionSpec, ctrl: SeriesControl | None = None):
+    def __init__(
+        self, spec: ConvolutionSpec, ctrl: SeriesControl | None = None, upto: float = math.inf
+    ):
         finite_cumulants(spec)
         self.spec = spec
         self.c = 1.0 / spec.scales[0] - 1.0 / spec.scales[1:]
@@ -290,9 +292,9 @@ def cdf_n(
     kernel sums over the cumulative weights plus G(y/b1; gamma + R + 1)
     itself, the one incomplete-gamma value, which the bound takes too.
     Pass a prebuilt law as `weights` to share it across calls.  Below
-    y/b1 = 64 the first stage, built or taken as a prefix of `weights`,
-    ends where the point's kernel dies (`methods.mixture_point`) and is
-    extended only if the tail bound asks for it.
+    y/b1 = 64 the row starts over its prefix, built or of `weights`,
+    that ends where the point's kernel dies (`methods.mixture_point`),
+    and moves on only if the tail bound asks for it.
     """
     if ctrl is None:
         ctrl = DEFAULT_CONTROL if len(canonicalize(spec)) <= 2 else CONTROL_N

@@ -5,8 +5,8 @@ sum_k w_k g(x; rho + k, b1), b1 the minimum scale, and differ only in how
 they build the masses w_k, their weight law.  Here are the entry check
 every method runs first, the gamma kernel, the weight law and its exact
 negative-binomial-sum constructor, the mixture evaluator (`mixture_rows`:
-one stage's kernel sums for a block of points at once), the one
-convergence loop (`converge_rows`), the one per-point body of every
+a block of rows' kernel sums, each over its own prefix of one law), the
+one convergence loop (`converge_rows`), the one per-point body of every
 weight-law route (`mixture_point`, the one-row case: the moschopoulos
 series, the approximation, and the nbsum route, whose CDF is also the
 mathai CDF), the method registry with `auto`'s cost rule, and `evaluate`,
@@ -137,55 +137,24 @@ def _log_kernel_peak(x: float, shape_min: float, beta: float) -> float:
 
 
 class WeightLaw:
-    """A stage w_0..w_K of the masses of the mixture sum_k w_k g(.; rho + k, b1).
+    """The masses w_0..w_K of the mixture sum_k w_k g(.; rho + k, b1).
 
-    A law's stages are its prefixes.  Built from masses directly, as
-    Barnabani's GNBD fit is, they are prefixes of one fixed `table` (by
-    default the masses given): `stage` slices it, `extend` gives None at
-    its end, and the mass a stage leaves out is taken as 1 - sum(masses).
-    The exact law (`NBSumLaw`) builds its stages past its masses instead.
-    The mixture sums (`mixture_rows`) read the stage's cached x-free
+    Built from masses directly, as Barnabani's GNBD fit is, a law is its
+    whole table and never grows; the mass it leaves out is taken as
+    1 - sum(masses).  The exact law (`NBSumLaw`) grows past its masses
+    instead (`NBSumLaw.grow`).  Each row of the mixture sums
+    (`mixture_rows`) reads its own prefix of a law: of its cached x-free
     tables (`kernel_table`, and from u = 64 on the CDF's
-    `log_cdf_weights`), a row over a shorter prefix the prefix of them,
-    and `prefix_total` and `log_mass_past` at the row's size.
+    `log_cdf_weights`), and `prefix_total` and `log_mass_past` at the
+    row's size.
     """
 
-    def __init__(
-        self, masses: np.ndarray, rho: float, beta1: float, table: np.ndarray | None = None
-    ):
+    def __init__(self, masses: np.ndarray, rho: float, beta1: float):
         self.masses = masses
         self.rho = rho
         self.beta1 = beta1
-        self.table = masses if table is None else table
         #: sum(masses), summed as np.sum sums.
         self.total = float(masses.sum())
-
-    @property
-    def _last_index(self) -> float:
-        """The last index a stage can reach, ctrl.max_terms aside."""
-        return self.table.shape[0] - 1
-
-    def _prefix(self, upto: int) -> WeightLaw:
-        """The stage w_0..w_upto, at most the whole table, with nothing cached."""
-        return WeightLaw(self.table[: upto + 1], self.rho, self.beta1, self.table)
-
-    def stage(self, upto: int) -> WeightLaw:
-        """The stage w_0..w_upto.  Where that is shorter than this one it
-        takes this stage's `kernel_table`, where computed, as prefix views,
-        so many slices of one stage share one computation."""
-        law = self._prefix(upto)
-        table = self.__dict__.get("kernel_table")
-        if table is not None and upto < self.masses.shape[0]:
-            law.kernel_table = tuple(t[: upto + 1] for t in table)
-        return law
-
-    def extend(self, ctrl: SeriesControl) -> WeightLaw | None:
-        """The stage whose last index is 1.5 K + 64, K this stage's, capped
-        at ctrl.max_terms and at the law's last index; None once K has
-        reached them."""
-        size = self.masses.shape[0]
-        last = min(ctrl.max_terms, self._last_index)
-        return None if size > last else self.stage(_next_upto(size, last))
 
     def prefix_total(self, size: int) -> float:
         """sum(masses[:size]), summed as np.sum sums that prefix."""
@@ -202,7 +171,7 @@ class WeightLaw:
         """The x-free parts of both mixture sums' kernels (`_saddle_deviance`):
         the shapes a = rho + k, log c_a = -s(a) - log(2 pi a)/2 (s the Stirling
         error) and the density's log weights log(a c_a w_k).  Elementwise in
-        k, so a prefix of it is a shorter stage's own table to the bit."""
+        k, so a prefix of it is a shorter law's own table to the bit."""
         shapes = self.rho + np.arange(self.masses.shape[0], dtype=float)
         log_c = -_stirling_error(shapes) - 0.5 * np.log(2.0 * math.pi * shapes)
         with np.errstate(divide="ignore"):
@@ -325,27 +294,19 @@ class NBSumLaw(WeightLaw):
     components: the law of a sum of independent negative binomials
     NB(a_i, q_i), q_i = b1/b_i, over the components past the first.
 
-    Every stage is an exact prefix: a longer stage repeats this one's
-    masses bit for bit.  `stage(upto)` builds w_0..w_upto past this one by
-    convolving the NB pmfs cut at upto + 1 terms;
-    `moschopoulos.WeightDistribution` builds them by the recursion instead.
+    Every law is an exact prefix: a longer one repeats its masses bit for
+    bit, from 12 masses on (np.convolve sums a full overlap of at most 11
+    terms in another order; `_kernel_cut` asks for 33 or more).  `grow`
+    builds a longer one by convolving the NB pmfs cut at its size;
+    `moschopoulos.WeightDistribution` grows by the recursion instead.
     """
 
     def __init__(self, masses: np.ndarray, spec: ConvolutionSpec):
         super().__init__(masses, spec.total_shape, spec.components[0].scale)
         self.spec = spec
 
-    #: Stages are built to any size; `extend` stops at ctrl.max_terms.
-    _last_index = math.inf
-
-    def _prefix(self, upto: int) -> NBSumLaw:
-        """A slice of this stage where upto is within it, else the stage
-        built by `nb_sum_law`.  A slice of 12 or more masses equals the
-        stage built at its size bit for bit (np.convolve sums a full
-        overlap of at most 11 terms in another order); `_kernel_cut` asks
-        for 33 or more."""
-        if upto < self.masses.shape[0]:
-            return NBSumLaw(self.masses[: upto + 1], self.spec)
+    def grow(self, upto: int) -> NBSumLaw:
+        """The law w_0..w_upto, upto past this one's last index."""
         return nb_sum_law(self.spec, count=upto + 1)
 
     def log_mass_past(self, size: int) -> float:
@@ -403,8 +364,8 @@ def nb_sum_cumulants(spec: ConvolutionSpec) -> tuple[float, float, float]:
 
 def finite_cumulants(spec: ConvolutionSpec) -> tuple[float, float]:
     """kappa_1 and kappa_2 of the exact weight law, which size the exact
-    routes' first stage.  Raises ConvergenceError where they are infinite:
-    no stage within any cap holds such a law, so nothing is built."""
+    routes' first law.  Raises ConvergenceError where they are infinite:
+    no law within any cap holds all their mass, so nothing is built."""
     mean, var, _ = nb_sum_cumulants(spec)
     if math.isinf(mean):
         raise ConvergenceError(
@@ -427,8 +388,8 @@ def nb_sum_law(
     count defaults to kappa_1 + 12 sqrt(kappa_2) + 32, kappa the law's
     cumulants (`finite_cumulants`), which leaves out mass far below any
     practical tolerance; that default is capped at upto + 1 masses and,
-    given `ctrl`, at ctrl.max_terms + 1, the size `NBSumLaw.extend` stops
-    at.
+    given `ctrl`, at ctrl.max_terms + 1, the size `converge_rows` grows
+    it to at most.
     """
     if count is None:
         mean, var = finite_cumulants(spec)
@@ -466,7 +427,7 @@ def _saddle_deviance(
 
 
 #: Entries (rows times masses) one block of `mixture_rows`' kernel sums
-#: holds: its temporaries, 64 kB each, stay in a core's cache, so a stage
+#: holds: its temporaries, 64 kB each, stay in a core's cache, so a law
 #: of 2,000 masses runs four rows at a time.
 _BLOCK_ENTRIES = 8192
 
@@ -494,7 +455,7 @@ def _row_bounds(sizes: list[int], width: int) -> tuple[np.ndarray, slice]:
 def _density_rows(
     law: WeightLaw, xs: list[float], sizes: list[int]
 ) -> tuple[list[float], list[float]]:
-    """sum_k w_k g(x; rho + k, b1) at every x > 0 over the stage's first
+    """sum_k w_k g(x; rho + k, b1) at every x > 0 over the law's first
     sizes[i] masses, and its tail bound.
 
     The kernel is g(x; a, b1) = (a/x) k_a(u) (`_saddle_deviance`).  Each row
@@ -523,14 +484,14 @@ def _density_rows(
     values, tails, last_size = [], [], None
     for x, size, peak, total in zip(xs, sizes, peaks, sums):
         values.append(math.exp(peak - math.log(x)) * total if peak > -math.inf else 0.0)
-        if size != last_size:  # rows of one stage share its left-out mass
+        if size != last_size:  # rows of one size share their left-out mass
             log_past, last_size = law.log_mass_past(size) + math.log(2.0), size
         log_tail = log_past + _log_kernel_peak(x, rho + size, beta1)
         tails.append(math.exp(log_tail) if log_tail < 709.0 else math.inf)
     return values, tails
 
 
-#: u = y/b1 from which a CDF row's kernels come from the stage's shared
+#: u = y/b1 from which a CDF row's kernels come from the law's shared
 #: saddle-point tables; below it from one anchor a row, so that a law used at
 #: one point (a per-point call, a renewal composition) builds no table.
 _CDF_KERNEL_SUM_FROM = 64.0
@@ -554,7 +515,7 @@ def _anchor_kernel(rho: float, u: float) -> float:
 
 
 def _kernel_cut(spec: ConvolutionSpec, x: float, quantity: str) -> float:
-    """The last index of a point's first stage over a weight law:
+    """The last index of a point's first row over a weight law:
     max(u - rho, 0) + 8 sqrt(u) + 32 at u = x/b1, for the density at every
     u and for the CDF below `_CDF_KERNEL_SUM_FROM`; inf elsewhere (and at
     a point that is not finite and >= 0, which the entry check rejects).
@@ -565,9 +526,9 @@ def _kernel_cut(spec: ConvolutionSpec, x: float, quantity: str) -> float:
     bound both are below e^-32 (e^-40 below u = 64) once a passes
     u + 8 sqrt(u) + 31.  A row too short for the point's tolerance (a
     value far below that: deep in the left tail, or a law whose mass sits
-    far past the point) is extended by `converge_rows`.  From
-    `_CDF_KERNEL_SUM_FROM` on, the CDF rows of a grid share one stage and
-    its x-free tables (`WeightLaw.log_cdf_weights`), so that stage is not
+    far past the point) moves on in `converge_rows`.  From
+    `_CDF_KERNEL_SUM_FROM` on, the CDF rows of a grid share one law's
+    x-free tables (`WeightLaw.log_cdf_weights`), so those rows are not
     cut.  The cut grows with x, so a request's farthest point has its
     farthest cut."""
     u = x / spec.components[0].scale
@@ -579,7 +540,7 @@ def _kernel_cut(spec: ConvolutionSpec, x: float, quantity: str) -> float:
 def _cdf_rows(
     law: WeightLaw, ys: list[float], sizes: list[int]
 ) -> tuple[list[float], list[float]]:
-    """sum_k w_k P(rho + k, u) at every u = y/b1 over the stage's first
+    """sum_k w_k P(rho + k, u) at every u = y/b1 over the law's first
     sizes[i] masses, clamped to 1, and its tail bound.
 
     P is the regularized lower incomplete gamma function.  It decreases in
@@ -601,10 +562,10 @@ def _cdf_rows(
     k_rho(u) (`_anchor_kernel`) times the running product of u/(rho + m)
     and sums them as one dot product with W (`_anchor_tables`), so a law
     used at one point builds no x-free table.  From it on a block of rows
-    takes the stage's saddle-point kernels (`_saddle_terms`), each row
+    takes the law's saddle-point kernels (`_saddle_terms`), each row
     summed over its own prefix (`_row_bounds`).  Either way a row is the
     same to the bit in any call as alone, so rows of any length share one
-    stage.
+    law.
     """
     rho, beta1 = law.rho, law.beta1
     values, tails, low, high = [], [], [], []
@@ -634,7 +595,7 @@ def _cdf_rows(
 
 
 def _anchor_tables(law: WeightLaw, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """What a call's CDF rows below u = 64 share over the stage's first
+    """What a call's CDF rows below u = 64 share over the law's first
     `width` masses: the shapes rho + m at 0 < m < width, and W_m at
     m < width (a running sum, the same in every prefix).
 
@@ -653,7 +614,7 @@ def _anchor_tables(law: WeightLaw, width: int) -> tuple[np.ndarray, np.ndarray]:
 def _saddle_terms(law: WeightLaw, ys: list[float], sizes: list[int]) -> np.ndarray:
     """W_m k_(rho+m)(u) from u = 64 on, a row per point y = u b1 and a
     column per m < max(sizes): the saddle-point kernels
-    (`_saddle_deviance`) over the stage's `log_cdf_weights`.  Entries past
+    (`_saddle_deviance`) over the law's `log_cdf_weights`.  Entries past
     a row's prefix may overflow or meet inf - inf; the caller drops them."""
     width = max(sizes)
     shapes = law.kernel_table[0][:width]
@@ -666,12 +627,12 @@ def mixture_rows(
     quantity: str, law: WeightLaw, xs: list[float], sizes: list[int]
 ) -> tuple[list[float], list[float]]:
     """The mixture `quantity` ("density" or "cdf") at every point xs[i] > 0,
-    row i over the first sizes[i] masses of the stage `law`: the rows'
+    row i over the first sizes[i] masses of `law`: the rows'
     values and tail bounds, as two lists.
 
     The kernel sums, the density's and, from u = 64 on, the CDF's, are
     taken for a block of rows at once (`_BLOCK_ENTRIES`): a rows x width
-    array of kernel terms over the stage's cached x-free tables, which
+    array of kernel terms over the law's cached x-free tables, which
     every row shares.  (Below u = 64 a CDF row is a few numpy calls of
     its own, from one anchor kernel.)  A row shorter than its block's
     widest is reduced over its own prefix alone (`np.maximum.reduceat` /
@@ -687,12 +648,6 @@ def mixture_rows(
     return (_cdf_rows if quantity == "cdf" else _density_rows)(law, xs, sizes)
 
 
-def _next_upto(size: int, last: int) -> int:
-    """The last index of the stage after one of `size` masses: 1.5 K + 64
-    at K = size - 1, capped at `last`."""
-    return min((size - 1) * 3 // 2 + 64, last)
-
-
 def converge_rows(
     quantity: str, xs: Sequence[float], ctrl: SeriesControl, law: WeightLaw,
     sizes: Sequence[int],
@@ -702,20 +657,21 @@ def converge_rows(
     convergence.
 
     While a row's tail bound exceeds rel_tol times its value, the row
-    moves to its next, longer stage, as `WeightLaw.extend` gives it: its
-    last index K grows to 1.5 K + 64, capped at ctrl.max_terms and at the
-    law's last index.  The rows that move are answered together over one
-    stage built to the farthest of them; each row's masses are a prefix of
-    it, the masses of its own stage, so every row is the same as alone.
-    terms_used is the size of the stage a row converged on.  When a row's
-    stage extends no further, an exact law (`NBSumLaw`) raises
+    moves on: its last index K grows to 1.5 K + 64, capped at
+    ctrl.max_terms and, for a law that does not grow, at its last index.
+    The rows that move are answered together, each over its own prefix of
+    the law, so every row is the same as alone; the law grows (`grow`)
+    only when a moving row passes its end, to the farthest of them.
+    terms_used is the size of the prefix a row converged on.  When a row
+    can move no further, an exact law (`NBSumLaw`) raises
     ConvergenceError, that of the first such row in order, as a per-point
     loop would; any other law, a fitted one at its table's end, answers
     the row as it stands with its tail bound: the approximation's own
     error dominates any truncation.
     """
     results: list[EvalResult] = [None] * len(xs)
-    last = min(ctrl.max_terms, law._last_index)
+    exact = isinstance(law, NBSumLaw)
+    last = ctrl.max_terms if exact else min(ctrl.max_terms, law.masses.shape[0] - 1)
     rows, row_xs, row_sizes = range(len(xs)), xs, sizes
     failed: tuple[int, ConvergenceError] | None = None
     while True:
@@ -726,7 +682,7 @@ def converge_rows(
                 results[row] = EvalResult(value, size, tail)
             elif size <= last:
                 moving.append((row, size))
-            elif not isinstance(law, NBSumLaw):
+            elif not exact:
                 results[row] = EvalResult(value, size, tail)
             elif failed is None or row < failed[0]:
                 failed = row, ConvergenceError(
@@ -740,8 +696,9 @@ def converge_rows(
             break
         rows = [row for row, _ in moving]
         row_xs = [xs[row] for row in rows]
-        row_sizes = [_next_upto(size, last) + 1 for _, size in moving]
-        law = law.stage(max(row_sizes) - 1)
+        row_sizes = [min((size - 1) * 3 // 2 + 64, last) + 1 for _, size in moving]
+        if max(row_sizes) > law.masses.shape[0]:
+            law = law.grow(max(row_sizes) - 1)
     if failed is not None:
         raise failed[1]
     return results
@@ -755,6 +712,23 @@ class Answers(dict):
     which a test or tracer may have replaced."""
 
 
+def _first_rows(
+    quantity: str, spec: ConvolutionSpec, xs: list[float], ctrl: SeriesControl,
+    weights: object, first_law: Callable[..., object], cut: bool,
+) -> tuple[object, list[int]]:
+    """The law the rows at xs start over, `weights` or else
+    first_law(spec, ctrl, upto) of the canonical spec, and each row's
+    first size.  With `cut` a row ends at its point's `_kernel_cut` where
+    that is shorter than the law, and upto is the farthest cut; without
+    it every row takes the whole law, and upto is inf.  Over a law that
+    is not a `WeightLaw` (`mathai.ShellTable`) there are no sizes."""
+    cuts = [_kernel_cut(spec, x, quantity) if cut else math.inf for x in xs]
+    law = first_law(spec, ctrl, upto=max(cuts)) if weights is None else weights
+    if not isinstance(law, WeightLaw):
+        return law, []
+    return law, [min(c + 1, law.masses.shape[0]) for c in cuts]
+
+
 def mixture_point(
     quantity: str, spec: ConvolutionSpec, x: float, ctrl: SeriesControl,
     weights: WeightLaw | Answers | None, first_law: Callable[..., WeightLaw],
@@ -763,25 +737,21 @@ def mixture_point(
     """The per-point body of every weight-law route: the point's result
     where `weights` holds the request's `Answers`; otherwise the entry
     check, then the mixture `quantity` at x over `weights`, or where that
-    is None over first_law(spec, ctrl) of the canonical spec, run to
+    is None over first_law(spec, ctrl, upto) of the canonical spec, run to
     convergence as the one-row case of `converge_rows`.
 
     With `cut` (the nbsum density and the CDF routes over a weight law)
-    the row starts over the stage that ends at the point's `_kernel_cut`
-    where that is shorter: first_law takes it as `upto`, and over
-    `weights` the row takes that prefix.  A law's stage is a prefix of
-    every longer one, so both give the same stage.
+    the row starts over its prefix that ends at the point's `_kernel_cut`
+    (`_first_rows`), of `weights` or of a law built to that cut: a law is
+    a prefix of every longer one, so both give the same row.
     """
     if isinstance(weights, Answers):
         return weights[x]
     spec, done = check_point(spec, x, quantity)
     if done is not None:
         return done
-    upto = _kernel_cut(spec, x, quantity) if cut else math.inf
-    if weights is None:
-        weights = first_law(spec, ctrl, upto=upto) if cut else first_law(spec, ctrl)
-    size = min(upto + 1, weights.masses.shape[0])
-    return converge_rows(quantity, [x], ctrl, weights, [size])[0]
+    law, sizes = _first_rows(quantity, spec, [x], ctrl, weights, first_law, cut)
+    return converge_rows(quantity, [x], ctrl, law, sizes)[0]
 
 
 def nbsum_density(
@@ -792,7 +762,7 @@ def nbsum_density(
 ) -> EvalResult:
     """The exact density as a mixture over the weight law built by
     `nb_sum_law`: the moschopoulos series with its weights convolved in
-    place of recursed, its first stage cut at the point's kernel
+    place of recursed, its first row cut at the point's kernel
     (`mixture_point`).  Pass a prebuilt law as `weights` to share it."""
     return mixture_point("density", spec, x, ctrl, weights, nb_sum_law, cut=True)
 
@@ -804,7 +774,7 @@ def nbsum_cdf(
     weights: WeightLaw | None = None,
 ) -> EvalResult:
     """The exact CDF as a mixture over the weight law built by
-    `nb_sum_law`, its first stage cut at the point's kernel
+    `nb_sum_law`, its first row cut at the point's kernel
     (`mixture_point`); `mathai.cdf_n` is this at mathai's control."""
     return mixture_point("cdf", spec, y, ctrl, weights, nb_sum_law, cut=True)
 
@@ -814,22 +784,22 @@ class Method(NamedTuple):
     for each quantity whose weight law does not depend on the point, the
     builder of the law its per-point function takes as `weights` (and
     builds for itself when called without one): density_law /
-    cdf_law(spec, ctrl).  Every per-point function with a `WeightLaw`
+    cdf_law(spec, ctrl, upto).  Every per-point function with a `WeightLaw`
     runs `mixture_point`, and `evaluate` answers its points as rows over
     one law (`converge_rows`); for the mathai density at n >= 3 the law is a
     `mathai.ShellTable`, the series' x-free shells.  `cuts` names the
-    quantities whose per-point function cuts its first stage at the
+    quantities whose per-point function cuts its first rows at the
     point's kernel (the nbsum density, and every CDF over a weight law:
-    the exact ones and the approximation's); their law builders take the
-    cut as `upto`.  The approximation's density is not cut: its fitted
-    stages would extend at many points."""
+    the exact ones and the approximation's); their exact law builders
+    stop at the farthest cut, `upto`.  The approximation's density is not
+    cut: its rows would move on at many points."""
 
     name: str
     density: Callable[..., EvalResult]
     cdf: Callable[..., EvalResult]
     control: SeriesControl
-    density_law: Callable[[ConvolutionSpec, SeriesControl], object] | None = None
-    cdf_law: Callable[[ConvolutionSpec, SeriesControl], WeightLaw] | None = None
+    density_law: Callable[..., object] | None = None
+    cdf_law: Callable[..., WeightLaw] | None = None
     cuts: tuple[str, ...] = ()
 
 
@@ -843,12 +813,12 @@ _RECURSION_SQUARE = 0.65
 def _auto_exact(spec: ConvolutionSpec, quantity: str, points: Sequence[float]) -> str:
     """The exact route `auto` takes for a canonical spec of three or more
     components: nbsum unless the recursion is predicted to build the first
-    stage the request needs more cheaply.
+    law the request needs more cheaply.
 
     The law's cumulant size, K = kappa_1 + 12 sqrt(kappa_2) + 32 at the
     default cap (infinite cumulants give the cap; both routes then raise
     before building), is the size the cost fit was made at.  nbsum's
-    stage is K cut at the farthest point's `_kernel_cut`, as `evaluate`
+    law is K cut at the farthest point's `_kernel_cut`, as `evaluate`
     builds it; the recursion's is K for the density, which
     `moschopoulos.density` does not cut, and the same cut K for the CDF.
     Without points both are K."""
@@ -871,12 +841,12 @@ def lookup(
 
     "auto" stands for mathai when the spec has at most two components;
     past that for nbsum, unless the recursion is predicted to build the
-    first weight stage the request needs more cheaply (`_auto_exact`,
-    which sizes nbsum's stage by the points), then for moschopoulos.  Both
-    are exact at the default control.  Without points the stages are
-    priced at the law's cumulant size.  The mathai CDF is `mathai.cdf_n` at
+    first weight law the request needs more cheaply (`_auto_exact`,
+    which sizes nbsum's law by the points), then for moschopoulos.  Both
+    are exact at the default control.  Without points the laws are
+    priced at their cumulant size.  The mathai CDF is `mathai.cdf_n` at
     every n.  Every CDF over a weight law, the approximation's included,
-    cuts its points' stages (`Method.cuts`).  The functions are read off
+    cuts its points' rows (`Method.cuts`).  The functions are read off
     their modules at each call, so one that a test or tracer has replaced
     there is the one that runs.
     (Imported here because the method modules import this one.)
@@ -926,21 +896,21 @@ def evaluate(
     resolved for the canonical spec, quantity and points by `lookup`.
     Where the weight law does not depend on the point (the moschopoulos
     and nbsum series, the approximation, the mathai CDF) the request runs
-    as rows: its first stage is built once, and `converge_rows` answers
-    every point that the entry check leaves open over it, in blocks of
-    rows, moving the rows that need more terms to longer stages together.
-    Each row is the mixture over its own stage, so each result equals the
-    per-point call on that point alone, bit for bit.  Where the route cuts
-    each point's stage at its kernel (`Method.cuts`: the nbsum density and
-    the CDFs over a weight law) a row starts over its prefix to the
-    point's cut, and the shared stage is built only to the farthest cut,
-    the one at the largest point; a CDF with a point from u = 64 on gets
-    the whole first stage.  The route's per-point function is still called
-    at every point, with the request's `Answers` as `weights`.  The mathai
-    densities run per point: at n >= 3 over one shell table
-    (`mathai.ShellTable`), grown in place as the points need; at n = 2
-    (a closed 1F1 form) alone.  `ctrl` defaults to the method's own
-    control.
+    as rows: its first law is built once (`_first_rows`), and
+    `converge_rows` answers every point that the entry check leaves open
+    over it, in blocks of rows, moving the rows that need more terms on
+    together.  Each row is the mixture over its own prefix of the law, so
+    each result equals the per-point call on that point alone, bit for
+    bit.  Where the route cuts each point's row at its kernel
+    (`Method.cuts`: the nbsum density and the CDFs over a weight law) a
+    row starts over its prefix to the point's cut, and an exact law is
+    built only to the farthest cut, the one at the largest point; a CDF
+    with a point from u = 64 on gets the whole first law.  The route's
+    per-point function is still called at every point, with the request's
+    `Answers` as `weights`.  The mathai densities run per point: at n >= 3
+    over one shell table (`mathai.ShellTable`), grown in place as the
+    points need; at n = 2 (a closed 1F1 form) alone.  `ctrl` defaults to
+    the method's own control.
     """
     spec = canonicalize(spec)
     xs = [float(x) for x in points]
@@ -952,12 +922,9 @@ def evaluate(
     open_xs = [x for x, done in zip(xs, settled) if done is None]
     if build is None or not open_xs:
         return [fn(spec, x, ctrl) for x in xs]
-    cuts = [_kernel_cut(spec, x, quantity) for x in open_xs] if quantity in chosen.cuts else None
-    law = build(spec, ctrl, upto=max(cuts)) if cuts else build(spec, ctrl)
+    law, sizes = _first_rows(quantity, spec, open_xs, ctrl, None, build, quantity in chosen.cuts)
     if not isinstance(law, WeightLaw):
         return [fn(spec, x, ctrl, weights=law) for x in xs]
-    size = law.masses.shape[0]
-    sizes = [min(cut + 1, size) for cut in cuts] if cuts else [size] * len(open_xs)
     rows = iter(converge_rows(quantity, open_xs, ctrl, law, sizes))
     answers = Answers((x, next(rows) if done is None else done) for x, done in zip(xs, settled))
     return [fn(spec, x, ctrl, weights=answers) for x in xs]

@@ -181,9 +181,9 @@ class EvalResult:
         routes (moschopoulos, nbsum, the mathai CDF, the approximation)
         bound it by the left-out weight mass times the largest kernel
         value; the approximation's covers the truncation of its fitted
-        law, not the fit's error.  mathai's densities (the closed 1F1 form
-        and the n >= 3 multiple series) give None: their series stop on a
-        relative rule, and their terms are not the masses of a law.
+        law, not the fit's error.  mathai's 1F1 density (n = 2) gives the
+        value times the 1F1's `rel_bound`; its n >= 3 series gives None: it
+        stops on a relative rule, and its terms are not a law's masses.
     """
 
     value: float

@@ -29,8 +29,8 @@ __all__ = [
 
 
 class WeightDistribution(NBSumLaw):
-    """The series weights C*delta_k from the exact recursion: a stage of
-    the exact weight law whose extension runs the recursion on.
+    """The series weights C*delta_k from the exact recursion: a prefix of
+    the exact weight law that grows by running the recursion on.
 
     c: the constant C = prod (b1/b_i)^{a_i}, in (0, 1].
     deltas: delta_0..delta_K from the exact recursion (delta_0 = 1).
@@ -50,16 +50,8 @@ class WeightDistribution(NBSumLaw):
     def upto(self) -> int:
         return self.deltas.shape[0] - 1
 
-    def pmf(self, k: int) -> float:
-        return self.c * float(self.deltas[k])
-
-    def _prefix(self, upto: int) -> WeightDistribution:
-        """The stage delta_0..delta_upto: a slice of this one where that
-        is shorter, else this one extended by the recursion."""
-        if upto < self.upto:
-            return WeightDistribution(
-                self.c, self.deltas[: upto + 1], self.gammas[: upto + 1], self.spec
-            )
+    def grow(self, upto: int) -> WeightDistribution:
+        """delta_0..delta_upto, the recursion run on past this one."""
         return extend_weights(self, self.spec, upto)
 
 
@@ -129,7 +121,7 @@ def first_weights(
 ) -> WeightDistribution:
     """The weights `density` and `cdf` start from: delta_0..delta_K with K
     from the weight cumulants, capped at ctrl.max_terms (the cap the
-    extension stops at) and at `upto`."""
+    rows grow to) and at `upto`."""
     return build_weights(spec, _weight_count_estimate(spec, min(ctrl.max_terms, upto)))
 
 
@@ -146,10 +138,10 @@ def density(
     sum.  Pass a prebuilt law as `weights` (a `build_weights` snapshot) to
     amortize the recursion across calls (`methods.evaluate` builds one per
     request and answers its points as rows over it).  Unlike `cdf` and
-    `methods.nbsum_density`, the first stage is not cut at the point:
+    `methods.nbsum_density`, the first weights are not cut at the point:
     this is the paper's per-point series, whose cost the acceptance tests
     bracket from below against `mathai.density2` on the (alpha = 20,
-    scales 4/0.3) bulk grid, where a cut stage would make it about 1.8x
+    scales 4/0.3) bulk grid, where a cut would make it about 1.8x
     cheaper.
     """
     return mixture_point("density", spec, x, ctrl, weights, first_weights)
@@ -167,9 +159,9 @@ def cdf(
     since G decreases in the shape argument.  `methods.mixture_rows` sums
     the series by parts: kernel sums over the cumulative weights plus
     G(y/b1; rho + K + 1) itself, the one incomplete-gamma value, which the
-    bound takes too.  Below y/b1 = 64 the first stage, built or taken as
-    a prefix of `weights`, ends where the point's kernel dies
-    (`methods.mixture_point`), and the recursion runs on from there only
-    if the tail bound asks for it.
+    bound takes too.  Below y/b1 = 64 the row starts over its prefix,
+    built or of `weights`, that ends where the point's kernel dies
+    (`methods.mixture_point`), and the recursion runs on past the weights
+    only if the tail bound asks for it.
     """
     return mixture_point("cdf", spec, y, ctrl, weights, first_weights, cut=True)

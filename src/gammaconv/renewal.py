@@ -214,7 +214,8 @@ def pmf_s2(
 
 
 def _poisson_pmf(lam: float, n: int) -> float:
-    return math.exp(n * math.log(lam) - lam - math.lgamma(n + 1.0)) if n else math.exp(-lam)
+    """The Poisson(lam) mass at n, as `methods.poisson_masses` gives it."""
+    return float(methods.poisson_masses(lam, n + 1)[n])
 
 
 def _conv_cdf(
@@ -262,8 +263,8 @@ def pmf_raw_s2(
     the composition sum of `pmf_general` with every H evaluated afresh,
     4(n + 1) CDF evaluations for n >= 1 (memoizing would change the
     baseline measured).  Each is a per-point call of the method's CDF;
-    the exact ones start from a stage cut at the point's kernel
-    (`methods.mixture_point`), not from their law's whole first stage.
+    the exact ones start from a law cut at the point's kernel
+    (`methods.mixture_point`), not from their law's whole cumulant size.
     """
     mix = validate_mixture(mix)
     if mix.size > 2:

@@ -610,7 +610,7 @@ def test_criterion_9_property_suites(capsys):
                 - math.lgamma(k + 1.0)
                 + k * math.log1p(-q)
             )
-            worst_nb = max(worst_nb, abs(w.pmf(k) - want))
+            worst_nb = max(worst_nb, abs(w.masses[k] - want))
     nb_ok = worst_nb <= 1e-12
 
     # h_diff non-negativity (it is the probability of a strip event).

@@ -240,7 +240,7 @@ class TestApproxTable:
             wide = doubled_table(params, int(params.m * params.theta / d + 14.0 * wide_sd + 100.0))
             size = min(wide.shape[0], law.masses.shape[0])
             assert np.array_equal(law.masses[:size], wide[:size])
-            assert law.table is law.masses
+            assert not hasattr(law, "grow")
         _, law = self.fitted(canonicalize(bench.spec_for(20.0, (4.0, 3.0, 0.2))))
         assert law.masses.shape[0] <= 2_100
 
@@ -257,16 +257,27 @@ class TestApproxTable:
             tail = 2.0**-54 * past[1]
             assert size == table.shape[0] or past[size] <= tail < past[size - 1]
 
-    def test_stages_are_prefixes_of_the_table(self):
+    def test_stages_are_prefixes_of_the_table(self, monkeypatch):
+        # The fitted law is its whole table at any upto.  A row far in the
+        # right tail (u = 5,000) moves through prefixes of it up to its end,
+        # where it is answered as it stands.
         spec = canonicalize(bench.spec_for(20.0, (4.0, 3.0, 0.2)))
         ctrl = barnabani.CONTROL_APPROX
         _, full = self.fitted(spec)
         law = barnabani.approx_law(spec, ctrl, upto=40)
-        sizes = [law.masses.shape[0]]
-        while (law := law.extend(ctrl)) is not None:
-            assert np.array_equal(law.masses, full.masses[: law.masses.shape[0]])
-            sizes.append(law.masses.shape[0])
-        assert sizes[:3] == [41, 125, 251] and sizes[-1] == full.masses.shape[0]
+        assert np.array_equal(law.masses, full.masses)
+        rows = []
+        real = methods.mixture_rows
+
+        def recorded(quantity, row_law, xs, sizes):
+            rows.append((row_law, *sizes))
+            return real(quantity, row_law, xs, sizes)
+
+        monkeypatch.setattr(methods, "mixture_rows", recorded)
+        got = methods.converge_rows("density", [1000.0], ctrl, law, [41])[0]
+        assert all(row_law is law for row_law, _ in rows)
+        sizes = [size for _, size in rows]
+        assert sizes[:3] == [41, 125, 251] and sizes[-1] == got.terms_used == law.masses.shape[0]
 
     def test_deep_left_tail_cdf_extends_within_the_table(self):
         # At u = y/b1 = 30 the point's cut stage (77 masses) holds almost

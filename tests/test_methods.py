@@ -85,13 +85,14 @@ class TestEntryCheck:
             fn(below, 0.0)
 
 
-def mp_density_sum(law, x):
-    """sum_k w_k g(x; rho + k, b1) over the law's float masses, each gamma
-    kernel taken at 50 digits; terms below e^-60 times the largest, found
-    from a rough float sum, are left out."""
-    shapes = law.rho + np.arange(law.masses.shape[0], dtype=float)
+def mp_density_sum(law, x, size):
+    """sum_k w_k g(x; rho + k, b1) over the law's first `size` float masses,
+    each gamma kernel taken at 50 digits; terms below e^-60 times the
+    largest, found from a rough float sum, are left out."""
+    masses = law.masses[:size]
+    shapes = law.rho + np.arange(size, dtype=float)
     with np.errstate(divide="ignore"):
-        rough = (np.log(law.masses) + (shapes - 1.0) * math.log(x) - x / law.beta1
+        rough = (np.log(masses) + (shapes - 1.0) * math.log(x) - x / law.beta1
                  - sp.gammaln(shapes) - shapes * math.log(law.beta1))
     with mp.workdps(50):
         xm, b = mp.mpf(x), mp.mpf(law.beta1)
@@ -99,7 +100,7 @@ def mp_density_sum(law, x):
         for k in np.flatnonzero(rough > rough.max() - 60.0):
             a = mp.mpf(law.rho) + int(k)
             log_g = (a - 1) * mp.log(xm) - xm / b - mp.loggamma(a) - a * mp.log(b)
-            terms.append(mp.mpf(float(law.masses[k])) * mp.exp(log_g))
+            terms.append(mp.mpf(float(masses[k])) * mp.exp(log_g))
         return float(mp.fsum(terms))
 
 
@@ -130,24 +131,24 @@ def mp_tiny_series(quantity, x):
         return float(mp.fsum(terms))
 
 
-def whole_stage(quantity, law, x):
-    """The `mixture_rows` row at one point x over the whole stage `law`:
-    its value and tail bound."""
-    values, tails = methods.mixture_rows(quantity, law, [x], [law.masses.shape[0]])
+def one_row(quantity, law, x, size=None):
+    """The `mixture_rows` row at one point x over the first `size` masses
+    of `law`, by default all: its value and tail bound."""
+    values, tails = methods.mixture_rows(quantity, law, [x], [size or law.masses.shape[0]])
     return values[0], tails[0]
 
 
-def converge_whole_stage(quantity, x, ctrl, law):
-    """`converge_rows` at one point x, starting over the whole stage `law`."""
+def converge_whole_law(quantity, x, ctrl, law):
+    """`converge_rows` at one point x, starting over the whole of `law`."""
     return methods.converge_rows(quantity, [x], ctrl, law, [law.masses.shape[0]])[0]
 
 
 def converged_law(chosen, spec, result):
-    """The stage of `chosen`'s density law that `result` converged on."""
+    """`chosen`'s density law, grown where it is shorter than the prefix
+    `result` converged on."""
     law = chosen.density_law(spec, chosen.control)
-    if law.masses.shape[0] != result.terms_used:
-        law = law.stage(result.terms_used - 1)
-    return law
+    size = result.terms_used
+    return law.grow(size - 1) if size > law.masses.shape[0] else law
 
 
 class TestMixture:
@@ -156,14 +157,14 @@ class TestMixture:
         rho, beta1 = 1.7, 0.8
         for x in (0.3, 2.0, 9.0):
             law = methods.WeightLaw(masses, rho, beta1)
-            value, tail = whole_stage("density", law, x)
+            value, tail = one_row("density", law, x)
             want = sum(
                 w * stats.gamma.pdf(x, rho + k, scale=beta1)
                 for k, w in enumerate(masses)
             )
             assert rel_err(value, want) < 1e-12
             assert 0.0 <= tail < 1e-12
-            value, tail = whole_stage("cdf", law, x)
+            value, tail = one_row("cdf", law, x)
             want = sum(
                 w * stats.gamma.cdf(x, rho + k, scale=beta1)
                 for k, w in enumerate(masses)
@@ -174,8 +175,9 @@ class TestMixture:
         masses = stats.nbinom.pmf(np.arange(60), 2.0, 0.6)
         for x in (0.5, 4.0, 20.0):
             for quantity in ("density", "cdf"):
-                full, _ = whole_stage(quantity, methods.WeightLaw(masses, 1.2, 1.0), x)
-                short, tail = whole_stage(quantity, methods.WeightLaw(masses[:6], 1.2, 1.0), x)
+                law = methods.WeightLaw(masses, 1.2, 1.0)
+                full, _ = one_row(quantity, law, x)
+                short, tail = one_row(quantity, law, x, 6)
                 assert 0.0 <= full - short <= tail
 
     def test_converge_answers_a_fixed_law_as_it_stands(self):
@@ -186,9 +188,9 @@ class TestMixture:
         law = methods.WeightLaw(stats.nbinom.pmf(np.arange(6), 2.0, 0.6), 1.2, 1.0)
         ctrl = SeriesControl(rel_tol=1e-13)
         for quantity in ("density", "cdf"):
-            value, tail = whole_stage(quantity, law, 4.0)
+            value, tail = one_row(quantity, law, 4.0)
             assert tail > ctrl.rel_tol * value
-            assert converge_whole_stage(quantity, 4.0, ctrl, law) == EvalResult(value, 6, tail)
+            assert converge_whole_law(quantity, 4.0, ctrl, law) == EvalResult(value, 6, tail)
 
     # Far-tail points, where the kernels' shapes reach the thousands and
     # an lgamma-form kernel's parts would cancel: each route's value
@@ -204,9 +206,9 @@ class TestMixture:
         chosen = methods.lookup(method, spec)
         for x in points:
             result = chosen.density(spec, x)
-            law = converged_law(chosen, spec, result)
-            assert whole_stage("density", law, x)[0] == result.value
-            assert rel_err(result.value, mp_density_sum(law, x)) <= 5e-14
+            law, size = converged_law(chosen, spec, result), result.terms_used
+            assert one_row("density", law, x, size)[0] == result.value
+            assert rel_err(result.value, mp_density_sum(law, x, size)) <= 5e-14
 
     @pytest.mark.parametrize("method", ["moschopoulos", "nbsum", "approx"])
     def test_density_at_tiny_x(self, method):
@@ -218,7 +220,8 @@ class TestMixture:
             warnings.simplefilter("error")
             for x in (1e-300, 5e-324):
                 result = chosen.density(spec, x)
-                want = mp_density_sum(converged_law(chosen, spec, result), x)
+                law = converged_law(chosen, spec, result)
+                want = mp_density_sum(law, x, result.terms_used)
                 assert rel_err(result.value, want) <= 1e-12
 
     @pytest.mark.parametrize("method", ["moschopoulos", "nbsum", "approx"])
@@ -322,7 +325,7 @@ class TestMixture:
                 # The reference: one gammainc per mass, summed exactly.
                 want = math.fsum(masses * sp.gammainc(law.rho + np.arange(size, dtype=float), u))
                 bound = max(1.0 - float(masses.sum()), 0.0) * float(sp.gammainc(law.rho + size, u))
-                value, tail = whole_stage("cdf", law, y)
+                value, tail = one_row("cdf", law, y)
                 assert tail == bound
                 if region == "left":
                     assert want < 1e-10
@@ -414,9 +417,10 @@ class TestCdfTailBound:
                 chosen = methods.lookup(name, spec)
                 law = chosen.cdf_law(spec, chosen.control)
                 got = [chosen.cdf(spec, float(y), chosen.control, weights=law) for y in points]
-                longer = law.stage(4 * max(r.terms_used for r in got))
+                size = 4 * max(r.terms_used for r in got) + 1
+                longer = law.grow(size - 1) if size > law.masses.shape[0] else law
                 for y, r in zip(points, got):
-                    value, _ = whole_stage("cdf", longer, float(y))
+                    value, _ = one_row("cdf", longer, float(y), size)
                     assert abs(r.value - value) <= r.tail_bound + 4 * 2.2e-16 * r.value
 
 
@@ -438,17 +442,51 @@ class TestWeightLaw:
 
     @pytest.mark.parametrize("spec", LAW_SPECS)
     def test_extended_stage_keeps_head(self, spec):
-        # The CDF's value-relative stop needs every stage to be an exact
-        # prefix of the next.
+        # The CDF's value-relative stop needs every law to be an exact
+        # prefix of the one it grows to.
         spec = canonicalize(spec)
         recursion = moschopoulos.first_weights(spec, DEFAULT_CONTROL)
         for law in (methods.nb_sum_law(spec), recursion):
             for _ in range(3):
-                longer = law.extend(DEFAULT_CONTROL)
                 size = law.masses.shape[0]
+                longer = law.grow((size - 1) * 3 // 2 + 64)
                 assert longer.masses.shape[0] == int((size - 1) * 1.5) + 65
                 assert np.array_equal(longer.masses[:size], law.masses)
                 law = longer
+
+    @pytest.mark.parametrize("first", [
+        lambda spec: methods.nb_sum_law(spec, count=300),
+        lambda spec: moschopoulos.build_weights(spec, 299),
+    ], ids=["nbsum", "recursion"])
+    def test_law_grows_only_past_its_end(self, monkeypatch, first):
+        # The law's mass sits near k = 470.  Rows that start at 40 of its
+        # 300 masses move to 123 and 248 masses within it, with no build,
+        # then to 435, 716 and on past its end, with one build a move.
+        spec = canonicalize(ConvolutionSpec.of((2.0, 1.0), (20.0, 10.0), (10.0, 30.0)))
+        law = first(spec)
+        events = []
+        for module, name in ((methods, "nb_sum_law"), (moschopoulos, "extend_weights")):
+            def build(*args, real=getattr(module, name), **kwargs):
+                events.append("build")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, build)
+        real_rows = methods.mixture_rows
+
+        def rows(quantity, law, xs, sizes):
+            events.append((max(sizes), law.masses.shape[0]))
+            return real_rows(quantity, law, xs, sizes)
+
+        monkeypatch.setattr(methods, "mixture_rows", rows)
+        mean = float(spec.shapes @ spec.scales)
+        methods.converge_rows("density", [0.3 * mean, mean, 2.0 * mean], DEFAULT_CONTROL,
+                              law, [40] * 3)
+        seen = [event for event in events if event != "build"]
+        want = seen[:1]
+        for (_, end), (size, grown) in zip(seen, seen[1:]):
+            want += ["build"] * (size > end) + [(size, grown)]
+        assert events == want
+        assert [size for size, _ in seen[:5]] == [40, 123, 248, 435, 716]
 
     def test_infinite_cumulants_raise_before_building(self):
         # Past a scale ratio of about 1e108 the cumulants are infinite, and
@@ -517,19 +555,35 @@ class TestWeightLaw:
             sd = math.sqrt(float(spec.shapes @ spec.scales**2))
             for x in (1e-3 * mean, 0.2 * mean, mean, mean + 2.0 * sd, mean + 5.0 * sd):
                 cut = methods.nbsum_density(spec, x)
-                full = converge_whole_stage("density", x, DEFAULT_CONTROL,
-                                            methods.nb_sum_law(spec, DEFAULT_CONTROL))
+                full = converge_whole_law("density", x, DEFAULT_CONTROL,
+                                          methods.nb_sum_law(spec, DEFAULT_CONTROL))
                 assert cut.tail_bound <= DEFAULT_CONTROL.rel_tol * cut.value
                 worst = max(worst, rel_err(cut.value, full.value))
         assert worst <= DEFAULT_CONTROL.rel_tol
 
-    def test_extension_stops_at_max_terms(self):
-        spec = canonicalize(SPEC3)
-        ctrl = SeriesControl(max_terms=120)
-        law = methods.nb_sum_law(spec, count=100).extend(ctrl)
-        assert law.masses.shape[0] == 121
-        assert law.extend(ctrl) is None
-        assert methods.WeightLaw(law.masses, 1.0, 1.0).extend(ctrl) is None
+    def test_extension_stops_at_max_terms(self, monkeypatch):
+        # A moving row's size goes from K to 1.5 K + 64, capped at
+        # max_terms and at a fitted table's end.  Past the cap the exact
+        # law raises; a fitted one answers the row as it stands.
+        sizes = []
+        real = methods.mixture_rows
+
+        def rows(quantity, law, xs, row_sizes):
+            sizes.append(list(row_sizes))
+            return real(quantity, law, xs, row_sizes)
+
+        monkeypatch.setattr(methods, "mixture_rows", rows)
+        law = methods.nb_sum_law(canonicalize(SPEC3), count=100)
+        with pytest.raises(ConvergenceError) as failed:
+            methods.converge_rows("density", [300.0], SeriesControl(max_terms=120), law, [100])
+        assert sizes == [[100], [121]] and failed.value.terms_used == 121
+        for table, ctrl, last in ((300, SeriesControl(max_terms=50), 51),
+                                  (40, DEFAULT_CONTROL, 40)):
+            sizes.clear()
+            law = methods.WeightLaw(stats.nbinom.pmf(np.arange(table), 2.0, 0.05), 1.2, 1.0)
+            row = methods.converge_rows("density", [40.0], ctrl, law, [10])[0]
+            assert sizes == [[10], [last]] and row.terms_used == last
+            assert row.tail_bound > ctrl.rel_tol * row.value
 
 
 class TestRegistry:

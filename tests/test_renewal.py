@@ -162,6 +162,19 @@ class TestPmfS2:
             got = pmf_s2(mix, RenewalQuery(10.0, n))
         assert rel_err(got, stats.poisson.pmf(n, mean)) < 1e-13
 
+    @pytest.mark.parametrize("lam, n", [(3000.0, 3300), (3000.0, 3000), (80.0, 80)])
+    def test_poisson_pmf_matches_mpmath(self, lam, n):
+        # One component, or a weight that rounds to 1, is Poisson(t / b).
+        # Taken as exp(n log lam - lam - lgamma(n + 1)), the mass carries the
+        # rounding of terms near n log n: 2.2e-12 off at (3000, 3300).
+        with mp.workdps(40):
+            want = float(mp.exp(n * mp.log(lam) - lam - mp.loggamma(n + 1)))
+        one, q = MixtureExpSpec((1.0,), (1.0,)), RenewalQuery(lam, n)
+        for fn in (pmf_s2, pmf_general, pmf_raw_s2):
+            assert rel_err(fn(one, q), want) <= 1e-14
+        vanishing = MixtureExpSpec((1.0, 1e-300), (2.0, 5.0))
+        assert rel_err(pmf_s2(vanishing, RenewalQuery(2.0 * lam, n)), want) <= 1e-14
+
     def test_log_f1_family_against_mpmath(self):
         # Seeded (n, z) on both sides of the scalar/array switch at
         # (n + 2)(J + 1) = 640, z = 0 included: one list of log 1F1(m; n+1; z),
