@@ -255,8 +255,7 @@ def _cmd_selftest() -> int:
         moschopoulos.density(spec2, 1.0).value, d, 1e-12,
     )
     # density2 over z = (1/0.3 - 1/4) x of about 30-130, which spans the
-    # 1F1's switches from the short series to the log-space blocks and on
-    # to the large-z form.
+    # 1F1's switch from the power series to the large-z form.
     wide = ConvolutionSpec.of((20.0, 0.3), (20.0, 4.0))
     worst = max(
         abs(mathai.density2(wide, x).value / moschopoulos.density(wide, x).value - 1.0)

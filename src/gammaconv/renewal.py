@@ -112,11 +112,12 @@ def _log_f1_family(n: int, z: float, ctrl: SeriesControl) -> list[float]:
 
     All parameters are integers, so every term is a ratio of integer
     gamma values; one lgamma lookup table serves the whole family.  The
-    series length J follows the same peak-plus-margin rule as the scalar
-    Kummer series: terms decay factorially past j ~ z for every row
-    because the ratio is at most z / (j + 1).  Past 640 terms the rows
-    are summed as arrays, in blocks of at most 2^16 terms.  An n over
-    ctrl.max_terms raises BudgetError before anything of size n is built.
+    series length J is the term peak z plus a margin of c sqrt(z + 1) + 12
+    terms, c = sqrt(2 (5 - log rel_tol + log(1 + z))): terms decay
+    factorially past j ~ z for every row because the ratio is at most
+    z / (j + 1).  Past 640 terms the rows are summed as arrays, in blocks
+    of at most 2^16 terms.  An n over ctrl.max_terms raises BudgetError
+    before anything of size n is built.
     """
     if n > ctrl.max_terms:
         raise BudgetError(
@@ -457,12 +458,19 @@ def pmf(
         if mix.size <= 2:
             return pmf_s2(mix, q, ctrl or DEFAULT_CONTROL)
         return float(pmf_vector(mix, q.t, q.n, ctrl or DEFAULT_CONTROL)[q.n])
-    cdf_method = method.removeprefix("raw-")
-    if cdf_method not in methods.METHODS:
-        raise DomainError(f"unknown renewal method {method!r}; use one of {RENEWAL_METHODS}")
+    cdf_method = _cdf_method(method)
     if method.startswith("raw-") and mix.size <= 2:
         return pmf_raw_s2(mix, q, cdf_method, ctrl)
     return pmf_general(mix, q, cdf_method, ctrl)
+
+
+def _cdf_method(method: str) -> str:
+    """The CDF method of a route other than "proposition"; DomainError if
+    `method` names none."""
+    cdf_method = method.removeprefix("raw-")
+    if cdf_method not in methods.METHODS:
+        raise DomainError(f"unknown renewal method {method!r}; use one of {RENEWAL_METHODS}")
+    return cdf_method
 
 
 def _pmf_values(
@@ -470,17 +478,28 @@ def _pmf_values(
 ) -> Iterator[float]:
     """Pr(N(t) = n) for n = 0, 1, ..., n_cap in turn, by the route `method`.
 
-    The S >= 3 proposition route reads them off pmf_vector calls whose
-    n_max doubles from twice the mean count, so a caller that stops early
-    pays for about twice the rows it reads.
+    A one-component mixture reads them, on every route, off its Poisson
+    masses (`methods.poisson_masses`, whose masses do not depend on the
+    vector's length), and the S >= 3 proposition route off pmf_vector.
+    Both vectors are built with an n_max that doubles from twice the mean
+    count, so a caller that stops early pays for about twice the rows it
+    reads.
     """
-    if method != "proposition" or mix.size <= 2:
+    if mix.size == 1:
+        if method != "proposition":
+            _cdf_method(method)
+        lam = t / mix.scales[0]
+        rows = lambda n_max: methods.poisson_masses(lam, n_max + 1)  # noqa: E731
+    elif mix.size > 2 and method == "proposition":
+        rows = lambda n_max: pmf_vector(mix, t, n_max, ctrl or DEFAULT_CONTROL)  # noqa: E731
+    else:
         for n in range(n_cap + 1):
             yield pmf(mix, RenewalQuery(t, n), method, ctrl)
         return
+    RenewalQuery(t, 0)  # the query's checks on t, before t sizes n_max
     start, n_max = 0, min(n_cap, 2 * int(t / _mean_holding(mix)) + 16)
     while start <= n_cap:
-        yield from pmf_vector(mix, t, n_max, ctrl or DEFAULT_CONTROL)[start:].tolist()
+        yield from rows(n_max)[start:].tolist()
         start, n_max = n_max + 1, min(2 * n_max, n_cap)
 
 

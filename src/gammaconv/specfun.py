@@ -2,13 +2,14 @@
 
 Everything here is a pure function.  Kummer values can overflow a double
 (large arguments), so they are returned as log floats.  The 1F1 is summed
-in one of three regimes, chosen from (a, b, z) (`kummer_1f1_terms`): a
-short power series in plain floats, the large-z form of DLMF 13.7.2 with
-a computed remainder bound, or the power series in log space.  Every
-power-series term is non-negative (after Kummer's transformation for a
-negative argument, DLMF 13.2(vii)), so no sign is carried there; the
-large-z terms (b-a)_s (1-a)_s / (s! z^s) change sign wherever s < a - 1,
-so that form is taken only where its cancellation stays small.
+in one of two regimes, chosen from (a, b, z) (`kummer_1f1_terms`): the
+large-z form of DLMF 13.7.2 with a computed remainder bound, or the power
+series in plain floats, scaled down by a fixed power of two whenever its
+sum passes it.  Every power-series term is non-negative (after Kummer's
+transformation for a negative argument, DLMF 13.2(vii)), so no sign is
+carried there; the large-z terms (b-a)_s (1-a)_s / (s! z^s) change sign
+wherever s < a - 1, so that form is taken only where its cancellation
+stays small.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
+from scipy import special as sp
 
 from .errors import ConvergenceError, DomainError
 
@@ -63,20 +64,6 @@ def stirling_series(z):
         1.0 / 1680.0 - u2 * (1.0 / 1188.0 - u2 * (691.0 / 360360.0 - u2 / 156.0))))))
 
 
-def _kummer_log_term_direct(a: float, b: float, z: float, k: float) -> float:
-    """log of the term (a)_k z^k / ((b)_k k!) of the Kummer series, from
-    lgamma values near k log k; their differences lose about k log k
-    times 1e-16."""
-    return (
-        math.lgamma(a + k)
-        - math.lgamma(a)
-        + k * math.log(z)
-        - math.lgamma(b + k)
-        + math.lgamma(b)
-        - math.lgamma(k + 1.0)
-    )
-
-
 def _log_gamma_ratio(x: float, y: float, d: float) -> float:
     """lgamma(x) - lgamma(y) for x, y > 15 and d = x - y, as
     (x - 1/2) log(x/y) + d (log y - 1) + s(x) - s(y) (s the Stirling
@@ -93,55 +80,6 @@ def _log_gamma_ratio(x: float, y: float, d: float) -> float:
 def _lgamma_diff(x: float, y: float) -> float:
     """lgamma(x) - lgamma(y), x > y > 0: `_log_gamma_ratio` from y = 15 on."""
     return _log_gamma_ratio(x, y, x - y) if y > 15.0 else math.lgamma(x) - math.lgamma(y)
-
-
-def _kummer_log_term(a: float, b: float, z: float, k: int) -> float:
-    """`_kummer_log_term_direct` to about 1e-15 absolute for k >= 20
-    (so a+k, b+k > 20 too), where the Stirling series gives each lgamma
-    difference from small, well-conditioned parts."""
-    if k < 20:
-        return _kummer_log_term_direct(a, b, z, k)
-    log_ratio = _log_gamma_ratio(a + k, b + k, a - b)
-    # k log z - lgamma(k + 1) = k (1 - log(k/z)) - log(2 pi k)/2 - ...
-    log_power = (
-        k * (1.0 - math.log(k / z)) - 0.5 * math.log(2.0 * math.pi * k) - stirling_series(k)
-    )
-    return log_ratio - math.lgamma(a) + math.lgamma(b) + log_power
-
-
-def _kummer_head(
-    a: float, b: float, z: float, c: float, log_tol: float
-) -> tuple[int, float, float] | None:
-    """Where the summation of a z > 0 Kummer series may start, the width
-    of its term peak and the log of the term there; None when no head can
-    be skipped.
-
-    The term ratio (a+k) z / ((b+k)(k+1)) falls through 1 at the positive
-    root k* of (a+k) z = (b+k)(k+1), where the terms peak; near it log t_k
-    is a parabola of width 1/sqrt(d/dk log ratio).  The start lies c
-    widths below k*.  The terms before it rise to the peak, after at most
-    one dip, so each is at most max(t_0, t_start): the start is taken only
-    if k_start times that is under rel_tol times the peak term.
-    """
-    p = b + 1.0 - z
-    disc = p * p - 4.0 * (b - a * z)
-    if disc < 0.0:
-        return None
-    peak = 0.5 * (math.sqrt(disc) - p)
-    if not peak > 0.0:
-        return None
-    curvature = 1.0 / (peak + 1.0) + 1.0 / (b + peak) - 1.0 / (a + peak)
-    if not curvature > 0.0:
-        return None
-    width = 1.0 / math.sqrt(curvature)
-    k_start = int(peak - c * width)
-    if k_start <= 0:
-        return None
-    log_t = _kummer_log_term(a, b, z, k_start)
-    log_peak = _kummer_log_term_direct(a, b, z, int(peak))
-    if math.log(k_start) + max(0.0, log_t) > log_peak + log_tol:
-        return None
-    return k_start, width, log_t
 
 
 class Kummer1F1(NamedTuple):
@@ -182,21 +120,22 @@ def _log_tail(a: float, b: float, z: float, k: int, log_t: float) -> float:
     return log_t + math.log(rho / (1.0 - rho)) if rho < 1.0 else math.inf
 
 
-#: z max(1, a/b) up to which the power series is summed in plain floats:
-#: every term and the sum stay below e^(z max(1, a/b)), and a scalar loop of
-#: about 0.15 us a term beats the log-space blocks (16-20 us a call) up to
-#: about 60.
-_SHORT_SERIES_TO = 48.0
+#: The power of two past which the power series' running sum and last term
+#: are scaled down by it (exactly), so that no term overflows.
+_RESCALE = 2.0**960
+_LOG_RESCALE = 960.0 * math.log(2.0)
 
 
-def _kummer_short(a: float, b: float, z: float, ctrl: SeriesControl) -> Kummer1F1:
-    """The z > 0 power series summed term by term in plain floats, with
-    the log-space blocks' stop rule: the first two consecutive terms below
-    rel_tol of the running sum, once past the term peak (the next term
-    ratio below 1 and falling, `_tail_ratio`)."""
+def _kummer_series(a: float, b: float, z: float, ctrl: SeriesControl) -> Kummer1F1:
+    """The z > 0 power series summed term by term in plain floats.  It
+    stops at the first two consecutive terms below rel_tol of the running
+    sum, once past the term peak (the next term ratio below 1 and falling,
+    `_tail_ratio`).  Whenever the sum passes `_RESCALE`, the sum and the
+    last term are divided by it and the count of divisions carried, so the
+    series reaches any z that max_terms allows."""
     tol = ctrl.rel_tol
     t = total = 1.0
-    k = 0
+    k = scaled = 0
     while True:
         # Two terms a pass, the stop rule read at the second.
         t_odd = t * ((a + k) * z / ((b + k) * (k + 1.0)))
@@ -212,9 +151,13 @@ def _kummer_short(a: float, b: float, z: float, ctrl: SeriesControl) -> Kummer1F
                 terms_used=k + 1,
                 last_term=t / total,
             )
+        if total > _RESCALE:
+            total /= _RESCALE
+            t /= _RESCALE
+            scaled += 1
     log_total = math.log(total)
     bound = math.exp(_log_tail(a, b, z, k, math.log(t)) - log_total) if t > 0.0 else 0.0
-    return Kummer1F1(log_total, k + 1, bound)
+    return Kummer1F1(log_total + scaled * _LOG_RESCALE, k + 1, bound)
 
 
 #: The large-z form's split point 1 - delta on s/z (`_kummer_large_z`).
@@ -303,72 +246,6 @@ def _kummer_large_z(
     return math.log(total), int(k) + 1, bound / (total - bound)
 
 
-def _kummer_series_pos(a: float, b: float, z: float, ctrl: SeriesControl) -> Kummer1F1:
-    """log sum_k (a)_k z^k / ((b)_k k!) for z > 0, a > 0, in log space.
-
-    All terms are positive.  Terms are generated in blocks from the ratio
-    recurrence t_{k+1} = t_k (a+k) z / ((b+k)(k+1)) and accumulated with a
-    running log-scale offset.  Termination requires two consecutive terms
-    below rel_tol relative to the accumulated sum.  The bound adds the
-    terms past the reported count (`_log_tail`) and, where a head was
-    skipped, the head's bound (`_kummer_head`).
-    """
-    log_tol = math.log(ctrl.rel_tol)
-    sqrt_z = math.sqrt(z)
-    c = math.sqrt(2.0 * (-log_tol + math.log1p(z) + 5.0))
-    head = _kummer_head(a, b, z, c, log_tol) if z > 256.0 else None
-    if head is not None:
-        # Start the recurrence c widths below the term peak; the skipped
-        # head is under rel_tol of the peak term (see _kummer_head).  This
-        # makes the cost O(width) instead of O(z).
-        k_start, width, log_t = head
-        log_head = math.log(k_start) + max(0.0, log_t)
-        log_sum = log_t
-        k0 = k_start
-        terms = k_start + 1
-        first = max(int(min(ctrl.max_terms, 2.2 * c * width + 64.0)), 4)
-    else:
-        log_head = -math.inf
-        log_sum = 0.0  # log of partial sum; starts at t_0 = 1
-        log_t = 0.0  # log of the most recent term
-        k0 = 0
-        terms = 1
-        first = max(int(min(ctrl.max_terms, z + 12.0 * sqrt_z + 64.0)), 4)
-    block = first
-    while True:
-        k = np.arange(k0, k0 + block, dtype=float)
-        # Single fused log of the (positive) term ratio.
-        log_ratio = np.log((a + k) * z / ((b + k) * (k + 1.0)))
-        log_terms = log_t + np.cumsum(log_ratio)
-        m = max(float(log_terms.max()), log_sum)
-        log_sum = m + math.log(
-            math.exp(log_sum - m) + float(np.exp(log_terms - m).sum())
-        )
-        log_t = float(log_terms[-1])
-        terms += block
-        threshold = log_sum + log_tol
-        if log_terms[-1] < threshold and log_terms[-2] < threshold:
-            # Trim the reported term count to the first two terms under
-            # tolerance after the last one above it (terms before the
-            # peak can be as small).
-            above = np.flatnonzero(log_terms >= threshold)
-            last = int(above[-1]) if above.size else -1
-            terms = k0 + last + 4  # +1 for t_0, +1 past `last`, +2 for the pair
-            log_tail = _log_tail(a, b, z, terms - 1, float(log_terms[last + 2]))
-            bound = math.exp(log_tail - log_sum) + math.exp(log_head - log_sum)
-            return Kummer1F1(log_sum, terms, bound)
-        if terms >= ctrl.max_terms:
-            raise ConvergenceError(
-                f"1F1({a}, {b}, {z}) did not converge within "
-                f"{ctrl.max_terms} terms (last relative term "
-                f"{math.exp(log_t - log_sum):.3e})",
-                terms_used=terms,
-                last_term=math.exp(log_t - log_sum),
-            )
-        k0 += block
-        block = 64
-
-
 def kummer_1f1_terms(
     a: float, b: float, z: float, ctrl: SeriesControl = DEFAULT_CONTROL
 ) -> Kummer1F1:
@@ -379,14 +256,10 @@ def kummer_1f1_terms(
     1F1(a; b; z) = e^z 1F1(b-a; b; -z) is applied, so that the power
     series has non-negative terms only; this additionally needs b >= a,
     which every caller in this package satisfies.  The value is positive,
-    so its log is all there is to return.  At z > 0 the regime is the
-    first that applies of:
-      - the large-z form (`_kummer_large_z`), where b > a > 0 and its
-        computed remainder bound reaches rel_tol in few terms;
-      - the short power series in plain floats (`_kummer_short`), where
-        z max(1, a/b) <= `_SHORT_SERIES_TO`;
-      - the power series in log-space blocks, skipping the head of terms
-        far below the peak at z > 256 (`_kummer_series_pos`).
+    so its log is all there is to return.  At z > 0 it takes the large-z
+    form (`_kummer_large_z`) where b > a > 0 and its computed remainder
+    bound reaches rel_tol in few terms, and the power series
+    (`_kummer_series`) everywhere else.
     """
     if not b > 0:
         raise DomainError(f"kummer_1f1 requires b > 0, got b={b}")
@@ -401,10 +274,14 @@ def kummer_1f1_terms(
         if inner.log_large_z is None:
             return Kummer1F1(inner.log + z, inner.terms, inner.rel_bound)
         # e^z cancels the inner form's e^-z, leaving
-        # Gamma(b)/Gamma(c) (-z)^-(b-c) A at c = b - a as rounded, the
-        # inner series' own parameter.
+        # Gamma(b)/Gamma(b-a) (-z)^-a A.  The inner form took its parameter
+        # at c = b - a as rounded; b - a = c + delta exactly (TwoSum), and
+        # lgamma(c + delta) = lgamma(c) + psi(c) delta to first order.
         c = b - a
-        log_f1 = _lgamma_diff(b, c) - (b - c) * math.log(-z) + inner.log_large_z
+        b_part = c - b
+        delta = (b - (c - b_part)) - (a + b_part)
+        log_f1 = (_lgamma_diff(b, c) - float(sp.digamma(c)) * delta
+                  - a * math.log(-z) + inner.log_large_z)
         return Kummer1F1(log_f1, inner.terms, inner.rel_bound)
     if a == 0 or z == 0:
         return Kummer1F1(0.0, 1, 0.0)
@@ -413,9 +290,7 @@ def kummer_1f1_terms(
         log_sum, terms, bound = large
         log_f1 = z + _lgamma_diff(b, a) + (a - b) * math.log(z) + log_sum
         return Kummer1F1(log_f1, terms, bound, log_sum)
-    if z * max(1.0, a / b) <= _SHORT_SERIES_TO:
-        return _kummer_short(a, b, z, ctrl)
-    return _kummer_series_pos(a, b, z, ctrl)
+    return _kummer_series(a, b, z, ctrl)
 
 
 def kummer_1f1(

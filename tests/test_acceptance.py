@@ -16,6 +16,7 @@ import math
 import random
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
@@ -284,10 +285,13 @@ def test_criterion_5_renewal_identities(capsys):
             worst_raw = max(worst_raw, abs(direct - pmf_raw_s2(mix, q, method)))
         worst_gen = max(worst_gen, abs(direct - pmf_general(mix, q)))
 
+    # Poisson(4) masses at 40 digits: stats.poisson.pmf is itself up to
+    # 3.2e-14 off here, which would hide the code's own error.
     single = MixtureExpSpec((1.0,), (2.5,))
     for count in range(51):
         got = pmf_s2(single, RenewalQuery(10.0, count))
-        want = stats.poisson.pmf(count, 4.0)
+        with mp.workdps(40):
+            want = float(mp.exp(count * mp.log(4) - 4 - mp.loggamma(count + 1)))
         worst_pois = max(worst_pois, abs(got - want) / want)
 
     ok = (worst_raw <= 1e-10 and worst_gen <= 1e-10

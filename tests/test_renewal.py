@@ -16,6 +16,7 @@ from gammaconv import bench, mathai, moschopoulos
 from gammaconv.errors import BudgetError, DomainError
 from gammaconv.model import ConvolutionSpec, MixtureExpSpec, canonicalize
 from gammaconv.renewal import (
+    RENEWAL_METHODS,
     RenewalQuery,
     _log_f1_family,
     h_diff,
@@ -174,6 +175,28 @@ class TestPmfS2:
             assert rel_err(fn(one, q), want) <= 1e-14
         vanishing = MixtureExpSpec((1.0, 1e-300), (2.0, 5.0))
         assert rel_err(pmf_s2(vanishing, RenewalQuery(2.0 * lam, n)), want) <= 1e-14
+
+    @pytest.mark.parametrize("method", RENEWAL_METHODS + ("moschopoulos",))
+    def test_one_component_normalization_is_the_per_n_sum(self, method):
+        # A one-component mixture's normalization reads one vector of
+        # Poisson masses, not one vector per n; its masses do not depend on
+        # the vector's length, so (total, n) is the per-n sum's bit for bit.
+        for scale, t in [(1.0, 400.0), (2.5, 10.0), (0.7, 0.3)]:
+            one = MixtureExpSpec((1.0,), (scale,))
+            total = peak = 0.0
+            for n in itertools.count():
+                p_n = pmf(one, RenewalQuery(t, n), method)
+                total += p_n
+                peak = max(peak, p_n)
+                if p_n < 1e-10 and peak > 0.0 and p_n < peak and n > t / scale:
+                    break
+            assert pmf_normalization(one, t, method=method) == (total, n)
+            capped = sum(pmf(one, RenewalQuery(t, n), method) for n in range(4))
+            assert pmf_normalization(one, t, 0.0, method, n_cap=3) == (capped, 3)
+        with pytest.raises(DomainError):
+            pmf_normalization(one, float("inf"), method=method)
+        with pytest.raises(DomainError):
+            pmf_normalization(one, 1.0, method=method + "-x")
 
     def test_log_f1_family_against_mpmath(self):
         # Seeded (n, z) on both sides of the scalar/array switch at
@@ -397,6 +420,8 @@ class TestPmfVector:
             pmf_vector(MIX3, 0.0, 3)
         with pytest.raises(DomainError):
             pmf_vector(MIX3, 1.0, -1)
+        with pytest.raises(DomainError):
+            pmf_normalization(MIX3, float("inf"))
 
 
 class TestPmfRawS2:

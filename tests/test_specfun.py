@@ -12,7 +12,6 @@ from gammaconv.errors import ConvergenceError, DomainError
 from gammaconv.specfun import (
     DEFAULT_CONTROL,
     SeriesControl,
-    _kummer_head,
     kummer_1f1,
     kummer_1f1_terms,
 )
@@ -60,8 +59,7 @@ class TestKummer:
 
     @pytest.mark.parametrize("a,b,z", [(500.0, 1000.0, 416.67), (1.0, 100.0, 300.0)])
     def test_large_z_peak_far_below_z(self, a, b, z):
-        # For b >> a the terms peak far below z, where the z > 256 branch
-        # must start its summation.
+        # For b >> a the power-series terms peak far below z.
         mp.mp.dps = 40
         got = kummer_1f1(a, b, z)
         want = float(mp.log(mp.hyp1f1(a, b, z)))
@@ -72,9 +70,8 @@ class TestKummer:
         [(13.8, 15.0, 694.1), (5.0, 6.0, 800.0), (20.0, 21.0, 1000.0), (50.0, 52.0, 700.0)],
     )
     def test_large_z_start_term_is_accurate(self, a, b, z):
-        # The z > 256 branch sums from a start term near k = 350-900, whose
-        # log taken as a difference of lgamma values of size k log k is off
-        # by up to 1e-12; the log's own spacing here is 1-2e-13.
+        # Values past the double range, by the large-z form; the log's own
+        # spacing here is 1-2e-13.
         mp.mp.dps = 40
         got = kummer_1f1(a, b, z)
         want = float(mp.log(mp.hyp1f1(a, b, z)))
@@ -82,13 +79,31 @@ class TestKummer:
 
     def test_head_with_no_positive_peak(self):
         # The term ratio (1 + k) z / ((b + k)(k + 1)) = z / (b + k) is below
-        # 1 from k = 0: the peak root is k = -1, and no head is skipped.
+        # 1 from k = 0: the terms fall from the first.
         z = 5e5
-        log_tol = math.log(1e-15)
-        c = math.sqrt(2.0 * (-log_tol + math.log1p(z) + 5.0))
-        assert _kummer_head(1.0, 1e6 + 1.0, z, c, log_tol) is None
         want = float(mp.log(mp.hyp1f1(1, 1e6 + 1, z)))
         assert rel_err(kummer_1f1(1.0, 1e6 + 1.0, z), want) < 1e-14
+
+    def test_series_past_the_double_range(self):
+        # The power series scales its sum down as it passes a power of two,
+        # so its terms run past e^709 with no overflow: 1F1(5; 5; z) = e^z.
+        assert rel_err(kummer_1f1(5.0, 5.0, 800.0), 800.0) <= 1e-15
+        with mp.workdps(40):
+            for a, b, z in [(2000.0, 4000.0, 3000.0), (300.0, 600.0, 1000.0),
+                            (500.0, 1000.0, 416.67)]:
+                got = kummer_1f1_terms(a, b, z)
+                assert got.log_large_z is None
+                assert abs(got.log - mp.log(mp.hyp1f1(a, b, z))) <= 5e-14, (a, b, z)
+
+    def test_reflected_large_z_takes_b_minus_a_exactly(self):
+        # 1F1(a; b; z) = e^z 1F1(b - a; b; -z), whose large-z form is taken
+        # at b - a as rounded; the prefactor must still be Gamma(b) /
+        # Gamma(b - a) (-z)^-a at the exact b - a.
+        a, b, z = 0.178, 35.64, -428.0
+        assert kummer_1f1_terms(b - a, b, -z).log_large_z is not None
+        with mp.workdps(40):
+            want = mp.log(mp.hyp1f1(a, b, z))
+        assert abs(kummer_1f1(a, b, z) - want) <= 1e-15
 
     def test_term_count_reported(self):
         val, terms = kummer_1f1_terms(2.0, 5.0, 30.0)[:2]
@@ -100,7 +115,7 @@ class TestKummer:
             kummer_1f1(-1.0, 2.0, 1.0)
         with pytest.raises(DomainError):
             kummer_1f1(1.0, 0.0, 1.0)
-        # The cap binds the power series, in plain floats and in blocks.
+        # The cap binds the power series, at small and at large z.
         capped = SeriesControl(rel_tol=1e-15, max_terms=12)
         for a, b, z in [(2.0, 5.0, 30.0), (500.0, 1000.0, 416.67)]:
             assert kummer_1f1_terms(a, b, z).log_large_z is None
@@ -118,10 +133,8 @@ class TestKummer:
         assert DEFAULT_CONTROL.max_terms == 10_000
 
 
-def _regime(a, b, z, result):
-    if result.log_large_z is not None:
-        return "large-z"
-    return "short" if z * max(1.0, a / b) <= specfun._SHORT_SERIES_TO else "blocks"
+def _regime(result):
+    return "series" if result.log_large_z is None else "large-z"
 
 
 def _large_z_onset(a, b):
@@ -138,8 +151,8 @@ class TestKummerRegimes:
     against the exact sum of the terms it left out (give or take 1e-35,
     the references' own precision)."""
 
-    # (0.01, 500, 49) stops in blocks after 14 terms, where the ratios
-    # still rise for a < 1 and z max(1, a/b) / (k+1) alone is above 1.
+    # (0.01, 500, 49) stops after 14 terms, where the ratios still rise
+    # for a < 1 and z max(1, a/b) / (k+1) alone is above 1.
     NAMED = [(20.0, 40.0, 127.0), (20.0, 40.0, 302.0), (20.0, 40.0, 473.0),
              (20.5, 40.7, 300.0), (0.2, 0.4, 53.0), (2.0, 4.0, 114.0),
              (0.01, 500.0, 49.0)]
@@ -152,8 +165,10 @@ class TestKummerRegimes:
             a = rng.choice([rng.uniform(0.1, 3.0), rng.uniform(3.0, 30.0),
                             float(rng.randint(1, 25))])
             b = a + rng.choice([rng.uniform(0.1, 3.0), rng.uniform(3.0, 40.0)])
-            short_edge = specfun._SHORT_SERIES_TO / max(1.0, a / b)
-            zs = [0.5, 0.999 * short_edge, 1.001 * short_edge, 255.0, 257.0]
+            # Both sides of z max(1, a/b) = 48 and of z = 256, where the
+            # series once changed form.
+            edge = 48.0 / max(1.0, a / b)
+            zs = [0.5, 0.999 * edge, 1.001 * edge, 255.0, 257.0]
             onset = _large_z_onset(a, b)
             if onset is not None:
                 zs += [0.97 * onset, onset]
@@ -173,19 +188,17 @@ class TestKummerRegimes:
                 if z < 0:
                     inner = kummer_1f1_terms(b - a, b, -z)
                     assert (got.terms, got.rel_bound) == (inner.terms, inner.rel_bound)
-                    seen.add("reflected " + _regime(b - a, b, -z, inner))
+                    seen.add("reflected " + _regime(inner))
                     continue
-                seen.add(_regime(a, b, z, got))
+                seen.add(_regime(got))
                 self.assert_bound_covers_the_left_out_terms(a, b, z, got)
-        assert seen == {"short", "blocks", "large-z", "reflected short",
-                        "reflected blocks", "reflected large-z"}
+        assert seen == {"series", "large-z", "reflected series", "reflected large-z"}
 
     @staticmethod
     def assert_bound_covers_the_left_out_terms(a, b, z, got):
         a, b, z = mp.mpf(a), mp.mpf(b), mp.mpf(z)
         if got.log_large_z is None:
-            # The power series past its reported terms (the head a block
-            # sum skips is covered too: it is within the partial sum here).
+            # The power series past its reported terms.
             full = mp.hyp1f1(a, b, z)
             part = mp.fsum(mp.rf(a, k) * z**k / (mp.rf(b, k) * mp.factorial(k))
                            for k in range(got.terms))
