@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import DomainError, FitFailureError
 from .methods import WeightLaw, mixture_point, nb_sum_cumulants
 from .model import ConvolutionSpec, EvalResult, canonicalize
-from .specfun import SeriesControl
+from .specfun import SeriesControl, log_gamma
 
 __all__ = [
     "GnbdParams",
@@ -90,18 +89,21 @@ def gnbd_pmf(params: GnbdParams, k) -> np.ndarray:
     m, b, t = params.m, params.beta_g, params.theta
     mbk = m + b * k
     valid = mbk - k + 1.0 > 0.0
-    kv = np.where(valid, k, 0.0)
-    mbkv = m + b * kv
-    log_p = (
-        math.log(m)
-        - np.log(mbkv)
-        + sp.gammaln(mbkv + 1.0)
-        - sp.gammaln(kv + 1.0)
-        - sp.gammaln(mbkv - kv + 1.0)
-        + kv * math.log(t)
-        + (mbkv - kv) * math.log1p(-t)
-    )
-    return np.where(valid, np.exp(log_p), 0.0)
+    if not valid.all():
+        masses = np.zeros_like(k)
+        masses[valid] = gnbd_pmf(params, k[valid])
+        return masses
+    count = k.shape[0]
+    # lgamma(m + b k + 1), lgamma(k + 1) and lgamma(m + b k - k + 1) in one call
+    lg = log_gamma(np.concatenate((mbk, k, mbk - k)) + 1.0)
+    log_p = np.log(mbk)
+    np.subtract(math.log(m), log_p, out=log_p)
+    log_p += lg[:count]
+    log_p -= lg[count : 2 * count]
+    log_p -= lg[2 * count :]
+    log_p += k * math.log(t)
+    log_p += (mbk - k) * math.log1p(-t)
+    return np.exp(log_p, out=log_p)
 
 
 def _gnbd_numeric_cumulants(m: float, b: float, t: float) -> tuple[float, float, float]:
@@ -128,7 +130,7 @@ def _gnbd_numeric_cumulants(m: float, b: float, t: float) -> tuple[float, float,
         block3 = float((k**3) @ p)
         s3 += block3
         start += block
-        block = 4096
+        block = 1024
         if block3 <= 1e-13 * max(s3, 1e-300) and s0 >= 1.0 - 1e-13:
             break
     mu = s1
@@ -234,7 +236,9 @@ def _approx_weights(params: GnbdParams, ctrl: SeriesControl) -> np.ndarray:
     shape rho the mass at k = 0 is near 1 but its kernel carries a factor
     of about rho, so the density rests on the masses past it.  The masses
     are elementwise in k, so the kept ones are the same at any table
-    length.
+    length, but for the last bits of those whose log-gamma arguments fall
+    below 15 where a longer table has more than 64 such (`specfun.log_gamma`
+    then takes them as one array).
     """
     cum = gnbd_cumulants(params)
     k_max = min(int(cum.k1 + 14.0 * math.sqrt(max(cum.k2, 1e-12)) + 100.0), ctrl.max_terms)

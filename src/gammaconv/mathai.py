@@ -18,12 +18,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import ConvergenceError, DomainError
 from .methods import WeightLaw, check_point, finite_cumulants, log_gamma_pdf, nbsum_cdf
 from .model import ConvolutionSpec, EvalResult, canonicalize
-from .specfun import DEFAULT_CONTROL, SeriesControl, kummer_1f1_terms
+from .specfun import DEFAULT_CONTROL, SeriesControl, kummer_1f1_terms, log_gamma
 
 __all__ = ["density2", "density_n", "cdf_n", "ShellTable", "CONTROL_N"]
 
@@ -158,21 +157,22 @@ class ShellTable:
         """Append shells until the table holds `size`."""
         old = self.base.shape[0]
         k = np.arange(old, size, dtype=float)
+        shapes, gamma, n = self.spec.shapes[1:], self.spec.total_shape, size - old
+        # lgamma(a + k) for each inner shape a, lgamma(k + 1) and
+        # lgamma(gamma + k), in one call.
+        lg = log_gamma(np.concatenate([a + k for a in shapes] + [k + 1.0, gamma + k]))
         self._seqs = [
             np.concatenate((
                 seq,
-                sp.gammaln(a + k) - math.lgamma(a) + k * math.log(c) - sp.gammaln(k + 1.0),
+                lg[i * n : (i + 1) * n] - math.lgamma(a) + k * math.log(c) - lg[-2 * n : -n],
             ))
-            for seq, a, c in zip(self._seqs, self.spec.shapes[1:], self.c)
+            for i, (seq, a, c) in enumerate(zip(self._seqs, shapes, self.c))
         ]
         levels = [self._seqs[0]]
         for level, seq in zip(self._levels[1:], self._seqs[1:]):
             levels.append(np.concatenate((level, _log_convolve(levels[-1], seq, old, size))))
         self._levels = levels
-        gamma = self.spec.total_shape
-        self.base = np.concatenate(
-            (self.base, levels[-1][old:] + math.lgamma(gamma) - sp.gammaln(gamma + k))
-        )
+        self.base = np.concatenate((self.base, levels[-1][old:] + math.lgamma(gamma) - lg[-n:]))
         self.r = np.arange(size, dtype=float)
 
     def log_series(self, x: float, ctrl: SeriesControl) -> tuple[float, int]:
@@ -290,7 +290,8 @@ def cdf_n(
     (1 - sum W) G(y/b1; gamma + R + 1); terms_used counts the shell
     weights W_0..W_R.  `methods.mixture_rows` sums the series by parts:
     kernel sums over the cumulative weights plus G(y/b1; gamma + R + 1)
-    itself, the one incomplete-gamma value, which the bound takes too.
+    itself, the one incomplete-gamma value (the row's kernels continued),
+    which the bound takes too.
     Pass a prebuilt law as `weights` to share it across calls.  Below
     y/b1 = 64 the row starts over its prefix, built or of `weights`,
     that ends where the point's kernel dies (`methods.mixture_point`),

@@ -3,7 +3,8 @@
 The series methods all evaluate a gamma-kernel mixture
 sum_k w_k g(x; rho + k, b1), b1 the minimum scale, and differ only in how
 they build the masses w_k, their weight law.  Here are the entry check
-every method runs first, the gamma kernel, the weight law and its exact
+every method runs first (a single component's CDF is
+`specfun.incomplete_gamma`), the gamma kernel, the weight law and its exact
 negative-binomial-sum constructor, the mixture evaluator (`mixture_rows`:
 a block of rows' kernel sums, each over its own prefix of one law), the
 one convergence loop (`converge_rows`), the one per-point body of every
@@ -20,11 +21,18 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import ConvergenceError, DomainError
 from .model import ConvolutionSpec, EvalResult, canonicalize
-from .specfun import DEFAULT_CONTROL, SeriesControl, stirling_series
+from .specfun import (
+    DEFAULT_CONTROL,
+    SeriesControl,
+    gamma_kernel,
+    incomplete_gamma,
+    log_gamma_ratio,
+    stirling_error,
+    stirling_series,
+)
 
 __all__ = [
     "METHODS",
@@ -58,7 +66,8 @@ def check_point(
     points with DomainError.  Returns the canonical spec and, for x = 0 or
     a single-component spec, the finished result; otherwise None.  At
     x = 0 the density is 0 for total shape rho > 1, C / b1 for rho = 1
-    (C = prod (b1/b_i)^a_i) and diverges for rho < 1.
+    (C = prod (b1/b_i)^a_i) and diverges for rho < 1.  A single
+    component (a, b) has the CDF P(a, x/b) (`specfun.incomplete_gamma`).
     """
     spec = canonicalize(spec)
     if not (x >= 0.0 and math.isfinite(x)):
@@ -75,38 +84,9 @@ def check_point(
     if len(spec) == 1:
         (c,) = spec.components
         if quantity == "cdf":
-            return spec, EvalResult(_single_cdf(spec, x), 1, 0.0)
+            return spec, EvalResult(incomplete_gamma(c.shape, x / c.scale)[0], 1, 0.0)
         return spec, EvalResult(math.exp(log_gamma_pdf(x, c.shape, c.scale)), 1, 0.0)
     return spec, None
-
-
-def _single_cdf(spec: ConvolutionSpec, x: float) -> float:
-    """P(a, x/b) for a one-component canonical spec (a, b).  Below u = x/b =
-    `_CDF_KERNEL_SUM_FROM` it is the CDF row of the single mass, padded
-    with zeros to the point's `_kernel_cut`: kernel sums plus one far
-    incomplete-gamma value (`_cdf_rows`), where scipy's P alone is up to
-    2e-13 off in the left tail at large a.  From there on it is
-    `_lower_gamma`, whose left tail (a > 1.1 u) stays off by up to 2e-13 at
-    u = 100 and more as u grows; the one-mass row's saddle-point kernels
-    are only about ten times closer there."""
-    (c,) = spec.components
-    u = x / c.scale
-    if u >= _CDF_KERNEL_SUM_FROM:
-        return _lower_gamma(c.shape, u)
-    size = _kernel_cut(spec, x, "cdf") + 1
-    masses = np.zeros(size)
-    masses[0] = 1.0
-    return _cdf_rows(WeightLaw(masses, c.shape, c.scale), [x], [size])[0][0]
-
-
-def _lower_gamma(a: float, u: float) -> float:
-    """P(a, u), the regularized lower incomplete gamma function.  For a < 1
-    where P exceeds 1/2 it is taken as 1 - Q(a, u): there scipy's P loses
-    several ulps of 1 at tiny a (P(3e-20, 1) comes out 1 - 3.2e-15), while
-    1 - Q is within 1.4e-18.  From a = 1 on P is the closer (at a = 1.5,
-    1 - Q is 2.0e-15 off, P 1.7e-16)."""
-    p = float(sp.gammainc(a, u))
-    return 1.0 - float(sp.gammaincc(a, u)) if a < 1.0 and p > 0.5 else p
 
 
 def log_gamma_pdf(x: float, shape: float, scale: float) -> float:
@@ -173,7 +153,7 @@ class WeightLaw:
         error) and the density's log weights log(a c_a w_k).  Elementwise in
         k, so a prefix of it is a shorter law's own table to the bit."""
         shapes = self.rho + np.arange(self.masses.shape[0], dtype=float)
-        log_c = -_stirling_error(shapes) - 0.5 * np.log(2.0 * math.pi * shapes)
+        log_c = -stirling_error(shapes) - 0.5 * np.log(2.0 * math.pi * shapes)
         with np.errstate(divide="ignore"):
             return shapes, log_c, np.log(self.masses) + log_c + np.log(shapes)
 
@@ -190,20 +170,6 @@ class WeightLaw:
 #: Size from which `_nb_masses` takes its grouped Stirling form: past it the
 #: plain form's rounding passes 3e-14, below it the plain form is far cheaper.
 _NB_GROUPED_FROM = 64.0
-
-
-def _stirling_error(z: np.ndarray) -> np.ndarray:
-    """lgamma(z + 1) - (z log z - z + log(2 pi z) / 2) at z > 0.
-
-    Past z = 15 from the Stirling series (`specfun.stirling_series`);
-    below it from lgamma itself, where every term is under 30.
-    """
-    out = np.empty_like(z)
-    small = z <= 15.0
-    zs = z[small]
-    out[small] = sp.gammaln(zs + 1.0) - (zs * np.log(zs) - zs + 0.5 * np.log(2.0 * math.pi * zs))
-    out[~small] = stirling_series(z[~small])
-    return out
 
 
 #: 1/3, 1/5, ..., 1/59: the coefficients of `_deviance`'s series.
@@ -244,34 +210,34 @@ def _nb_masses(a: float, q: float, count: int) -> np.ndarray:
     the form is insensitive to the rounding of N to first order.  w_0 is
     q^a.
 
-    Below that size, lgamma(a + k) - lgamma(k + 1) is the plain difference
-    for k < 128 and comes from the Stirling series past that: there both
-    lgamma values are near k log k, and their difference would lose about
-    k log k times 1e-16 (2e-12 relative on a mass at k = 750).
+    Below that size, (a)_k / k! = Gamma(a + k) / (Gamma(a) k!) is the
+    running product of (a + j)/(j + 1) for k < 128, where it stays below
+    1e58, and past that lgamma(a + k) - lgamma(k + 1) takes the grouped
+    Stirling form (`specfun.log_gamma_ratio`): both lgamma values are near
+    k log k, and their plain difference would lose about k log k times
+    1e-16 (2e-12 relative on a mass at k = 750).
     """
     if a >= _NB_GROUPED_FROM:
         k = np.arange(1, count, dtype=float)
         n = a + k
         log_w = (
             0.5 * np.log(a / (2.0 * math.pi * n * k))
-            + _stirling_error(n)
+            + stirling_error(n)
             - stirling_series(a)
-            - _stirling_error(k)
+            - stirling_error(k)
             - _deviance(a, n * q)
             - _deviance(k, n * (1.0 - q))
         )
         return np.concatenate(([q**a], np.exp(log_w)))[:count]
     k = np.arange(count, dtype=float)
-    log_ratio = sp.gammaln(a + k[:128]) - sp.gammaln(k[:128] + 1.0)
+    head = np.empty(min(count, 128))
+    head[0] = 1.0
+    np.divide(k[: head.shape[0] - 1] + a, k[1 : head.shape[0]], out=head[1:])
+    log_ratio = np.log(np.multiply.accumulate(head, out=head))
     if count > 128:
-        # lgamma(z) - (z - 1/2) log z + z - log(2 pi)/2, the Stirling
-        # error, at z = a + k and z = k + 1.
-        y = k[128:] + 1.0
-        rest = _stirling_error(np.concatenate((y + (a - 1.0), y)))
-        tail = (y + (a - 1.5)) * np.log1p((a - 1.0) / y) + (a - 1.0) * (np.log(y) - 1.0)
-        n = y.shape[0]
-        log_ratio = np.concatenate((log_ratio, tail + (rest[:n] - rest[n:])))
-    return np.exp((a * math.log(q) - math.lgamma(a)) + log_ratio + k * math.log1p(-q))
+        tail = log_gamma_ratio(k[128:] + 1.0, a - 1.0) - math.lgamma(a)
+        log_ratio = np.concatenate((log_ratio, tail))
+    return np.exp(a * math.log(q) + log_ratio + k * math.log1p(-q))
 
 
 def poisson_masses(mean: float, count: int) -> np.ndarray:
@@ -285,7 +251,7 @@ def poisson_masses(mean: float, count: int) -> np.ndarray:
     relative at mean 80).
     """
     m = np.arange(1, count, dtype=float)
-    log_w = -_stirling_error(m) - _deviance(m, mean) - 0.5 * np.log(2.0 * math.pi * m)
+    log_w = -stirling_error(m) - _deviance(m, mean) - 0.5 * np.log(2.0 * math.pi * m)
     return np.concatenate(([math.exp(-mean)], np.exp(log_w)))[:count]
 
 
@@ -497,23 +463,6 @@ def _density_rows(
 _CDF_KERNEL_SUM_FROM = 64.0
 
 
-def _anchor_kernel(rho: float, u: float) -> float:
-    """k_rho(u) = e^-u u^rho / Gamma(rho + 1) at 0 < u < 64.  Up to rho =
-    170 as written, to a few ulps: u^rho stays below 64^170 < 2^1021 and
-    Gamma(rho + 1) finite, and where u^rho underflows so does the kernel.
-    From rho = 1 on Gamma(rho + 1) is taken as rho Gamma(rho): rho + 1
-    rounds off low bits of rho, an error Gamma magnifies by digamma(rho + 1)
-    (up to 6.9e-14 over rho = 1-170).  Past rho = 170 the kernel, below e^-60
-    there, is taken in the saddle-point form c_rho e^-D(rho, u)
-    (`_saddle_deviance`)."""
-    if rho <= 170.0:
-        gamma = math.gamma(rho + 1.0) if rho < 1.0 else rho * math.gamma(rho)
-        return math.exp(-u) * u**rho / gamma
-    shape = np.array([rho])
-    log_c = -_stirling_error(shape) - 0.5 * np.log(2.0 * math.pi * shape)
-    return float(np.exp(log_c - _deviance(shape, u))[0])
-
-
 def _kernel_cut(spec: ConvolutionSpec, x: float, quantity: str) -> float:
     """The last index of a point's first row over a weight law:
     max(u - rho, 0) + 8 sqrt(u) + 32 at u = x/b1, for the density at every
@@ -537,6 +486,34 @@ def _kernel_cut(spec: ConvolutionSpec, x: float, quantity: str) -> float:
     return int(max(u - spec.total_shape, 0.0) + 8.0 * math.sqrt(u) + 32.0)
 
 
+#: The largest u/(rho + L) at which a CDF row of L masses takes
+#: P(rho + L, u) as the continuation of its own kernels (`_continuation`);
+#: past it `specfun.incomplete_gamma` answers.  Every row of the
+#: workloads stays below 0.72.
+_CONTINUE_TO = 0.75
+
+#: (r, E): up to u/(rho + L) = r a row continues by E kernels, the fewest
+#: with r^E / (1 - r) below 2^-53 at that r (`_continuation`).
+_CONTINUATIONS = tuple(
+    (r, math.ceil(math.log(2.0**-53 * (1.0 - r)) / math.log(r)))
+    for r in (0.4, 0.55, 0.65, _CONTINUE_TO)
+)
+
+
+def _continuation(u: float, shape: float) -> int:
+    """How many kernels k_(shape+j)(u), j >= 0, sum to P(shape, u)
+    (DLMF 8.8.5 summed) within 2^-53 of it: their ratios u/(shape + j)
+    fall from r = u/shape, so the kernels past the first E sum to at most
+    k_shape(u) r^E / (1 - r).  E is taken from `_CONTINUATIONS`, 41 up to
+    r = 0.4, which every row cut at its kernel (`_kernel_cut`) is below;
+    0 past `_CONTINUE_TO`."""
+    r = u / shape
+    for top, count in _CONTINUATIONS:
+        if r <= top:
+            return count
+    return 0
+
+
 def _cdf_rows(
     law: WeightLaw, ys: list[float], sizes: list[int]
 ) -> tuple[list[float], list[float]]:
@@ -557,70 +534,146 @@ def _cdf_rows(
 
     W_m the masses up to index m, a running sum and so the same in every
     prefix, and P(rho + L, u) and W_(L-1) the tail bound's own values
-    (W_(L-1) summed as np.sum sums, the closer rounding).  Below u =
+    (W_(L-1) summed as np.sum sums, the closer rounding).  P(rho + L, u)
+    is the row's own kernels continued past its last, k_(rho+m)(u) for
+    L <= m < L + E (`_continuation`), wherever u/(rho + L) is at most
+    `_CONTINUE_TO`; elsewhere `specfun.incomplete_gamma`.  Below u =
     `_CDF_KERNEL_SUM_FROM` a row takes its kernels from one anchor
-    k_rho(u) (`_anchor_kernel`) times the running product of u/(rho + m)
-    and sums them as one dot product with W (`_anchor_tables`), so a law
-    used at one point builds no x-free table.  From it on a block of rows
-    takes the law's saddle-point kernels (`_saddle_terms`), each row
-    summed over its own prefix (`_row_bounds`).  Either way a row is the
-    same to the bit in any call as alone, so rows of any length share one
-    law.
+    k_rho(u) (`specfun.gamma_kernel`) times the running product of
+    u/(rho + m) (`_anchor_shapes`), sums its first L as one dot product
+    with W and the rest as P; so a law used at one point builds no x-free
+    table.  From it on a block of rows takes the law's saddle-point
+    kernels (`_saddle_terms`), each row summed over its own prefix
+    (`_row_bounds`), and continues each row's last kernel by the same
+    running product, all such rows of a call at once
+    (`_continued_kernels`).  Either way a row is the same
+    to the bit in any call as alone, so rows of any length share one law.
     """
     rho, beta1 = law.rho, law.beta1
-    values, tails, low, high = [], [], [], []
+    us, extra, p_past, low, high = [], [], [], [], []
     for i, (y, size) in enumerate(zip(ys, sizes)):
         u = y / beta1
-        p_past, total = float(sp.gammainc(rho + size, u)), law.prefix_total(size)
-        tails.append(max(1.0 - total, 0.0) * p_past)
-        values.append(total * p_past)
+        count = _continuation(u, rho + size)
+        us.append(u)
+        extra.append(count)
+        p_past.append(0.0 if count else incomplete_gamma(rho + size, u)[0])
         (low if u < _CDF_KERNEL_SUM_FROM else high).append(i)
+    sums = [0.0] * len(ys)
     if low:
-        shapes, cumulative = _anchor_tables(law, max([sizes[i] for i in low]))
-        for i in low:
-            u, size = ys[i] / beta1, sizes[i]
-            kernels = np.empty(size)
-            kernels[0] = _anchor_kernel(rho, u)
-            np.divide(u, shapes[: size - 1], out=kernels[1:])
+        shapes = _anchor_shapes(rho, max([sizes[i] + extra[i] for i in low]))
+        cumulative = np.add.accumulate(law.masses[: max([sizes[i] for i in low])])
+        # Each row's continuation, summed in one call for all rows where they
+        # are many (a row's sum is the same either way: `_row_sums`).
+        past = np.zeros((len(low), max([extra[i] for i in low]))) if len(low) > 4 else None
+        for j, i in enumerate(low):
+            u, size = us[i], sizes[i]
+            kernels = np.empty(size + extra[i])
+            kernels[0] = gamma_kernel(rho, u)
+            np.divide(u, shapes[: kernels.shape[0] - 1], out=kernels[1:])
             np.multiply.accumulate(kernels, out=kernels)
-            values[i] = min(float(kernels @ cumulative[:size]) + values[i], 1.0)
+            if past is not None:
+                past[j, : extra[i]] = kernels[size:]
+            elif extra[i]:
+                p_past[i] = float(kernels[size:].sum())
+            sums[i] = float(kernels[:size] @ cumulative[:size])
+        if past is not None:
+            for i, value in zip(low, _row_sums(past, [extra[i] for i in low])):
+                if extra[i]:
+                    p_past[i] = value
     high_sizes = [sizes[i] for i in high]
+    lasts = []
     for block in _blocks(len(high), max(high_sizes)) if high else ():
         rows, size = high[block], high_sizes[block]
-        terms = _saddle_terms(law, [ys[i] for i in rows], size)
+        terms, last = _saddle_terms(law, [ys[i] for i in rows], size)
         bounds, own = _row_bounds(size, terms.shape[1])
         for i, total in zip(rows, np.add.reduceat(terms.ravel(), bounds)[own].tolist()):
-            values[i] = min(total + values[i], 1.0)
+            sums[i] = total
+        lasts.append(last)
+    going = [j for j, i in enumerate(high) if extra[i]]
+    if going:
+        rows = [high[j] for j in going]
+        past = _continued_kernels(
+            [us[i] for i in rows], [rho + sizes[i] for i in rows],
+            np.concatenate(lasts)[going], [extra[i] for i in rows],
+        )
+        for i, value in zip(rows, past):
+            p_past[i] = value
+    # A fitted law holds the whole law but for a sliver (below 2^-54 of its
+    # mass for the GNBD), so where its whole table's P(rho + L, u) rounds to
+    # 1, every kernel does and the CDF is 1; sum(masses) itself is off 1 by
+    # the rounding of the masses.
+    whole = law.masses.shape[0] if not isinstance(law, NBSumLaw) else -1
+    values, tails = [], []
+    for size, p, total in zip(sizes, p_past, sums):
+        prefix = law.prefix_total(size)
+        tails.append(max(1.0 - prefix, 0.0) * p)
+        values.append(1.0 if p == 1.0 and size == whole else min(total + prefix * p, 1.0))
     return values, tails
 
 
-def _anchor_tables(law: WeightLaw, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """What a call's CDF rows below u = 64 share over the law's first
-    `width` masses: the shapes rho + m at 0 < m < width, and W_m at
-    m < width (a running sum, the same in every prefix).
+def _anchor_shapes(rho: float, count: int) -> np.ndarray:
+    """The shapes rho + m at 0 < m < count, which the CDF rows below u = 64
+    share: the ratios u/(rho + m) of their kernels' running products.
 
     rho + m is taken as n (1 + f/n), n = floor(rho) + m and f the fraction
     of rho.  Rounded as n + f, the shapes of one binade would all lose the
     same low bits of f, an error that the kernels' cumulative product
     repeats term after term (3.6e-15 after 100 terms at rho = 7.77,
     against 4e-16)."""
-    whole = float(math.floor(law.rho))
-    shapes = whole + np.arange(1.0, width)
-    if law.rho > whole:
-        shapes *= 1.0 + (law.rho - whole) / shapes
-    return shapes, np.add.accumulate(law.masses[:width])
+    whole = float(math.floor(rho))
+    shapes = whole + np.arange(1.0, count)
+    if rho > whole:
+        shapes *= 1.0 + (rho - whole) / shapes
+    return shapes
 
 
-def _saddle_terms(law: WeightLaw, ys: list[float], sizes: list[int]) -> np.ndarray:
+def _saddle_terms(
+    law: WeightLaw, ys: list[float], sizes: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
     """W_m k_(rho+m)(u) from u = 64 on, a row per point y = u b1 and a
     column per m < max(sizes): the saddle-point kernels
-    (`_saddle_deviance`) over the law's `log_cdf_weights`.  Entries past
-    a row's prefix may overflow or meet inf - inf; the caller drops them."""
+    (`_saddle_deviance`) over the law's `log_cdf_weights`; and each row's
+    last kernel k_(rho+L-1)(u) by itself, L = sizes[i].  Entries past a
+    row's prefix may overflow or meet inf - inf; the caller drops them."""
     width = max(sizes)
-    shapes = law.kernel_table[0][:width]
+    shapes, log_c, _ = law.kernel_table
+    ends = [n - 1 for n in sizes]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        deviance = _saddle_deviance(shapes, ys, law.beta1, [law.rho + (n - 1) for n in sizes])
-        return np.exp(law.log_cdf_weights[:width] - deviance)
+        deviance = _saddle_deviance(shapes[:width], ys, law.beta1, [law.rho + n for n in ends])
+        if min(sizes) == width:  # every row ends at the last column
+            last = np.exp(log_c[width - 1] - deviance[:, width - 1])
+        else:
+            last = np.exp(log_c[ends] - deviance[range(len(sizes)), ends])
+        return np.exp(law.log_cdf_weights[:width] - deviance), last
+
+
+def _continued_kernels(
+    us: list[float], shapes: list[float], kernels: np.ndarray, counts: list[int]
+) -> list[float]:
+    """sum_(1<=j<=E) k_(a-1+j)(u) for each row's u, next shape a, last
+    kernel k_(a-1)(u) and count E (`_continuation`): the running products
+    of u/(a - 1 + j), a row of them per point, each summed over its own
+    first E entries, so that a row is the same to the bit in any call as
+    alone."""
+    ratios = np.add.outer(shapes, _STEPS[: max(counts)])
+    np.divide(np.array(us)[:, None], ratios, out=ratios)
+    np.multiply.accumulate(ratios, axis=1, out=ratios)
+    ratios *= kernels[:, None]
+    return _row_sums(ratios, counts)
+
+
+def _row_sums(rows: np.ndarray, counts: list[int]) -> list[float]:
+    """The sum of each row's first counts[i] entries, as np.sum sums a row
+    of that many alone (pairwise within the row), so that the sum does not
+    depend on the rows beside it."""
+    if min(counts) == rows.shape[1]:
+        return rows.sum(axis=1).tolist()
+    totals = {count: rows[:, :count].sum(axis=1).tolist() for count in set(counts)}
+    return [totals[count][row] for row, count in enumerate(counts)]
+
+
+#: 0, 1, 2, ...: the steps j of `_continued_kernels`' shapes a + j.
+_STEPS = np.arange(float(_CONTINUATIONS[-1][1]))
 
 
 def mixture_rows(
@@ -641,8 +694,8 @@ def mixture_rows(
     form, may overflow or meet inf - inf; they are computed and dropped,
     so the saddle-point blocks silence those warnings.  The rest of a row
     is a few scalar steps, taken row by row: its tail bound (for the CDF
-    one incomplete-gamma value, which the row's sum reuses) and the
-    density's scaling.  So a one-row call (`mixture_point`) costs about
+    one incomplete-gamma value, the row's own kernels continued, which
+    the row's sum reuses) and the density's scaling.  So a one-row call (`mixture_point`) costs about
     what a per-point sum did.
     """
     return (_cdf_rows if quantity == "cdf" else _density_rows)(law, xs, sizes)

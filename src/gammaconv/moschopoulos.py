@@ -158,8 +158,8 @@ def cdf(
     tail_bound = (1 - C sum_{k<=K} delta_k) G(y/b1; rho + K + 1), valid
     since G decreases in the shape argument.  `methods.mixture_rows` sums
     the series by parts: kernel sums over the cumulative weights plus
-    G(y/b1; rho + K + 1) itself, the one incomplete-gamma value, which the
-    bound takes too.  Below y/b1 = 64 the row starts over its prefix,
+    G(y/b1; rho + K + 1) itself, the one incomplete-gamma value (the row's
+    kernels continued), which the bound takes too.  Below y/b1 = 64 the row starts over its prefix,
     built or of `weights`, that ends where the point's kernel dies
     (`methods.mixture_point`), and the recursion runs on past the weights
     only if the tail bound asks for it.

@@ -24,7 +24,6 @@ from math import comb
 from typing import Iterator
 
 import numpy as np
-from scipy import special as sp
 
 from . import methods, moschopoulos
 from .errors import BudgetError, DomainError, FitFailureError
@@ -35,7 +34,7 @@ from .model import (
     canonicalize,
     validate_mixture,
 )
-from .specfun import DEFAULT_CONTROL, SeriesControl, kummer_1f1
+from .specfun import DEFAULT_CONTROL, SeriesControl, kummer_1f1, log_factorials
 
 __all__ = [
     "RenewalQuery",
@@ -147,7 +146,7 @@ def _log_f1_family(n: int, z: float, ctrl: SeriesControl) -> list[float]:
                     break
             out[m] = math.log(total)
         return out
-    G = sp.gammaln(np.arange(n + J + 3, dtype=float))  # G[i] = lgamma(i)
+    G = np.concatenate(([math.inf], log_factorials(n + J + 2)))  # G[i] = lgamma(i)
     j = np.arange(J + 1)
     power, denom = j * math.log(z), G[n + 1 + j] - G[n + 1] + G[1 + j]  # log z^j, log (n+1)_j j!
     out = [0.0]
@@ -380,7 +379,8 @@ def _log_pmf_floor(alpha: np.ndarray, rates: np.ndarray, t: float, n_max: int) -
     floor = float(np.logaddexp.reduce(log_alpha - rt))
     if n_max >= 1:
         ends = np.array([1.0, float(n_max)])[:, None]
-        log_pois = ends * np.log(rt) - rt - sp.gammaln(ends + 1.0)
+        log_factorials = np.array([[0.0], [math.lgamma(n_max + 1.0)]])  # log 1!, log n_max!
+        log_pois = ends * np.log(rt) - rt - log_factorials
         floor = min(floor, float(np.max(np.min((ends + 1.0) * log_alpha + log_pois, axis=0))))
     return floor
 

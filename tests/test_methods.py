@@ -20,7 +20,7 @@ from scipy import special as sp
 from scipy import stats
 
 import gammaconv
-from gammaconv import barnabani, bench, cli, mathai, methods, moschopoulos
+from gammaconv import barnabani, bench, cli, mathai, methods, moschopoulos, renewal, specfun
 from gammaconv.errors import ConvergenceError, DomainError, FitFailureError, GammaConvError
 from gammaconv.model import ConvolutionSpec, EvalResult, canonicalize
 from gammaconv.specfun import DEFAULT_CONTROL, SeriesControl
@@ -291,6 +291,21 @@ class TestMixture:
                 want = mp.gammainc(mp.mpf(shape), 0, mp.mpf(u), regularized=True)
             assert abs(got.value - want) <= 4e-15 * max(want, tiny), (shape, u)
 
+    @pytest.mark.parametrize("u, tol", [(64.0, 4e-14), (300.0, 2.5e-13), (3000.0, 1e-13)])
+    def test_single_component_cdf_left_tail_from_64(self, u, tol):
+        # The entry check's CDF from u = 64 on, in the left tail (shapes
+        # 1.1u to 3u), where scipy's P read 2.3e-13, 9.8e-13 and 4.9e-12 off
+        # at these u.  Its kernel e^-D / sqrt(2 pi a), D the deviance, is off
+        # by about D ulps; the series after it adds a few.
+        tiny = np.finfo(float).tiny
+        rng = random.Random(int(u))
+        for _ in range(25):
+            shape = u * rng.uniform(1.1, 3.0)
+            got = methods.check_point(ConvolutionSpec.of((shape, 2.0)), 2.0 * u, "cdf")[1]
+            with mp.workdps(40):
+                want = mp.gammainc(mp.mpf(shape), 0, mp.mpf(u), regularized=True)
+            assert abs(got.value - want) <= tol * max(want, tiny), (shape, u)
+
     def test_cli_answers_a_tiny_total_shape(self, capsys):
         code = cli.main(["eval", "density", "--shape", "1e-20,1e-20,1e-20",
                          "--scale", "1,2,3", "--at", "1", "--method", "auto",
@@ -322,11 +337,16 @@ class TestMixture:
             for y in ys:
                 u = y / law.beta1
                 assert u >= methods._CDF_KERNEL_SUM_FROM
-                # The reference: one gammainc per mass, summed exactly.
+                # The reference: one gammainc per mass, summed exactly.  The
+                # tail bound's P(rho + L, u) at 40 digits: the row continues
+                # its last saddle-point kernel, whose deviance D (about 245
+                # at y = 575) is rounded at about D ulps.
                 want = math.fsum(masses * sp.gammainc(law.rho + np.arange(size, dtype=float), u))
-                bound = max(1.0 - float(masses.sum()), 0.0) * float(sp.gammainc(law.rho + size, u))
+                with mp.workdps(40):
+                    p_past = float(mp.gammainc(mp.mpf(law.rho) + size, 0, u, regularized=True))
+                bound = max(1.0 - float(masses.sum()), 0.0) * p_past
                 value, tail = one_row("cdf", law, y)
-                assert tail == bound
+                assert abs(tail - bound) <= 2e-13 * bound
                 if region == "left":
                     assert want < 1e-10
                 if region == "right":
@@ -535,13 +555,12 @@ class TestWeightLaw:
         want = np.empty_like(z)
         small = z <= 15.0
         zs = z[small]
-        want[small] = sp.gammaln(zs + 1.0) - (
-            zs * np.log(zs) - zs + 0.5 * np.log(2.0 * math.pi * zs))
+        want[small] = [specfun._stirling_error_small(v) for v in zs.tolist()]
         u = 1.0 / z[~small]
         u2 = u * u
         want[~small] = u * (1.0 / 12.0 - u2 * (1.0 / 360.0 - u2 * (1.0 / 1260.0 - u2 * (
             1.0 / 1680.0 - u2 * (1.0 / 1188.0 - u2 * (691.0 / 360360.0 - u2 / 156.0))))))
-        got = methods._stirling_error(z)
+        got = specfun.stirling_error(z)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_cut_density_stays_within_rel_tol_of_the_full_stage(self):
@@ -939,23 +958,52 @@ class TestEvaluate:
         assert shared.value.terms_used == per_point.value.terms_used == first + 9
 
 
-def test_request_path_does_not_import_bench():
+#: `eval` density and CDF at n = 1, 2, 3 through every method and auto, and
+#: `renewal` through every route at S = 1, 2, 3: the request path.
+REQUESTS = [
+    ["eval", quantity, "--shape", shapes, "--scale", scales, "--at", "0.5,3", "--method", method]
+    for quantity in ("density", "cdf")
+    for shapes, scales in (("2.5", "1.5"), ("1,2", "1,2"), ("2,3,1.5", "1,2,3"))
+    for method in (*methods.METHODS, "auto")
+] + [
+    ["renewal", "--weights", weights, "--scales", scales, "--t", "2", "--n", "0,2,5",
+     "--method", route]
+    for weights, scales in (("1", "2"), ("0.4,0.6", "1,3"), ("0.2,0.3,0.5", "1,2,3"))
+    for route in renewal.RENEWAL_METHODS
+]
+
+
+def _serve_in_subprocess(prelude: str) -> str:
+    """Run `prelude`, then every REQUESTS argv through cli.main, in a fresh
+    interpreter; returns its stdout."""
     code = (
-        "import sys\n"
+        prelude
+        + "import sys\n"
         "from gammaconv.cli import main\n"
-        "assert main(['eval', 'cdf', '--shape', '1,2', '--scale', '1,2', '--at', '1']) == 0\n"
-        "assert main(['renewal', '--weights', '0.5,0.5', '--scales', '1,2', "
-        "'--t', '1', '--n', '2']) == 0\n"
-        "loaded = [m for m in ('gammaconv.bench', 'gammaconv.oracle', 'scipy.integrate')"
-        " if m in sys.modules]\n"
+        f"for argv in {REQUESTS!r}:\n"
+        "    code = main(argv)\n"
+        "    print('EXIT', code, argv)\n"
+        "loaded = [m for m in ('gammaconv.bench', 'gammaconv.oracle', 'scipy') if m in sys.modules]\n"
         "print('LOADED', loaded)\n"
     )
     src = str(Path(gammaconv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True).stdout
+
+
+def test_request_path_does_not_import_bench():
+    # Nor scipy: eval and renewal load numpy alone.
+    out = _serve_in_subprocess("")
     assert "LOADED []" in out
+    assert out.count("EXIT 0 ") == len(REQUESTS)
+
+
+def test_request_path_serves_without_scipy():
+    # With scipy unimportable, every request still exits 0.
+    out = _serve_in_subprocess("import sys\nsys.modules['scipy'] = None\n")
+    assert out.count("EXIT 0 ") == len(REQUESTS), out
 
 
 @pytest.mark.parametrize(

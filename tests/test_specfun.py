@@ -210,3 +210,150 @@ class TestKummerRegimes:
                        for s in range(got.terms))
         assert abs(whole - part) <= (got.rel_bound + 1e-35) * whole
         assert abs(mp.exp(got.log_large_z) - whole) <= 1e-14 * whole
+
+
+def _mp_ref(fn, *args):
+    """fn(*args) at 40 digits, accepted only where 60 digits agree with it
+    to 1e-20 relative."""
+    with mp.workdps(40):
+        lo = fn(*(mp.mpf(a) for a in args))
+    with mp.workdps(60):
+        hi = fn(*(mp.mpf(a) for a in args))
+    assert abs(lo - hi) <= 1e-20 * abs(hi), args
+    return lo
+
+
+EPS = 2.0**-52
+
+
+class TestGammaFunctions:
+    """log-gamma, psi and P/Q against mpmath: the gamma functions the
+    request path uses, in numpy and math code alone."""
+
+    @staticmethod
+    def log_gamma_points():
+        rng = np.random.default_rng(20261020)
+        return np.concatenate((
+            np.exp(rng.uniform(math.log(1e-8), math.log(1e6), 300)),
+            np.arange(1.0, 61.0), [15.0, 15.05, 15.5, 15.999, 170.0, 1000.0, 1e5, 1e6],
+            1.0 + np.array([-1e-3, -1e-9, 1e-12, 1e-6, 2e-3]),
+            2.0 + np.array([-1e-3, -1e-9, 1e-12, 1e-6, 2e-3]),
+        ))
+
+    def test_log_gamma_one_by_one_and_stirling(self):
+        # Arrays with few entries below 15, as the exact routes pass: off
+        # by a few ulps of max(1, |lgamma|) everywhere, near 1 and 2 too.
+        z = self.log_gamma_points()
+        for chunk in np.array_split(z, 40):
+            assert (chunk <= 15.0).sum() <= specfun._LGAMMA_ONE_BY_ONE
+            got = specfun.log_gamma(chunk)
+            for g, v in zip(got.tolist(), chunk.tolist()):
+                want = _mp_ref(mp.loggamma, v)
+                assert abs(g - want) <= 6 * EPS * max(1.0, abs(want)), v
+
+    def test_log_gamma_many_small_entries(self):
+        # Past _LGAMMA_ONE_BY_ONE entries below 15 (a fitted GNBD near the
+        # negative binomial): shifted up by 16 as one array, within 4e-14.
+        rng = np.random.default_rng(7)
+        z = np.concatenate((rng.uniform(1e-8, 15.0, 400), [1.0 + 1e-9, 2.0 - 1e-9, 7.0, 300.0]))
+        got = specfun.log_gamma(z)
+        for g, v in zip(got.tolist(), z.tolist()):
+            want = _mp_ref(mp.loggamma, v)
+            assert abs(g - want) <= 4e-14 * max(1.0, abs(want)), v
+
+    def test_log_gamma_of_zero_is_inf(self):
+        # _log_f1_family's table of lgamma(i) starts at i = 0.
+        assert specfun.log_gamma(np.arange(3.0)).tolist() == [math.inf, 0.0, 0.0]
+        assert specfun.log_gamma(np.zeros(100))[0] == math.inf
+
+    def test_digamma_at_the_reflected_1f1s_c(self):
+        # psi corrects lgamma(c) at c = b - a for the reflected large-z 1F1;
+        # its c lie anywhere above 0.  The root near 1.4616 is held to an
+        # absolute few ulps.
+        rng = random.Random(20261020)
+        cs = [35.64 - 0.178, 1.4616321449683622, 0.5, 1.0, 2.0, 9.99, 10.0, 1e-3]
+        cs += [math.exp(rng.uniform(math.log(1e-3), math.log(1e4))) for _ in range(100)]
+        for c in cs:
+            want = _mp_ref(mp.digamma, c)
+            assert abs(specfun.digamma(c) - want) <= 6 * EPS * max(1.0, abs(want)), c
+
+    @staticmethod
+    def pq_cases():
+        rng = random.Random(20261021)
+        cases = [(1e4, 1e4), (1e4, 1e4 + 1.0), (1e4, 1e4 + 2.0), (1e4, 9990.0), (1e4, 5e3),
+                 (1e4, 2e4), (0.5, 1.4), (1e-3, 1e-3), (3e-20, 1.0), (142.89, 8.0),
+                 (170.0, 1000.0), (2.0, 1e4), (1e4, 1e-3)]
+        for _ in range(200):
+            a = math.exp(rng.uniform(math.log(1e-3), math.log(1e4)))
+            if rng.random() < 0.8:
+                u = a * math.exp(rng.uniform(-1.2, 1.2))  # both tails and the transition
+            else:
+                u = math.exp(rng.uniform(math.log(1e-3), math.log(1e4)))
+            cases.append((a, u))
+        return cases
+
+    @staticmethod
+    def mp_pq(a, u):
+        """(P, Q) at the working precision: below u = a the series
+        e^-u u^a / Gamma(a + 1) sum_n u^n / (a + 1)_n, whose terms fall at
+        once (mpmath's own lower gamma stalls at a = 1e4, u = 1e-3); else
+        mpmath's upper gamma."""
+        if u < a:
+            total = term = mp.mpf(1)
+            shape = a + 1
+            while term > mp.mpf(10) ** (-mp.mp.dps - 5) * total:
+                term *= u / shape
+                total += term
+                shape += 1
+            p = mp.exp(a * mp.log(u) - u - mp.loggamma(a + 1)) * total
+            return p, 1 - p
+        q = mp.gammainc(a, u, mp.inf, regularized=True)
+        return 1 - q, q
+
+    def test_incomplete_gamma_against_mpmath(self):
+        # Below u = a + 1 P is summed and Q = 1 - P; from it on Q is the
+        # continued fraction and P = 1 - Q.  The summed one is within
+        # 3 eps (8 + D) relative, D = a log(a/u) + u - a the deviance its
+        # kernel's exponent carries; the other within 6 eps absolute.
+        for a, u in self.pq_cases():
+            p, q = specfun.incomplete_gamma(a, u)
+            with mp.workdps(40):
+                want_p, want_q = self.mp_pq(mp.mpf(a), mp.mpf(u))
+            with mp.workdps(60):
+                check_p, check_q = self.mp_pq(mp.mpf(a), mp.mpf(u))
+            assert abs(want_p - check_p) <= 1e-20 * check_p and abs(want_q - check_q) <= 1e-20 * check_q
+            summed, want, other, other_want = (
+                (p, want_p, q, want_q) if u < a + 1.0 else (q, want_q, p, want_p))
+            deviance = float(mp.mpf(a) * mp.log(mp.mpf(a) / u) + u - a)
+            tiny = np.finfo(float).tiny
+            assert abs(summed - want) <= 3 * EPS * (8.0 + deviance) * max(want, tiny), (a, u)
+            assert abs(other - other_want) <= 6 * EPS, (a, u)
+
+    def test_incomplete_gamma_ends_and_domain(self):
+        assert specfun.incomplete_gamma(2.5, 0.0) == (0.0, 1.0)
+        assert specfun.incomplete_gamma(2.5, math.inf) == (1.0, 0.0)
+        for a, u in ((0.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(DomainError):
+                specfun.incomplete_gamma(a, u)
+
+    def test_incomplete_gamma_far_tails_of_a_huge_shape(self):
+        # Far from the transition the series and the fraction stop within a
+        # few dozen terms at any shape; near it they need about 9 sqrt(a)
+        # and raise past _PQ_TERMS.
+        a = 1e12
+        p, q = specfun.incomplete_gamma(a, 0.5 * a)
+        assert p == 0.0 and q == 1.0
+        p, q = specfun.incomplete_gamma(a, 2.0 * a)
+        assert p == 1.0 and q == 0.0
+        with pytest.raises(ConvergenceError):
+            specfun.incomplete_gamma(a, a)
+
+    def test_log_factorials(self):
+        # _log_f1_family's table: one running product to 170!, blocks past it.
+        for count in (1, 2, 171, 172, 1500):
+            got = specfun.log_factorials(count)
+            assert got.shape == (count,)
+            for k in sorted({0, 1, 2, count // 2, count - 2, count - 1} - {-1}):
+                if 0 <= k < count:
+                    want = _mp_ref(lambda x: mp.loggamma(x + 1), k)
+                    assert abs(got[k] - want) <= 4 * EPS * max(1.0, abs(want)), (count, k)
