@@ -237,7 +237,7 @@ def _approx_weights(params: GnbdParams, ctrl: SeriesControl) -> np.ndarray:
     of about rho, so the density rests on the masses past it.  The masses
     are elementwise in k, so the kept ones are the same at any table
     length, but for the last bits of those whose log-gamma arguments fall
-    below 15 where a longer table has more than 64 such (`specfun.log_gamma`
+    below 15 where a longer table has more than 256 such (`specfun.log_gamma`
     then takes them as one array).
     """
     cum = gnbd_cumulants(params)

@@ -27,6 +27,7 @@ from .model import ConvolutionSpec, EvalResult, canonicalize
 from .specfun import (
     DEFAULT_CONTROL,
     SeriesControl,
+    deviance,
     gamma_kernel,
     incomplete_gamma,
     log_gamma_ratio,
@@ -172,30 +173,6 @@ class WeightLaw:
 _NB_GROUPED_FROM = 64.0
 
 
-#: 1/3, 1/5, ..., 1/59: the coefficients of `_deviance`'s series.
-_DEVIANCE_SERIES = 1.0 / np.arange(3.0, 60.0, 2.0)
-
-
-def _deviance(x: np.ndarray | float, m: np.ndarray | float) -> np.ndarray:
-    """x log(x / m) + m - x, to a few units of rounding of its value.
-
-    Where x and m are within a factor 3 (|v| < 1/2, v = (x - m)/(x + m))
-    it is (x - m) v + 2 x v^3 sum_j v^(2j) / (2j + 3), whose terms carry
-    no cancellation; the series is cut past j = 28, where v^56 < 1e-16.
-    """
-    d = x - m
-    v = d / (x + m)
-    v2 = v * v
-    with np.errstate(divide="ignore", invalid="ignore"):
-        far = x * np.log(x / m) - d
-    series = np.full_like(v, _DEVIANCE_SERIES[-1])
-    for c in _DEVIANCE_SERIES[-2::-1]:
-        series *= v2
-        series += c
-    near = d * v + 2.0 * x * v * v2 * series
-    return np.where(np.abs(v) < 0.5, near, far)
-
-
 def _nb_masses(a: float, q: float, count: int) -> np.ndarray:
     """Negative-binomial masses (size a, success probability q) at k < count.
 
@@ -225,8 +202,8 @@ def _nb_masses(a: float, q: float, count: int) -> np.ndarray:
             + stirling_error(n)
             - stirling_series(a)
             - stirling_error(k)
-            - _deviance(a, n * q)
-            - _deviance(k, n * (1.0 - q))
+            - deviance(a, n * q)
+            - deviance(k, n * (1.0 - q))
         )
         return np.concatenate(([q**a], np.exp(log_w)))[:count]
     k = np.arange(count, dtype=float)
@@ -251,7 +228,7 @@ def poisson_masses(mean: float, count: int) -> np.ndarray:
     relative at mean 80).
     """
     m = np.arange(1, count, dtype=float)
-    log_w = -stirling_error(m) - _deviance(m, mean) - 0.5 * np.log(2.0 * math.pi * m)
+    log_w = -stirling_error(m) - deviance(m, mean) - 0.5 * np.log(2.0 * math.pi * m)
     return np.concatenate(([math.exp(-mean)], np.exp(log_w)))[:count]
 
 
@@ -487,31 +464,16 @@ def _kernel_cut(spec: ConvolutionSpec, x: float, quantity: str) -> float:
 
 
 #: The largest u/(rho + L) at which a CDF row of L masses takes
-#: P(rho + L, u) as the continuation of its own kernels (`_continuation`);
-#: past it `specfun.incomplete_gamma` answers.  Every row of the
-#: workloads stays below 0.72.
+#: P(rho + L, u) as the continuation of its own kernels; past it
+#: `specfun.incomplete_gamma` answers.  Every row of the workloads stays
+#: below 0.72.
 _CONTINUE_TO = 0.75
 
-#: (r, E): up to u/(rho + L) = r a row continues by E kernels, the fewest
-#: with r^E / (1 - r) below 2^-53 at that r (`_continuation`).
-_CONTINUATIONS = tuple(
-    (r, math.ceil(math.log(2.0**-53 * (1.0 - r)) / math.log(r)))
-    for r in (0.4, 0.55, 0.65, _CONTINUE_TO)
-)
-
-
-def _continuation(u: float, shape: float) -> int:
-    """How many kernels k_(shape+j)(u), j >= 0, sum to P(shape, u)
-    (DLMF 8.8.5 summed) within 2^-53 of it: their ratios u/(shape + j)
-    fall from r = u/shape, so the kernels past the first E sum to at most
-    k_shape(u) r^E / (1 - r).  E is taken from `_CONTINUATIONS`, 41 up to
-    r = 0.4, which every row cut at its kernel (`_kernel_cut`) is below;
-    0 past `_CONTINUE_TO`."""
-    r = u / shape
-    for top, count in _CONTINUATIONS:
-        if r <= top:
-            return count
-    return 0
+#: How many kernels k_(rho+m)(u), m >= L, a row continues by: their ratios
+#: u/(rho + m) fall from r = u/(rho + L), so those past the first E sum to
+#: at most k_(rho+L)(u) r^E / (1 - r), and E = 133 holds that below 2^-53
+#: of P(rho + L, u) up to r = `_CONTINUE_TO`.
+_CONTINUATION = math.ceil(math.log(2.0**-53 * (1.0 - _CONTINUE_TO)) / math.log(_CONTINUE_TO))
 
 
 def _cdf_rows(
@@ -536,79 +498,87 @@ def _cdf_rows(
     prefix, and P(rho + L, u) and W_(L-1) the tail bound's own values
     (W_(L-1) summed as np.sum sums, the closer rounding).  P(rho + L, u)
     is the row's own kernels continued past its last, k_(rho+m)(u) for
-    L <= m < L + E (`_continuation`), wherever u/(rho + L) is at most
+    L <= m < L + `_CONTINUATION`, wherever u/(rho + L) is at most
     `_CONTINUE_TO`; elsewhere `specfun.incomplete_gamma`.  Below u =
     `_CDF_KERNEL_SUM_FROM` a row takes its kernels from one anchor
     k_rho(u) (`specfun.gamma_kernel`) times the running product of
     u/(rho + m) (`_anchor_shapes`), sums its first L as one dot product
     with W and the rest as P; so a law used at one point builds no x-free
-    table.  From it on a block of rows takes the law's saddle-point
-    kernels (`_saddle_terms`), each row summed over its own prefix
-    (`_row_bounds`), and continues each row's last kernel by the same
-    running product, all such rows of a call at once
-    (`_continued_kernels`).  Either way a row is the same
-    to the bit in any call as alone, so rows of any length share one law.
+    table.  From it on the rows take the law's saddle-point kernels and
+    continue each row's last kernel by the same running product
+    (`_saddle_rows`).  Either way a row is the same to the bit in any call
+    as alone, so rows of any length share one law.
     """
     rho, beta1 = law.rho, law.beta1
-    us, extra, p_past, low, high = [], [], [], [], []
+    values, tails, high = [0.0] * len(ys), [0.0] * len(ys), []
+    shapes = cumulative = None
     for i, (y, size) in enumerate(zip(ys, sizes)):
         u = y / beta1
-        count = _continuation(u, rho + size)
-        us.append(u)
-        extra.append(count)
-        p_past.append(0.0 if count else incomplete_gamma(rho + size, u)[0])
-        (low if u < _CDF_KERNEL_SUM_FROM else high).append(i)
-    sums = [0.0] * len(ys)
-    if low:
-        shapes = _anchor_shapes(rho, max([sizes[i] + extra[i] for i in low]))
-        cumulative = np.add.accumulate(law.masses[: max([sizes[i] for i in low])])
-        # Each row's continuation, summed in one call for all rows where they
-        # are many (a row's sum is the same either way: `_row_sums`).
-        past = np.zeros((len(low), max([extra[i] for i in low]))) if len(low) > 4 else None
-        for j, i in enumerate(low):
-            u, size = us[i], sizes[i]
-            kernels = np.empty(size + extra[i])
-            kernels[0] = gamma_kernel(rho, u)
-            np.divide(u, shapes[: kernels.shape[0] - 1], out=kernels[1:])
-            np.multiply.accumulate(kernels, out=kernels)
-            if past is not None:
-                past[j, : extra[i]] = kernels[size:]
-            elif extra[i]:
-                p_past[i] = float(kernels[size:].sum())
-            sums[i] = float(kernels[:size] @ cumulative[:size])
-        if past is not None:
-            for i, value in zip(low, _row_sums(past, [extra[i] for i in low])):
-                if extra[i]:
-                    p_past[i] = value
-    high_sizes = [sizes[i] for i in high]
-    lasts = []
-    for block in _blocks(len(high), max(high_sizes)) if high else ():
-        rows, size = high[block], high_sizes[block]
-        terms, last = _saddle_terms(law, [ys[i] for i in rows], size)
-        bounds, own = _row_bounds(size, terms.shape[1])
-        for i, total in zip(rows, np.add.reduceat(terms.ravel(), bounds)[own].tolist()):
-            sums[i] = total
-        lasts.append(last)
-    going = [j for j, i in enumerate(high) if extra[i]]
-    if going:
-        rows = [high[j] for j in going]
-        past = _continued_kernels(
-            [us[i] for i in rows], [rho + sizes[i] for i in rows],
-            np.concatenate(lasts)[going], [extra[i] for i in rows],
-        )
-        for i, value in zip(rows, past):
-            p_past[i] = value
-    # A fitted law holds the whole law but for a sliver (below 2^-54 of its
-    # mass for the GNBD), so where its whole table's P(rho + L, u) rounds to
-    # 1, every kernel does and the CDF is 1; sum(masses) itself is off 1 by
-    # the rounding of the masses.
-    whole = law.masses.shape[0] if not isinstance(law, NBSumLaw) else -1
-    values, tails = [], []
-    for size, p, total in zip(sizes, p_past, sums):
-        prefix = law.prefix_total(size)
-        tails.append(max(1.0 - prefix, 0.0) * p)
-        values.append(1.0 if p == 1.0 and size == whole else min(total + prefix * p, 1.0))
+        if u >= _CDF_KERNEL_SUM_FROM:
+            high.append(i)
+            continue
+        if shapes is None:
+            width = max(sizes)
+            shapes = _anchor_shapes(rho, width + _CONTINUATION)
+            cumulative = np.add.accumulate(law.masses[:width])
+        going = u / (rho + size) <= _CONTINUE_TO
+        kernels = np.empty(size + _CONTINUATION if going else size)
+        kernels[0] = gamma_kernel(rho, u)
+        np.divide(u, shapes[: kernels.shape[0] - 1], out=kernels[1:])
+        np.multiply.accumulate(kernels, out=kernels)
+        p = float(np.add.reduce(kernels[size:])) if going else incomplete_gamma(rho + size, u)[0]
+        values[i], tails[i] = _cdf_value(law, size, float(kernels[:size] @ cumulative[:size]), p)
+    if high:
+        high_ys, high_sizes = [ys[i] for i in high], [sizes[i] for i in high]
+        for i, size, total, p in zip(high, high_sizes, *_saddle_rows(law, high_ys, high_sizes)):
+            values[i], tails[i] = _cdf_value(law, size, total, p)
     return values, tails
+
+
+def _cdf_value(law: WeightLaw, size: int, total: float, p: float) -> tuple[float, float]:
+    """A CDF row's value and tail bound from its kernel sum
+    sum_(m<L) W_m k_(rho+m)(u) and p = P(rho + L, u), L = size
+    (`_cdf_rows`).
+
+    A fitted law holds the whole law but for a sliver (below 2^-54 of its
+    mass for the GNBD), so where its whole table's P(rho + L, u) rounds to
+    1, every kernel does and the CDF is 1; sum(masses) itself is off 1 by
+    the rounding of the masses, to either side."""
+    prefix = law.prefix_total(size)
+    if p == 1.0 and size == law.masses.shape[0] and not isinstance(law, NBSumLaw):
+        return 1.0, max(1.0 - prefix, 0.0)
+    return min(total + prefix * p, 1.0), max(1.0 - prefix, 0.0) * p
+
+
+def _saddle_rows(
+    law: WeightLaw, ys: list[float], sizes: list[int]
+) -> tuple[list[float], list[float]]:
+    """The kernel sums and P(rho + L, u) of the CDF rows from u = 64 on
+    (`_cdf_rows`): a block of rows at a time over the law's saddle-point
+    kernels (`_saddle_terms`), each row summed over its own prefix
+    (`_row_bounds`); P continued from each row's last kernel, all such
+    rows at once (`_continued_kernels`), or `specfun.incomplete_gamma`."""
+    rho = law.rho
+    totals, lasts = [], []
+    for block in _blocks(len(ys), max(sizes)):
+        terms, last = _saddle_terms(law, ys[block], sizes[block])
+        bounds, own = _row_bounds(sizes[block], terms.shape[1])
+        totals += np.add.reduceat(terms.ravel(), bounds)[own].tolist()
+        lasts.append(last)
+    us = [y / law.beta1 for y in ys]
+    going = [u / (rho + size) <= _CONTINUE_TO for u, size in zip(us, sizes)]
+    ps = [
+        0.0 if go else incomplete_gamma(rho + size, u)[0]
+        for u, size, go in zip(us, sizes, going)
+    ]
+    rows = [j for j, go in enumerate(going) if go]
+    if rows:
+        past = _continued_kernels(
+            [us[j] for j in rows], [rho + sizes[j] for j in rows], np.concatenate(lasts)[rows]
+        )
+        for j, value in zip(rows, past):
+            ps[j] = value
+    return totals, ps
 
 
 def _anchor_shapes(rho: float, count: int) -> np.ndarray:
@@ -621,7 +591,7 @@ def _anchor_shapes(rho: float, count: int) -> np.ndarray:
     repeats term after term (3.6e-15 after 100 terms at rho = 7.77,
     against 4e-16)."""
     whole = float(math.floor(rho))
-    shapes = whole + np.arange(1.0, count)
+    shapes = np.arange(whole + 1.0, whole + count)
     if rho > whole:
         shapes *= 1.0 + (rho - whole) / shapes
     return shapes
@@ -647,33 +617,20 @@ def _saddle_terms(
         return np.exp(law.log_cdf_weights[:width] - deviance), last
 
 
-def _continued_kernels(
-    us: list[float], shapes: list[float], kernels: np.ndarray, counts: list[int]
-) -> list[float]:
-    """sum_(1<=j<=E) k_(a-1+j)(u) for each row's u, next shape a, last
-    kernel k_(a-1)(u) and count E (`_continuation`): the running products
-    of u/(a - 1 + j), a row of them per point, each summed over its own
-    first E entries, so that a row is the same to the bit in any call as
-    alone."""
-    ratios = np.add.outer(shapes, _STEPS[: max(counts)])
+def _continued_kernels(us: list[float], shapes: list[float], kernels: np.ndarray) -> list[float]:
+    """sum_(1<=j<=E) k_(a-1+j)(u), E = `_CONTINUATION`, for each row's u,
+    next shape a and last kernel k_(a-1)(u): the running products of
+    u/(a - 1 + j), a row of them per point, each row summed as np.sum
+    sums it alone, so that a row is the same to the bit in any call."""
+    ratios = np.add.outer(shapes, _STEPS)
     np.divide(np.array(us)[:, None], ratios, out=ratios)
     np.multiply.accumulate(ratios, axis=1, out=ratios)
     ratios *= kernels[:, None]
-    return _row_sums(ratios, counts)
-
-
-def _row_sums(rows: np.ndarray, counts: list[int]) -> list[float]:
-    """The sum of each row's first counts[i] entries, as np.sum sums a row
-    of that many alone (pairwise within the row), so that the sum does not
-    depend on the rows beside it."""
-    if min(counts) == rows.shape[1]:
-        return rows.sum(axis=1).tolist()
-    totals = {count: rows[:, :count].sum(axis=1).tolist() for count in set(counts)}
-    return [totals[count][row] for row, count in enumerate(counts)]
+    return np.add.reduce(ratios, axis=1).tolist()
 
 
 #: 0, 1, 2, ...: the steps j of `_continued_kernels`' shapes a + j.
-_STEPS = np.arange(float(_CONTINUATIONS[-1][1]))
+_STEPS = np.arange(float(_CONTINUATION))
 
 
 def mixture_rows(

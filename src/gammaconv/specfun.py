@@ -1,9 +1,9 @@
 """The special functions the series need, in numpy and math code alone.
 
 Everything here is a pure function: log-gamma on arrays (`log_gamma`),
-the Stirling error, psi (`digamma`), the gamma kernel
-e^-u u^a / Gamma(a + 1) and the regularized incomplete gamma functions
-P and Q (`incomplete_gamma`), and Kummer's 1F1.  Kummer values can overflow a double
+the Stirling error, the deviance x log(x/m) + m - x, psi (`digamma`),
+the gamma kernel e^-u u^a / Gamma(a + 1) and the regularized incomplete
+gamma functions P and Q (`incomplete_gamma`), and Kummer's 1F1.  Kummer values can overflow a double
 (large arguments), so they are returned as log floats.  The 1F1 is summed
 in one of two regimes, chosen from (a, b, z) (`kummer_1f1_terms`): the
 large-z form of DLMF 13.7.2 with a computed remainder bound, or the power
@@ -33,6 +33,7 @@ __all__ = [
     "kummer_1f1_terms",
     "stirling_series",
     "stirling_error",
+    "deviance",
     "log_gamma",
     "log_gamma_ratio",
     "log_factorials",
@@ -191,15 +192,22 @@ def log_gamma_ratio(y: np.ndarray, d: float) -> np.ndarray:
     return (y + (d - 0.5)) * np.log1p(d / y) + d * (np.log(y) - 1.0) + (rest[:n] - rest[n:])
 
 
+#: log k! at k = 0..170, the logs of one running product of k: the head
+#: of every `log_factorials` table, read-only.
+_LOG_FACTORIALS = np.concatenate(([0.0], np.log(np.multiply.accumulate(np.arange(1.0, 171.0)))))
+_LOG_FACTORIALS.setflags(write=False)
+
+
 def log_factorials(count: int) -> np.ndarray:
     """log k! at k = 0..count-1: the logs of running products of k, to
-    170! in one run, past it in blocks short enough not to overflow (64
-    factors below k = 65,000), each block carried by the sum of the logs
-    of the blocks before it.  A product of n factors is off by at most n
-    roundings, so its log by under n 2^-53; the carried sums add a few
-    ulps of log k!, which differences over a shared prefix largely cancel."""
+    170! in one run (a read-only prefix of `_LOG_FACTORIALS`), past it in
+    blocks short enough not to overflow (64 factors below k = 65,000),
+    each block carried by the sum of the logs of the blocks before it.  A
+    product of n factors is off by at most n roundings, so its log by
+    under n 2^-53; the carried sums add a few ulps of log k!, which
+    differences over a shared prefix largely cancel."""
     if count <= 171:
-        return np.concatenate(([0.0], np.log(np.multiply.accumulate(np.arange(1.0, count)))))
+        return _LOG_FACTORIALS[:count]
     width = max(1, min(64, int(700.0 / math.log(count + 1.0))))
     rows = -(-count // width)
     blocks = np.arange(1.0, rows * width + 1.0).reshape(rows, width)
@@ -223,13 +231,34 @@ def digamma(x: float) -> float:
             691.0 / 32760.0 - u2 / 12.0))))))
 
 
-def _deviance(x: float, m: float) -> float:
-    """x log(x / m) + m - x at x, m > 0, to a few units of rounding of its value.
+#: 1/3, 1/5, ..., 1/59: the coefficients of `deviance`'s series.
+_DEVIANCE_SERIES = 1.0 / np.arange(3.0, 60.0, 2.0)
+
+
+def deviance(x: np.ndarray | float, m: np.ndarray | float) -> np.ndarray:
+    """x log(x / m) + m - x elementwise, to a few units of rounding of its value.
 
     Where x and m are within a factor 3 (|v| < 1/2, v = (x - m)/(x + m))
     it is (x - m) v + 2 x v^3 sum_j v^(2j) / (2j + 3), whose terms carry
-    no cancellation, summed until a term is below 2^-54 of the sum.
+    no cancellation; the series is cut past j = 28, where v^56 < 1e-16.
+    `_deviance` is the same formula at one float.
     """
+    d = x - m
+    v = d / (x + m)
+    v2 = v * v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = x * np.log(x / m) - d
+    series = np.full_like(v, _DEVIANCE_SERIES[-1])
+    for c in _DEVIANCE_SERIES[-2::-1]:
+        series *= v2
+        series += c
+    near = d * v + 2.0 * x * v * v2 * series
+    return np.where(np.abs(v) < 0.5, near, far)
+
+
+def _deviance(x: float, m: float) -> float:
+    """`deviance` at one pair of floats x, m > 0, in plain float arithmetic:
+    its near series is summed until a term is below 2^-54 of the sum."""
     d = x - m
     v = d / (x + m)
     if abs(v) >= 0.5:
@@ -262,16 +291,62 @@ def gamma_kernel(a: float, u: float) -> float:
 
 
 #: The most terms `incomplete_gamma` sums or continued-fraction steps it
-#: takes: near the transition both need about 9 sqrt(a), so up to a of
-#: about 1e10.
+#: takes.  Near the transition both need about 9 sqrt(a) (2,900 at
+#: a = `_TEMME_FROM`); outside Temme's band (`_TEMME_ETA`) a few hundred.
 _PQ_TERMS = 1_000_000
+
+#: The shape from which `incomplete_gamma` takes Temme's uniform expansion
+#: near the transition, and the band |eta| <= `_TEMME_ETA` it takes it in.
+_TEMME_FROM = 1e5
+_TEMME_ETA = 0.1
+
+#: c_k(eta) = sum_n _TEMME[k][n] eta^n, k = 0, 1, 2: Temme's coefficients
+#: (DLMF 8.12.9, 8.12.10 and 8.12.12 with the g_k of 5.11.3), expanded
+#: about eta = 0.  At |eta| <= `_TEMME_ETA` the first term left out of each
+#: is below 1e-20, 1e-14 a and 1e-8 a^2 (the weights c_k carries).
+_TEMME = (
+    (-1 / 3, 1 / 12, -2 / 135, 1 / 864, 1 / 2835, -139 / 777600, 1 / 25515,
+     -571 / 261273600, -281 / 151559100, 163879 / 197522841600,
+     -5221 / 29554024500, 5246819 / 782190452736000),
+    (-1 / 540, -1 / 288, 1 / 378, -77 / 77760, 1 / 4860, -1 / 2488320,
+     -2743 / 151559100, 41969 / 5486745600),
+    (25 / 6048, -139 / 51840, 1 / 1296, 1 / 497664),
+)
+
+
+def _temme(a: float, u: float, dev: float) -> tuple[float, float]:
+    """(P(a, u), Q(a, u)) by Temme's uniform expansion (DLMF 8.12.3,
+    8.12.4, 8.12.8): with D = a log(a/u) + u - a (`_deviance`) and
+    eta = sign(u - a) sqrt(2 D / a),
+
+        Q = erfc(sign(u - a) sqrt(D)) / 2 + R,  P = 1 - Q,
+        R = e^-D / sqrt(2 pi a) (c_0(eta) + c_1(eta)/a + c_2(eta)/a^2).
+
+    The smaller of P and Q is taken from this, the other as 1 minus it.
+    c_3 / a^3 is below 1e-18 of c_0 from a = `_TEMME_FROM` on."""
+    eta = math.copysign(math.sqrt(2.0 * dev / a), u - a)
+    c = []
+    for coefs in _TEMME:
+        total = 0.0
+        for coef in reversed(coefs):
+            total = total * eta + coef
+        c.append(total)
+    rest = math.exp(-dev) / math.sqrt(2.0 * math.pi * a) * (c[0] + (c[1] + c[2] / a) / a)
+    half = 0.5 * math.erfc(math.sqrt(dev))
+    if u >= a:
+        q = half + rest
+        return 1.0 - q, q
+    p = half - rest
+    return p, 1.0 - p
 
 
 def incomplete_gamma(a: float, u: float) -> tuple[float, float]:
     """(P(a, u), Q(a, u)), the regularized incomplete gamma functions, at
     a > 0 and u >= 0.
 
-    Below the transition u = a + 1, P is the kernel series
+    From a = `_TEMME_FROM` on, wherever |eta| <= `_TEMME_ETA` (u within
+    about a tenth of a), Temme's uniform expansion (`_temme`).  Elsewhere,
+    below the transition u = a + 1, P is the kernel series
     sum_(m>=0) k_(a+m)(u) (`gamma_kernel`; DLMF 8.8.5 summed), a running
     product of u/(a + m), stopped once the geometric bound t r / (1 - r)
     on the terms left out, r the next ratio, is below 2^-54 of the sum.
@@ -279,12 +354,16 @@ def incomplete_gamma(a: float, u: float) -> tuple[float, float]:
     a k_a(u) = e^-u u^a / Gamma(a), by the modified Lentz method
     (Gautschi, ACM TOMS 5, 1979), stopped at a step within an ulp of 1.
     The other one is 1 minus it.  Raises ConvergenceError past
-    `_PQ_TERMS` terms (a near u, past about 1e10).
+    `_PQ_TERMS` terms, which no a and u reach.
     """
     if not (a > 0.0 and u >= 0.0):
         raise DomainError(f"incomplete gamma needs a > 0 and u >= 0, got a={a}, u={u}")
     if u == 0.0 or u == math.inf:
         return (0.0, 1.0) if u == 0.0 else (1.0, 0.0)
+    if a >= _TEMME_FROM:
+        dev = _deviance(a, u)
+        if dev <= 0.5 * _TEMME_ETA**2 * a:
+            return _temme(a, u, dev)
     kernel = gamma_kernel(a, u)
     if u < a + 1.0:
         total = term = 1.0

@@ -336,17 +336,56 @@ class TestGammaFunctions:
             with pytest.raises(DomainError):
                 specfun.incomplete_gamma(a, u)
 
-    def test_incomplete_gamma_far_tails_of_a_huge_shape(self):
+    @staticmethod
+    def mp_pq_near(a, u):
+        """(P, Q) at the working precision near the transition of a large
+        shape: Q from mpmath's upper gamma, and P = 1 - Q, which the
+        40/60-digit check accepts only where P keeps its digits."""
+        q = mp.gammainc(a, u, mp.inf, regularized=True)
+        return 1 - q, q
+
+    def check_near(self, a, u):
+        p, q = specfun.incomplete_gamma(a, u)
+        with mp.workdps(40):
+            want_p, want_q = self.mp_pq_near(mp.mpf(a), mp.mpf(u))
+        with mp.workdps(60):
+            check_p, check_q = self.mp_pq_near(mp.mpf(a), mp.mpf(u))
+        assert abs(want_p - check_p) <= 1e-20 * check_p
+        assert abs(want_q - check_q) <= 1e-20 * check_q
+        small, want, other, other_want = (
+            (q, want_q, p, want_p) if u >= a else (p, want_p, q, want_q))
+        deviance = float(mp.mpf(a) * mp.log(mp.mpf(a) / u) + u - a)
+        assert abs(small - want) <= 3 * EPS * (8.0 + deviance) * want, (a, u)
+        assert abs(other - other_want) <= 6 * EPS, (a, u)
+
+    def test_incomplete_gamma_temme_band(self):
+        # From a = 1e5 on, within u/a of about 1 +- 0.1, Temme's uniform
+        # expansion: the smaller of P and Q within 3 eps (8 + D) relative,
+        # the other within 6 eps, as the series and the fraction are held.
+        for a in (1e5, 2e5, 1e6, 1e8):
+            for t in (-6.0, -2.5, -1.0, -0.3, 0.0, 0.01, 0.7, 1.5, 4.0, 8.0):
+                self.check_near(a, a + t * math.sqrt(a))
+
+    def test_incomplete_gamma_huge_shape(self):
         # Far from the transition the series and the fraction stop within a
-        # few dozen terms at any shape; near it they need about 9 sqrt(a)
-        # and raise past _PQ_TERMS.
+        # few dozen terms at any shape; at it Temme's expansion answers.
         a = 1e12
         p, q = specfun.incomplete_gamma(a, 0.5 * a)
         assert p == 0.0 and q == 1.0
         p, q = specfun.incomplete_gamma(a, 2.0 * a)
         assert p == 1.0 and q == 0.0
-        with pytest.raises(ConvergenceError):
-            specfun.incomplete_gamma(a, a)
+        self.check_near(a, a)
+
+    def test_incomplete_gamma_band_edge(self):
+        # Just inside and just outside |eta| = 0.1 at a = 1e5: Temme's
+        # expansion on one side, the series or the fraction on the other.
+        for u in (0.9e5, 0.905e5, 1.095e5, 1.1e5):
+            p, q = specfun.incomplete_gamma(1e5, u)
+            with mp.workdps(40):
+                want_p, want_q = self.mp_pq(mp.mpf(1e5), mp.mpf(u))
+            small, want = (q, want_q) if u >= 1e5 else (p, want_p)
+            deviance = float(mp.mpf(1e5) * mp.log(mp.mpf(1e5) / u) + u - 1e5)
+            assert abs(small - want) <= 3 * EPS * (8.0 + deviance) * want, u
 
     def test_log_factorials(self):
         # _log_f1_family's table: one running product to 170!, blocks past it.
