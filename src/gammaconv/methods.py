@@ -238,8 +238,9 @@ class NBSumLaw(WeightLaw):
     NB(a_i, q_i), q_i = b1/b_i, over the components past the first.
 
     Every law is an exact prefix: a longer one repeats its masses bit for
-    bit, from 12 masses on (np.convolve sums a full overlap of at most 11
-    terms in another order; `_kernel_cut` asks for 33 or more).  `grow`
+    bit, from 12 masses on, as measured at every count up to 40 and at
+    the convolution's block edges (np.convolve sums an overlap of at most
+    11 terms in another order; `_kernel_cut` asks for 33 or more).  `grow`
     builds a longer one by convolving the NB pmfs cut at its size;
     `moschopoulos.WeightDistribution` grows by the recursion instead.
     """
@@ -319,6 +320,10 @@ def finite_cumulants(spec: ConvolutionSpec) -> tuple[float, float]:
     return mean, var
 
 
+#: Masses of the running law that one `nb_sum_law` convolution takes at once.
+_CONVOLVE_BLOCK = 256
+
+
 def nb_sum_law(
     spec: ConvolutionSpec,
     ctrl: SeriesControl | None = None,
@@ -327,6 +332,12 @@ def nb_sum_law(
 ) -> NBSumLaw:
     """The exact weight law of a canonical spec of two or more components
     at k < count, by convolving the NB pmfs cut at count terms.
+
+    Each convolution computes only the count masses kept, about K^2/2
+    multiply-adds: the running law goes in blocks of `_CONVOLVE_BLOCK`
+    masses, the one from s convolved with the pmf cut at count - s.  The
+    pmf, never the shorter, is np.convolve's first operand, so the two are
+    not swapped and each mass is summed in the same order at every count.
 
     count defaults to kappa_1 + 12 sqrt(kappa_2) + 32, kappa the law's
     cumulants (`finite_cumulants`), which leaves out mass far below any
@@ -339,10 +350,13 @@ def nb_sum_law(
         cap = min(upto, math.inf if ctrl is None else ctrl.max_terms)
         count = min(int(min(mean + 12.0 * math.sqrt(var), cap)) + 32, cap + 1)
     b1 = spec.components[0].scale
-    masses = None
-    for c in spec.components[1:]:
-        pmf = _nb_masses(c.shape, b1 / c.scale, count)
-        masses = pmf if masses is None else np.convolve(masses, pmf)[:count]
+    pmfs = [_nb_masses(c.shape, b1 / c.scale, count) for c in spec.components[1:]]
+    masses = pmfs[0]
+    for pmf in pmfs[1:]:
+        out = np.zeros(count)
+        for s in range(0, count, _CONVOLVE_BLOCK):
+            out[s:] += np.convolve(pmf[: count - s], masses[s : s + _CONVOLVE_BLOCK])[: count - s]
+        masses = out
     return NBSumLaw(masses, spec)
 
 
@@ -813,17 +827,18 @@ class Method(NamedTuple):
     cuts: tuple[str, ...] = ()
 
 
-#: `auto`'s cost of an exact law of K masses over n components, in
-#: multiply-adds: (n - 2) K^2 by convolution, K (_RECURSION_STEP +
-#: _RECURSION_SQUARE K) by the recursion, fitted to the builds' crossovers.
-_RECURSION_STEP = 8_400.0
-_RECURSION_SQUARE = 0.65
+#: The recursion's price per mass in `_auto_exact`, fitted to timed builds.
+_RECURSION_STEP = 1_000.0
+_RECURSION_SQUARE = 2.8
 
 
 def _auto_exact(spec: ConvolutionSpec, quantity: str, points: Sequence[float]) -> str:
     """The exact route `auto` takes for a canonical spec of three or more
     components: nbsum unless the recursion is predicted to build the first
-    law the request needs more cheaply.
+    law the request needs more cheaply: (n - 2) K^2 / 2 multiply-adds by
+    convolution (`nb_sum_law` computes the kept half only) against
+    K (_RECURSION_STEP + _RECURSION_SQUARE K); from n = 8 the recursion can
+    be the cheaper.
 
     The law's cumulant size, K = kappa_1 + 12 sqrt(kappa_2) + 32 at the
     default cap (infinite cumulants give the cap; both routes then raise
@@ -836,7 +851,7 @@ def _auto_exact(spec: ConvolutionSpec, quantity: str, points: Sequence[float]) -
     full = min(mean + 12.0 * math.sqrt(var), DEFAULT_CONTROL.max_terms) + 32.0
     k = min(full, _kernel_cut(spec, max(points), quantity) + 1.0) if points else full
     k_rec = k if quantity == "cdf" else full
-    cheaper = (len(spec) - 2) * k * k <= k_rec * (_RECURSION_STEP + _RECURSION_SQUARE * k_rec)
+    cheaper = (len(spec) - 2) * k * k / 2 <= k_rec * (_RECURSION_STEP + _RECURSION_SQUARE * k_rec)
     return "nbsum" if cheaper else "moschopoulos"
 
 

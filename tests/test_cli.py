@@ -79,14 +79,19 @@ class TestEval:
     def test_auto_picks_by_predicted_build_cost(self, capsys):
         # From three components auto takes nbsum, unless the recursion is
         # predicted to build the first stage the request needs more
-        # cheaply: at n = 6, whose cumulant stage holds about 3,700 masses,
-        # for a point at x = 3000, whose kernel reaches past that stage;
-        # at x = 1000 nbsum's stage is cut at about 1,250 masses.
+        # cheaply: never below n = 8 (n = 6 here, whose cumulant stage
+        # holds about 3,700 masses, at x = 3000 as well); at n = 8, whose
+        # cumulant stage holds about 6,700 masses, for a point at x = 8000,
+        # whose kernel reaches past that stage; at x = 1000 nbsum's stage
+        # is cut at about 1,300 masses.
         n6 = ("5,5,5,5,5,5", "1,2.5,6.3,15.8,39.8,100")
+        n8 = ("1,1,1,1,1,1,1,1", "1,2,4,8,16,32,64,500")
         for shape, scale, at, want in (
             ("2,2,2", "2,3,5", "10", "nbsum"),
             (*n6, "1000", "nbsum"),
-            (*n6, "3000", "moschopoulos"),
+            (*n6, "3000", "nbsum"),
+            (*n8, "1000", "nbsum"),
+            (*n8, "8000", "moschopoulos"),
         ):
             code, out, _ = run_cli(
                 capsys,

@@ -449,6 +449,10 @@ LAW_SPECS = [bench.spec_for(alpha, scales)
              for alpha, scales in bench.TABLE1_SETTINGS + bench.TABLE2_SETTINGS] + [
     ConvolutionSpec.of((2.0, 0.01), (3.0, 1.0)),
     ConvolutionSpec.of((0.5, 1.0), (1.5, 10.0), (4.0, 100.0)),
+    # Cumulant sizes of about 1,050 and 1,400 masses: several
+    # convolution blocks.
+    ConvolutionSpec.of((2.0, 1.0), (2.0, 3.0), (1.5, 10.0), (1.0, 30.0), (0.5, 100.0)),
+    ConvolutionSpec.of((1.0, 1.0), (2.0, 2.0), (0.5, 5.0), (1.5, 12.0), (0.8, 30.0), (2.5, 60.0)),
 ]
 
 
@@ -473,6 +477,24 @@ class TestWeightLaw:
                 assert longer.masses.shape[0] == int((size - 1) * 1.5) + 65
                 assert np.array_equal(longer.masses[:size], law.masses)
                 law = longer
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_blocked_convolution_at_block_edges(self, seed):
+        # Each law is a bit-exact prefix of a longer one at every count
+        # from 12 masses on, on either side of the block edges, and within
+        # rounding of np.convolve's full product over the same pmfs.
+        rng = random.Random(seed)
+        spec = canonicalize(random_spec(rng, 3 + seed % 4))
+        longest = methods.nb_sum_law(spec, count=3001).masses
+        b1 = spec.components[0].scale
+        pmfs = [methods._nb_masses(c.shape, b1 / c.scale, 3001) for c in spec.components[1:]]
+        for count in [*range(12, 41), 255, 256, 257, 511, 512, 513, 1000, 3000]:
+            masses = methods.nb_sum_law(spec, count=count).masses
+            assert np.array_equal(masses, longest[:count])
+            want = functools.reduce(lambda law, pmf: np.convolve(law, pmf)[:count],
+                                    [pmf[:count] for pmf in pmfs])
+            kept = want >= 1e-300
+            assert np.all(np.abs(masses[kept] - want[kept]) <= 2e-15 * want[kept])
 
     @pytest.mark.parametrize("first", [
         lambda spec: methods.nb_sum_law(spec, count=300),
@@ -609,7 +631,7 @@ class TestRegistry:
     def test_auto_rule(self):
         # mathai up to two components.  Past that nbsum, unless the
         # recursion is predicted to build the law's first stage of K masses
-        # more cheaply: at n = 4 from K of about 6,200, at n = 3 never
+        # more cheaply: at n = 8 from K of about 5,000, below n = 8 never
         # below the 10,000 cap.
         def auto(*components):
             spec = canonicalize(ConvolutionSpec.of(*components))
@@ -623,21 +645,23 @@ class TestRegistry:
         chosen, k = auto((2.0, 2.0), (2.0, 3.0), (2.0, 5.0))
         assert chosen.name == "nbsum" and k < 200
         assert chosen.density is methods.nbsum_density and chosen.cdf is methods.nbsum_cdf
-        chosen, k = auto((20.0, 1.0), (20.0, 100.0), (20.0, 1e4))
-        assert chosen.name == "nbsum" and k == 10_032
-        chosen, k = auto((1.0, 1.0), (1.0, 2.0), (1.0, 4.0), (1.0, 450.0))
-        assert chosen.name == "nbsum" and 5_500 < k < 6_000
-        chosen, k = auto((1.0, 1.0), (1.0, 2.0), (1.0, 4.0), (1.0, 500.0))
-        assert chosen.name == "moschopoulos" and 6_400 < k < 7_000
+        for n in (3, 5, 7):
+            chosen, k = auto(*[(20.0, 10.0 ** (4 * j / (n - 1))) for j in range(n)])
+            assert chosen.name == "nbsum" and k == 10_032
+        octave = [(1.0, 2.0**j) for j in range(7)]
+        chosen, k = auto(*octave, (1.0, 350.0))
+        assert chosen.name == "nbsum" and 4_500 < k < 5_000
+        chosen, k = auto(*octave, (1.0, 400.0))
+        assert chosen.name == "moschopoulos" and 5_000 < k < 5_800
         assert methods.lookup("approx", canonicalize(SPEC2)).name == "approx"
 
     def test_auto_prices_the_stage_the_points_need(self, capsys):
-        # At n = 4 the cumulant stage holds about 6,500 masses, past the
+        # At n = 8 the cumulant stage holds about 6,700 masses, past the
         # crossover, so without points auto takes the recursion.  Bulk
-        # points cut nbsum's stage to at most about 1,300 masses; the
+        # points cut nbsum's stage to at most about 1,600 masses; the
         # recursion's density stage is not cut.  CDF stages are cut alike
         # below u = 64, and a CDF point from u = 64 on leaves both uncut.
-        spec = canonicalize(ConvolutionSpec.of((1.0, 1.0), (1.0, 2.0), (1.0, 4.0), (1.0, 500.0)))
+        spec = canonicalize(ConvolutionSpec.of(*[(1.0, 2.0**j) for j in range(7)], (1.0, 500.0)))
         mean = float(spec.shapes @ spec.scales)
         points = [0.5 * mean, mean, 2.0 * mean]
         assert methods.lookup("auto", spec).name == "moschopoulos"
