@@ -238,9 +238,8 @@ class NBSumLaw(WeightLaw):
     NB(a_i, q_i), q_i = b1/b_i, over the components past the first.
 
     Every law is an exact prefix: a longer one repeats its masses bit for
-    bit, from 12 masses on, as measured at every count up to 40 and at
-    the convolution's block edges (np.convolve sums an overlap of at most
-    11 terms in another order; `_kernel_cut` asks for 33 or more).  `grow`
+    bit at every count, as measured up to 40 and about the convolution's
+    block edges (`nb_sum_law` says how).  `grow`
     builds a longer one by convolving the NB pmfs cut at its size;
     `moschopoulos.WeightDistribution` grows by the recursion instead.
     """
@@ -335,9 +334,10 @@ def nb_sum_law(
 
     Each convolution computes only the count masses kept, about K^2/2
     multiply-adds: the running law goes in blocks of `_CONVOLVE_BLOCK`
-    masses, the one from s convolved with the pmf cut at count - s.  The
-    pmf, never the shorter, is np.convolve's first operand, so the two are
-    not swapped and each mass is summed in the same order at every count.
+    masses, the one from s convolved with the pmf cut at count + 1 - s,
+    never the shorter operand.  One mass past count is built and dropped:
+    np.convolve sums the last mass of a block of at most 11 masses on its
+    short-kernel path, in another order than a longer law's dot product.
 
     count defaults to kappa_1 + 12 sqrt(kappa_2) + 32, kappa the law's
     cumulants (`finite_cumulants`), which leaves out mass far below any
@@ -350,14 +350,14 @@ def nb_sum_law(
         cap = min(upto, math.inf if ctrl is None else ctrl.max_terms)
         count = min(int(min(mean + 12.0 * math.sqrt(var), cap)) + 32, cap + 1)
     b1 = spec.components[0].scale
-    pmfs = [_nb_masses(c.shape, b1 / c.scale, count) for c in spec.components[1:]]
+    pmfs = [_nb_masses(c.shape, b1 / c.scale, count + 1) for c in spec.components[1:]]
     masses = pmfs[0]
     for pmf in pmfs[1:]:
-        out = np.zeros(count)
-        for s in range(0, count, _CONVOLVE_BLOCK):
-            out[s:] += np.convolve(pmf[: count - s], masses[s : s + _CONVOLVE_BLOCK])[: count - s]
+        out = np.convolve(pmf, masses[:_CONVOLVE_BLOCK])[: count + 1]
+        for s in range(_CONVOLVE_BLOCK, count, _CONVOLVE_BLOCK):
+            out[s:] += np.convolve(pmf[: count + 1 - s], masses[s : s + _CONVOLVE_BLOCK])[: count + 1 - s]
         masses = out
-    return NBSumLaw(masses, spec)
+    return NBSumLaw(masses[:count], spec)
 
 
 def _saddle_deviance(
