@@ -11,13 +11,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gammaconv import bench, mathai, moschopoulos
+from gammaconv import bench, mathai, methods, moschopoulos
 from gammaconv.errors import BudgetError, DomainError
-from gammaconv.model import ConvolutionSpec, MixtureExpSpec, canonicalize
+from gammaconv.model import ConvolutionSpec, MixtureExpSpec, canonicalize, validate_mixture
 from gammaconv.renewal import (
     RENEWAL_METHODS,
     RenewalQuery,
+    _STEP_BLOCK,
+    _block_steps,
     _log_f1_family,
+    _log_pmf_floor,
+    _poisson_cut,
     h_diff,
     pmf,
     pmf_general,
@@ -26,13 +30,52 @@ from gammaconv.renewal import (
     pmf_s2,
     pmf_vector,
 )
-from gammaconv.specfun import SeriesControl, log_factorials
+from gammaconv.specfun import DEFAULT_CONTROL, SeriesControl, log_factorials
 
 from conftest import rel_err
 
 MIX = MixtureExpSpec((0.4, 0.6), (2.0, 5.0))
 MIX_CLOSE = MixtureExpSpec((0.25, 0.75), (27.0, 32.0))
 MIX3 = MixtureExpSpec((0.1, 0.2, 0.7), (36.0, 42.0, 51.0))
+
+
+def _walk_steps(mix: MixtureExpSpec, t: float, n_max: int) -> int:
+    """The Poisson cut of `pmf_vector`'s walk at the default control."""
+    mix = validate_mixture(mix)
+    alpha, rates = np.array(mix.weights), 1.0 / np.array(mix.scales)
+    log_floor = max(_log_pmf_floor(alpha, rates, t, n_max), math.log(np.finfo(float).tiny))
+    return _poisson_cut(
+        float(rates.max()) * t, math.log(DEFAULT_CONTROL.rel_tol) + log_floor,
+        DEFAULT_CONTROL.max_terms,
+    )
+
+
+def _per_step_pmf_vector(mix: MixtureExpSpec, t: float, n_max: int, dtype=float) -> np.ndarray:
+    """`pmf_vector` one uniformization step a loop iteration, in `dtype`
+    (the Poisson masses stay doubles): the reference for its blocks."""
+    mix = validate_mixture(mix)  # the weights as pmf_vector takes them
+    poisson = methods.poisson_masses(
+        float(max(1.0 / b for b in mix.scales)) * t, _walk_steps(mix, t, n_max) + 1
+    ).astype(dtype)
+    alpha = np.array(mix.weights, dtype=dtype)
+    rates = 1.0 / np.array(mix.scales, dtype=dtype)
+    jump = rates / rates.max()
+    stay = 1.0 - jump
+    state = np.zeros((n_max + 1, alpha.shape[0]), dtype=dtype)
+    state[0] = alpha
+    acc = poisson[0] * state
+    for weight in poisson[1:]:
+        ended = state[:-1] @ jump
+        state *= stay
+        state[1:] += np.multiply.outer(ended, alpha)
+        acc += weight * state
+    return np.minimum(acc.sum(axis=1), 1.0)
+
+
+def _worst_rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    """The largest relative error where `want` is at least 1e-300."""
+    kept = want >= 1e-300
+    return float(np.max(np.abs(got[kept] - want[kept]) / want[kept]))
 
 
 class TestRenewalQuery:
@@ -368,6 +411,70 @@ class TestPmfVector:
             tail += math.exp(log_multi) * moschopoulos.cdf(spec, t).value
         total = math.fsum(pmf_vector(mix, t, n_max)) + tail
         assert abs(total - 1.0) < 1e-12
+
+    def test_blocks_match_per_step_reference(self):
+        # Seeded mixes of S = 1..5 and the edge cases: one phase at the
+        # uniform rate beside a slow one (stay 0 and near 1), and equal
+        # scales (stay 0 in every phase).  For each, t runs from e^-1 to
+        # e^4 until the walk's last block is full, one step short and a
+        # single step (m = 0..M in blocks of B).
+        rng = random.Random(20261020)
+        mixes = [
+            MixtureExpSpec((0.5, 0.5), (1.0, 40.0)),
+            MixtureExpSpec((0.2, 0.3, 0.5), (2.0, 2.0, 2.0)),
+        ]
+        for s in (1, 2, 3, 3, 4, 5):
+            weights = [rng.uniform(0.05, 1.0) for _ in range(s)]
+            scales = tuple(math.exp(rng.uniform(-1.0, 1.5)) for _ in range(s))
+            mixes.append(MixtureExpSpec(tuple(w / sum(weights) for w in weights), scales))
+        seen = set()
+        for mix in mixes:
+            for n_max in (3, 40, 300):
+                # (full block of 16?, (M + 1) mod B as 0, 1 or -1)
+                wanted = {(full, edge) for full in (False, True) for edge in (0, 1, -1)}
+                for t in np.exp(np.linspace(-1.0, 4.0, 300)):
+                    steps = _walk_steps(mix, t, n_max)
+                    block = _block_steps(steps)
+                    edge = (steps + 1) % block
+                    edge = -1 if edge == block - 1 and block > 2 else edge
+                    if (block == _STEP_BLOCK, edge) not in wanted:
+                        continue
+                    wanted.discard((block == _STEP_BLOCK, edge))
+                    seen.add((block == _STEP_BLOCK, edge, n_max < block, n_max > steps))
+                    want = _per_step_pmf_vector(mix, t, n_max)
+                    assert _worst_rel_err(pmf_vector(mix, t, n_max), want) < 1e-14, (mix, t, n_max)
+        # Full blocks of 16 at every edge, with n_max below the block and
+        # n_max past the step count, and shrunk blocks.
+        for edge in (0, 1, -1):
+            assert {(True, edge, True, False), (True, edge, False, False)} <= seen
+        assert any(past for *_, past in seen)
+        assert any(not full for full, *_ in seen)
+
+    def test_many_blocks_match_s2_formula_and_extended_precision(self):
+        # t = 400 at rate 1/2: 663 steps, 42 blocks of 16.  Against the
+        # direct 1F1 formula the rows read up to 4.0e-13: so does the walk
+        # in extended precision, which the blocks match to 8e-15 here.
+        n_max = 300
+        values = pmf_vector(MIX, 400.0, n_max)
+        direct = np.array([pmf_s2(MIX, RenewalQuery(400.0, n)) for n in range(n_max + 1)])
+        assert _worst_rel_err(values, direct) < 1e-12
+        extended = _per_step_pmf_vector(MIX, 400.0, n_max, np.longdouble)
+        assert _worst_rel_err(values, extended) < 2e-14
+
+    def test_memory_is_a_few_states_past_the_window(self):
+        # A walk of 9,711 steps at n_max = 10,000 and S = 5, so the last
+        # blocks' windows hold every row: (B + 1) states of copies, the
+        # state, the sums and one product read about B + 4.3 states.
+        mix = MixtureExpSpec((0.2,) * 5, (1.0, 1.5, 2.0, 3.0, 5.0))
+        state = 10_001 * 5 * 8
+        tracemalloc.start()
+        try:
+            values = pmf_vector(mix, 6400.0, 10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(math.fsum(values) - 1.0) < 1e-12
+        assert peak < (_STEP_BLOCK + 6) * state
 
     def test_budget_raises_before_state_is_built(self):
         # Rate x time 1e5 needs more steps than max_terms; the state for
