@@ -1,4 +1,4 @@
-"""Command-line surface: point/grid evaluation, renewal pmf, bench, export.
+"""Command-line surface: the `eval`, `renewal`, `bench` and `figure-error` commands.
 
 Exit codes: 0 success, 2 usage/validation error, 3 numerical
 non-convergence, 4 approximation fit failure.
@@ -21,10 +21,11 @@ from typing import Iterable
 
 import numpy as np
 
-from . import barnabani, mathai, methods, moschopoulos, renewal
+# The commands call methods and renewal alone, but importing cli loads every
+# layer module: perfbench/tracer.py reads them all from sys.modules.
+from . import barnabani, mathai, methods, moschopoulos, renewal  # noqa: F401
 from .errors import ConvergenceError, DomainError, FitFailureError
 from .model import ConvolutionSpec, MixtureExpSpec, canonicalize, validate_mixture
-from .specfun import DEFAULT_CONTROL
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -142,8 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--setup", type=int, required=True)
     p_fig.add_argument("--out", type=str, default=None)
     p_fig.add_argument("--seed", type=int, default=None)
-
-    sub.add_parser("selftest", help="reduced-scale consistency checks")
     return parser
 
 
@@ -232,142 +231,6 @@ def _cmd_figure_error(args) -> int:
     return EXIT_OK
 
 
-def _cmd_selftest() -> int:
-    failures = 0
-
-    def check(name: str, ok: bool, measured: str) -> None:
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name} ({measured})")
-        failures += 0 if ok else 1
-
-    def agree(name: str, got: float, want: float, rel_tol: float) -> None:
-        err = abs(got - want) / abs(want)
-        check(name, err <= rel_tol, f"rel err {err:.3e}, tol {rel_tol:g}")
-
-    spec2 = ConvolutionSpec.of((1.0, 1.0), (1.0, 2.0))
-    d = mathai.density2(spec2, 1.0).value
-    agree(
-        "n=2 density matches hypoexponential closed form",
-        d, np.exp(-0.5) - np.exp(-1.0), 1e-12,
-    )
-    agree(
-        "n=2 Mathai/Moschopoulos density agreement",
-        moschopoulos.density(spec2, 1.0).value, d, 1e-12,
-    )
-    # density2 over z = (1/0.3 - 1/4) x of about 30-130, which spans the
-    # 1F1's switch from the power series to the large-z form.
-    wide = ConvolutionSpec.of((20.0, 0.3), (20.0, 4.0))
-    worst = max(
-        abs(mathai.density2(wide, x).value / moschopoulos.density(wide, x).value - 1.0)
-        for x in np.linspace(10.0, 42.0, 33)
-    )
-    check(
-        "n=2 density2 equals per-point moschopoulos on z = 30-130",
-        worst <= 1e-12,
-        f"worst rel diff {worst:.3e}, tol 1e-12",
-    )
-    spec3 = ConvolutionSpec.of((0.2, 4.0), (0.2, 0.3), (0.2, 0.2))
-    for x in (0.3, 1.0, 3.0):
-        agree(
-            f"n=3 cross-method density agreement at x={x}",
-            mathai.density_n(spec3, x).value,
-            moschopoulos.density(spec3, x).value,
-            1e-10,
-        )
-    xs = [0.25 * k for k in range(1, 21)]
-    shared = methods.evaluate("moschopoulos", "density", spec3, xs)
-    alone = [moschopoulos.density(spec3, x) for x in xs]
-    worst = max(abs(s.value - a.value) for s, a in zip(shared, alone))
-    check(
-        "20-point evaluate equals per-point moschopoulos",
-        shared == alone,
-        f"worst |diff| {worst:.3e}",
-    )
-    rows = methods.evaluate("approx", "cdf", spec3, xs)
-    calls = [barnabani.cdf_approx(spec3, x) for x in xs]
-    worst = max(abs(r.value - c.value) for r, c in zip(rows, calls))
-    check(
-        "20-point evaluate equals per-point approx CDF",
-        rows == calls,
-        f"worst |diff| {worst:.3e}",
-    )
-    ys = [0.8 * k for k in range(1, 21)]  # u = y/0.2 from 4 to 80
-    rows = methods.evaluate("moschopoulos", "cdf", spec3, ys)
-    calls = [moschopoulos.cdf(spec3, y) for y in ys]
-    worst = max(abs(r.value - c.value) for r, c in zip(rows, calls))
-    check(
-        "20-point evaluate equals per-point moschopoulos CDF across u = 64",
-        rows == calls,
-        f"worst |diff| {worst:.3e}",
-    )
-    auto = methods.evaluate("auto", "density", spec3, xs)
-    worst = max(abs(s.value - a.value) / a.value for s, a in zip(auto, alone))
-    check(
-        "auto n=3 equals per-point and moschopoulos",
-        auto == [methods.nbsum_density(spec3, x) for x in xs] and worst <= 1e-12,
-        f"worst rel diff from moschopoulos {worst:.3e}, tol 1e-12",
-    )
-    full_law = methods.nb_sum_law(canonicalize(spec3), DEFAULT_CONTROL)
-    full = methods.converge_rows(
-        "density", xs, DEFAULT_CONTROL, full_law, [full_law.masses.shape[0]] * len(xs)
-    )
-    cut = [methods.nbsum_density(spec3, x) for x in xs]
-    worst = max(abs(c.value - f.value) / f.value for c, f in zip(cut, full))
-    check(
-        "point-sized nbsum density equals the full stage",
-        worst <= DEFAULT_CONTROL.rel_tol,
-        f"worst rel diff {worst:.3e} over stages of {min(c.terms_used for c in cut)}-"
-        f"{full_law.masses.shape[0]} masses, tol {DEFAULT_CONTROL.rel_tol:g}",
-    )
-    shared = methods.evaluate("mathai", "density", spec3, xs)
-    alone = [mathai.density_n(spec3, x) for x in xs]
-    worst = max(abs(s.value - a.value) for s, a in zip(shared, alone))
-    check(
-        "shared-table mathai n=3 density equals per-point",
-        shared == alone,
-        f"worst |diff| {worst:.3e}",
-    )
-    w = moschopoulos.build_weights(spec3, 400)
-    mass = w.c * float(w.deltas.sum())
-    check(
-        "weight mass near one",
-        1.0 - 5e-4 < mass <= 1.0 + 1e-12,
-        f"1 - mass {1.0 - mass:.3e}",
-    )
-    convolved = methods.nb_sum_law(canonicalize(spec3), count=401).masses
-    worst = float(np.max(np.abs(convolved - w.masses) / w.masses))
-    check("NB-sum law equals recursion weights", worst <= 1e-12,
-          f"worst rel diff {worst:.3e}, tol 1e-12")
-    mix = MixtureExpSpec((0.5, 0.5), (1.0, 2.0))
-    agree(
-        "renewal n=0 equals mixture survival",
-        renewal.pmf_s2(mix, renewal.RenewalQuery(1.0, 0)),
-        0.5 * np.exp(-1.0) + 0.5 * np.exp(-0.5),
-        1e-12,
-    )
-    agree(
-        "proposition equals raw formula",
-        renewal.pmf_s2(mix, renewal.RenewalQuery(1.0, 2)),
-        renewal.pmf_raw_s2(mix, renewal.RenewalQuery(1.0, 2), "mathai"),
-        1e-10,
-    )
-    mix3 = MixtureExpSpec((0.1, 0.2, 0.7), (4.0, 0.3, 0.2))
-    uniformized = renewal.pmf_vector(mix3, 10.0, 10)
-    composed = {n: renewal.pmf_general(mix3, renewal.RenewalQuery(10.0, n)) for n in (0, 5, 10)}
-    worst = max(abs(uniformized[n] - value) / value for n, value in composed.items())
-    check("uniformized S=3 pmf equals composition", worst <= 1e-12,
-          f"worst rel diff {worst:.3e}, tol 1e-12")
-    # Criterion 7's envelope: the approximation is relatively accurate,
-    # and the density diverges at the origin for this spec (rho = 0.6).
-    agree(
-        "approximation close to exact",
-        barnabani.density_approx(spec3, 1.0).value,
-        moschopoulos.density(spec3, 1.0).value,
-        5e-2,
-    )
-    return EXIT_OK if failures == 0 else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -383,8 +246,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_bench(args)
         if args.command == "figure-error":
             return _cmd_figure_error(args)
-        if args.command == "selftest":
-            return _cmd_selftest()
         parser.error(f"unknown command {args.command!r}")
     except ConvergenceError as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)

@@ -5,11 +5,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import gammaconv
 from gammaconv.cli import (
     EXIT_FIT_FAILURE,
     EXIT_OK,
@@ -328,14 +333,6 @@ class TestBench:
         assert runs == []
 
 
-class TestSelftest:
-    def test_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "selftest")
-        assert code == EXIT_OK
-        assert "PASS" in out
-        assert "FAIL" not in out
-
-
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert run_cli(capsys)[0] == EXIT_USAGE
@@ -399,3 +396,20 @@ class TestParserReuse:
         for argv in self.ARGVS:
             run_cli(capsys, *argv)
         assert built == []
+
+
+def test_import_loads_every_layer_module():
+    # perfbench/tracer.py imports gammaconv.cli alone, then reads each of
+    # its LAYER_MODULES from sys.modules.
+    layers = ["specfun", "moschopoulos", "barnabani", "mathai", "renewal", "model"]
+    code = (
+        "import sys\n"
+        "import gammaconv.cli\n"
+        f"print([m for m in {layers!r} if 'gammaconv.' + m not in sys.modules])\n"
+    )
+    src = str(Path(gammaconv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out == "[]\n"

@@ -71,8 +71,10 @@ class TestTwoRateHypoexp:
         rates = (1.0 / b1, 1.0 / b2)
         for x in grid_between(0.05 * (b1 + b2), 5.0 * (b1 + b2), 9):
             want = hypoexp_closed_form(rates, x)
-            assert rel_err(density2(spec, x).value, want) < 1e-12
+            got = density2(spec, x).value
+            assert rel_err(got, want) < 1e-12
             assert rel_err(density_n(spec, x).value, want) < 1e-12
+            assert rel_err(moschopoulos.density(spec, x).value, got) < 1e-12
 
     @pytest.mark.parametrize("b1,b2", [(1.0, 2.0), (0.3, 4.0)])
     def test_cdf(self, b1, b2):

@@ -654,6 +654,9 @@ class TestRegistry:
         assert chosen.name == "nbsum" and 4_500 < k < 5_000
         chosen, k = auto(*octave, (1.0, 400.0))
         assert chosen.name == "moschopoulos" and 5_000 < k < 5_800
+        # The convolution's cost grows with n and the recursion's does not.
+        chosen, k = auto(*[(1.0, 1000.0 ** (j / 19)) for j in range(20)])
+        assert chosen.name == "moschopoulos" and k == 10_032
         assert methods.lookup("approx", canonicalize(SPEC2)).name == "approx"
 
     def test_auto_prices_the_stage_the_points_need(self, capsys):

@@ -60,12 +60,13 @@ class TestWeightRecursion:
         assert float(np.max(np.abs(got - want))) < 1e-12
 
     def test_weights_nonnegative_and_mass_below_one(self):
-        spec = ConvolutionSpec.of((0.4, 27.0), (0.3, 32.0), (0.2, 40.0))
-        w = build_weights(spec, 400)
-        assert np.all(w.deltas >= 0.0)
-        mass = np.cumsum(w.masses)
-        assert np.all(np.diff(mass) >= 0.0)
-        assert mass[-1] <= 1.0 + 1e-12
+        for spec in (ConvolutionSpec.of((0.4, 27.0), (0.3, 32.0), (0.2, 40.0)),
+                     ConvolutionSpec.of((0.2, 4.0), (0.2, 0.3), (0.2, 0.2))):
+            w = build_weights(spec, 400)
+            assert np.all(w.deltas >= 0.0)
+            mass = np.cumsum(w.masses)
+            assert np.all(np.diff(mass) >= 0.0)
+            assert 1.0 - 5e-4 < mass[-1] <= 1.0 + 1e-12
 
     def test_extend_matches_fresh_build(self):
         spec = ConvolutionSpec.of((2.0, 2.0), (2.0, 3.0), (2.0, 5.0))
@@ -132,6 +133,11 @@ class TestDensityAndCdf:
             for x in grid_between(0.2 * mean, 3.0 * mean, 5):
                 assert rel_err(density(spec, x).value, density2(spec, x).value) < 1e-11
                 assert rel_err(cdf(spec, x).value, cdf_n(spec, x).value) < 1e-11
+        # Across the 1F1's switch from its power series to the large-z form,
+        # near z = (1/0.3 - 1/4) x = 111.
+        spec = ConvolutionSpec.of((20.0, 0.3), (20.0, 4.0))
+        for x in np.linspace(10.0, 42.0, 33):
+            assert rel_err(density(spec, x).value, density2(spec, x).value) < 1e-12
 
     def test_equal_scales_collapse(self):
         spec = ConvolutionSpec.of((1.5, 3.0), (2.5, 3.0))
