@@ -36,6 +36,9 @@ __all__ = [
 #: is pointless given the method's approximation error.
 CONTROL_APPROX = SeriesControl(rel_tol=1e-12, max_terms=200_000)
 
+#: Largest relative residual `fit_gnbd` accepts in each matched cumulant.
+_FIT_RESIDUAL = 1e-8
+
 
 @dataclass(frozen=True)
 class WeightMoments:
@@ -156,7 +159,7 @@ def gnbd_cumulants(params: GnbdParams) -> WeightMoments:
     return WeightMoments(k1, k2, k3)
 
 
-def fit_gnbd(mom: WeightMoments, rel_tol: float = 1e-9) -> GnbdParams:
+def fit_gnbd(mom: WeightMoments) -> GnbdParams:
     """Solve the three-cumulant matching system for (m, beta_g, theta).
 
     Writing T = k3 k1 / k2^2 and c = (3 - T)^2 k2 / k1, the system
@@ -206,7 +209,7 @@ def fit_gnbd(mom: WeightMoments, rel_tol: float = 1e-9) -> GnbdParams:
             (got[2] - mom.k3) / abs(mom.k3),
         ]
     )
-    if not np.all(np.abs(res) <= max(rel_tol, 1e-9) * 10.0):
+    if not np.all(np.abs(res) <= _FIT_RESIDUAL):
         raise FitFailureError(
             f"GNBD moment matching failed: residuals {res} for targets "
             f"({mom.k1:.6g}, {mom.k2:.6g}, {mom.k3:.6g})"

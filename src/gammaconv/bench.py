@@ -98,12 +98,11 @@ def bulk_grid(
     spec: ConvolutionSpec,
     n_samples: int = 100_000,
     seed: int | None = None,
-    points: int = GRID_POINTS,
 ) -> np.ndarray:
     """Equally spaced grid across the empirical 0.1%-99.9% quantile range."""
     draws = sample_convolution(spec, n_samples, DEFAULT_SEED if seed is None else seed)
     lo, hi = np.quantile(draws, [BULK_LO, BULK_HI])
-    return np.linspace(lo, hi, points)
+    return np.linspace(lo, hi, GRID_POINTS)
 
 
 def median_time_ns(fn: Callable[[], object], replicates: int) -> int:

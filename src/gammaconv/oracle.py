@@ -1,7 +1,9 @@
-"""Independent brute-force verifiers: samplers, quadrature, closed forms.
+"""Independent brute-force verifiers: samplers and closed forms, in numpy.
 
-Nothing here shares evaluation code with the series methods beyond the
-log-gamma function, so these routines can serve as oracles for them.
+Nothing here shares evaluation code with the series methods, so these
+routines can serve as oracles for them.  The tests' density and CDF
+reference at any n is a Laplace inversion in mpmath
+(`tests/conftest.py::laplace_reference`).
 
 Random numbers come from a small counter-based generator (splitmix64
 applied to a keyed counter) embedded in this module rather than a
@@ -14,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError
 from .model import ConvolutionSpec, MixtureExpSpec, canonicalize, validate_mixture
@@ -23,7 +24,6 @@ __all__ = [
     "CounterRng",
     "sample_convolution",
     "sample_renewal_count",
-    "quad_density",
     "hypoexp_closed_form",
     "hypoexp_closed_form_cdf",
 ]
@@ -147,80 +147,6 @@ def sample_renewal_count(
         still = totals[idx] <= t
         counts[idx[still]] += 1
         alive[idx[~still]] = False
-
-
-def _log_gamma_pdf(x, shape, scale):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (
-            (shape - 1.0) * np.log(x)
-            - x / scale
-            - math.lgamma(shape)
-            - shape * math.log(scale)
-        )
-
-
-def _gamma_pdf(x, shape, scale):
-    x = np.asarray(x, dtype=float)
-    out = np.where(x > 0.0, np.exp(_log_gamma_pdf(np.maximum(x, 1e-300), shape, scale)), 0.0)
-    return out
-
-
-def _log_power(t: float, e: float) -> float:
-    """log t^e at t >= 0, e >= 0, with 0^0 = 1."""
-    if e == 0.0:
-        return 0.0
-    return e * math.log(t) if t > 0.0 else -math.inf
-
-
-def quad_density(spec: ConvolutionSpec, x: float) -> float:
-    """Convolution density at x by iterated adaptive quadrature (n <= 3)."""
-    spec = canonicalize(spec)
-    if x <= 0:
-        raise DomainError(f"quad_density requires x > 0, got {x}")
-    comps = spec.components
-    if len(comps) == 1:
-        return float(_gamma_pdf(x, comps[0].shape, comps[0].scale))
-    if len(comps) == 2:
-        a1, b1 = comps[0].shape, comps[0].scale
-        a2, b2 = comps[1].shape, comps[1].scale
-        # A shape below 1 makes the integrand singular at its end; quad's
-        # algebraic weight u^p1 (x - u)^p2 carries those powers exactly.
-        # A shape of 1 or more keeps its power in the integrand, in log
-        # space, where u^(a - 1) cannot overflow.
-        p1, p2 = min(a1 - 1.0, 0.0), min(a2 - 1.0, 0.0)
-        if p1 == p2 == 0.0:
-
-            def integrand(u):
-                return _gamma_pdf(u, a1, b1) * _gamma_pdf(x - u, a2, b2)
-
-            value, _ = integrate.quad(
-                integrand, 0.0, x, limit=400, points=[0.0, x], epsabs=1e-13, epsrel=1e-11
-            )
-            return float(value)
-        e1, e2 = a1 - 1.0 - p1, a2 - 1.0 - p2
-        log_c = -(math.lgamma(a1) + a1 * math.log(b1) + math.lgamma(a2) + a2 * math.log(b2))
-
-        def smooth(u):
-            v = x - u
-            return math.exp(log_c - u / b1 - v / b2 + _log_power(u, e1) + _log_power(v, e2))
-
-        value, _ = integrate.quad(
-            smooth, 0.0, x, weight="alg", wvar=(p1, p2),
-            limit=400, epsabs=1e-13, epsrel=1e-11,
-        )
-        return float(value)
-    if len(comps) == 3:
-        a3, b3 = comps[2].shape, comps[2].scale
-        inner_spec = ConvolutionSpec(comps[:2])
-
-        def integrand(w):
-            return _gamma_pdf(w, a3, b3) * quad_density(inner_spec, x - w)
-
-        value, _ = integrate.quad(
-            integrand, 0.0, x, limit=200, points=[0.0, x], epsabs=1e-12, epsrel=1e-9
-        )
-        return float(value)
-    raise DomainError("quad_density supports at most 3 components")
 
 
 def _hypoexp_coefficients(rates) -> list[tuple[float, float]]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -34,3 +35,23 @@ def seeded_random():
 
 def grid_between(lo: float, hi: float, points: int) -> np.ndarray:
     return np.linspace(lo, hi, points)
+
+
+def laplace_reference(spec: ConvolutionSpec, x: float, quantity: str = "density") -> float:
+    """Density or CDF of the convolution at x > 0 by Talbot inversion of
+    its Laplace transform prod_i (1 + b_i s)^(-a_i), divided by s for the
+    CDF.  Shares no code with the series.  Taken at 40 digits, accepted
+    only where 60 digits agree with it to 1e-20 relative."""
+    pairs = [(c.shape, c.scale) for c in spec.components]
+
+    def invert(dps):
+        with mp.workdps(dps):
+            def transform(s):
+                value = mp.fprod((1 + mp.mpf(b) * s) ** -mp.mpf(a) for a, b in pairs)
+                return value / s if quantity == "cdf" else value
+
+            return mp.invertlaplace(transform, mp.mpf(x), method="talbot")
+
+    lo, hi = invert(40), invert(60)
+    assert abs(lo - hi) <= 1e-20 * abs(hi), (spec, x, quantity)
+    return float(lo)

@@ -25,7 +25,7 @@ from gammaconv.errors import ConvergenceError, DomainError, FitFailureError, Gam
 from gammaconv.model import ConvolutionSpec, EvalResult, canonicalize
 from gammaconv.specfun import DEFAULT_CONTROL, SeriesControl
 
-from conftest import random_spec, rel_err
+from conftest import laplace_reference, random_spec, rel_err
 
 SPEC2 = ConvolutionSpec.of((1.0, 2.0), (2.0, 3.0))
 SPEC3 = ConvolutionSpec.of((1.0, 2.0), (2.0, 3.0), (1.5, 5.0))
@@ -444,9 +444,31 @@ class TestCdfTailBound:
                     assert abs(r.value - value) <= r.tail_bound + 4 * 2.2e-16 * r.value
 
 
+PAPER_SETTINGS = bench.TABLE1_SETTINGS + bench.TABLE2_SETTINGS
+
+
+@pytest.mark.parametrize("alpha,scales", PAPER_SETTINGS, ids=[
+    f"a{alpha:g}-b{'_'.join(f'{b:g}' for b in scales)}" for alpha, scales in PAPER_SETTINGS])
+def test_exact_routes_within_tail_bound_of_laplace_reference(alpha, scales):
+    # Every exact route's density and CDF at the 5th, 50th and 95th point
+    # of the setting's bulk grid must lie within its reported tail bound of
+    # the Laplace-inversion reference, give or take 1e-13 relative for the
+    # rounding of the sums.  mathai's n >= 3 density reports no bound; it
+    # is held to 1e-12 relative.  Worst readings: 1.9e-14 relative on the
+    # bounded routes (moschopoulos density), 3.6e-13 for that density.
+    spec = canonicalize(bench.spec_for(alpha, scales))
+    grid = bench.bulk_grid(spec)
+    xs = [float(grid[i]) for i in (4, 49, 94)]
+    for quantity in ("density", "cdf"):
+        refs = [laplace_reference(spec, x, quantity) for x in xs]
+        for name in ("mathai", "moschopoulos", "nbsum"):
+            for x, ref, r in zip(xs, refs, methods.evaluate(name, quantity, spec, xs)):
+                bound = 1e-12 * ref if r.tail_bound is None else r.tail_bound + 1e-13 * ref
+                assert abs(r.value - ref) <= bound, (name, quantity, x)
+
+
 #: The paper settings and two specs with scale ratio 100.
-LAW_SPECS = [bench.spec_for(alpha, scales)
-             for alpha, scales in bench.TABLE1_SETTINGS + bench.TABLE2_SETTINGS] + [
+LAW_SPECS = [bench.spec_for(alpha, scales) for alpha, scales in PAPER_SETTINGS] + [
     ConvolutionSpec.of((2.0, 0.01), (3.0, 1.0)),
     ConvolutionSpec.of((0.5, 1.0), (1.5, 10.0), (4.0, 100.0)),
     # Cumulant sizes of about 1,050 and 1,400 masses: several
@@ -1001,14 +1023,14 @@ REQUESTS = [
 ]
 
 
-def _serve_in_subprocess(prelude: str) -> str:
-    """Run `prelude`, then every REQUESTS argv through cli.main, in a fresh
-    interpreter; returns its stdout."""
+def _serve_in_subprocess(prelude: str, requests=REQUESTS) -> str:
+    """Run `prelude`, then every `requests` argv through cli.main, in a
+    fresh interpreter; returns its stdout."""
     code = (
         prelude
         + "import sys\n"
         "from gammaconv.cli import main\n"
-        f"for argv in {REQUESTS!r}:\n"
+        f"for argv in {requests!r}:\n"
         "    code = main(argv)\n"
         "    print('EXIT', code, argv)\n"
         "loaded = [m for m in ('gammaconv.bench', 'gammaconv.oracle', 'scipy') if m in sys.modules]\n"
@@ -1032,6 +1054,14 @@ def test_request_path_serves_without_scipy():
     # With scipy unimportable, every request still exits 0.
     out = _serve_in_subprocess("import sys\nsys.modules['scipy'] = None\n")
     assert out.count("EXIT 0 ") == len(REQUESTS), out
+
+
+def test_bench_and_figure_error_run_without_scipy():
+    # The commands off the request path need numpy alone too.
+    commands = [["bench", "--suite", "renew2", "--replicates", "1"],
+                ["figure-error", "--setup", "1"]]
+    out = _serve_in_subprocess("import sys\nsys.modules['scipy'] = None\n", commands)
+    assert out.count("EXIT 0 ") == len(commands), out
 
 
 @pytest.mark.parametrize(

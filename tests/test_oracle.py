@@ -12,12 +12,11 @@ from gammaconv.oracle import (
     CounterRng,
     hypoexp_closed_form,
     hypoexp_closed_form_cdf,
-    quad_density,
     sample_convolution,
     sample_renewal_count,
 )
 
-from conftest import rel_err
+from conftest import laplace_reference, rel_err
 
 
 class TestCounterRng:
@@ -97,28 +96,25 @@ class TestSamplers:
             sample_renewal_count(MixtureExpSpec((1.0,), (2.0,)), 0.0, 10, seed=1)
 
 
-class TestQuadDensity:
-    def test_matches_gamma_pdf_n1(self):
+class TestLaplaceReference:
+    """The tests' Laplace-inversion reference against closed forms."""
+
+    @pytest.mark.parametrize("quantity", ["density", "cdf"])
+    def test_matches_gamma_n1(self, quantity):
         spec = ConvolutionSpec.of((2.5, 1.5))
-        assert rel_err(quad_density(spec, 3.0), stats.gamma.pdf(3.0, 2.5, scale=1.5)) < 1e-12
+        law = stats.gamma(2.5, scale=1.5)
+        want = law.pdf(3.0) if quantity == "density" else law.cdf(3.0)
+        assert rel_err(laplace_reference(spec, 3.0, quantity), want) < 1e-13
 
-    def test_matches_hypoexp_n2(self):
-        spec = ConvolutionSpec.of((1.0, 2.0), (1.0, 5.0))
-        want = hypoexp_closed_form((0.5, 0.2), 4.0)
-        assert rel_err(quad_density(spec, 4.0), want) < 1e-9
-
-    def test_matches_hypoexp_n3(self):
-        spec = ConvolutionSpec.of((1.0, 2.0), (1.0, 3.0), (1.0, 5.0))
-        want = hypoexp_closed_form((0.5, 1.0 / 3.0, 0.2), 8.0)
-        assert rel_err(quad_density(spec, 8.0), want) < 1e-7
-
-    def test_domain(self):
-        spec = ConvolutionSpec.of((1.0, 2.0), (1.0, 5.0))
-        with pytest.raises(DomainError):
-            quad_density(spec, 0.0)
-        four = ConvolutionSpec.of((1, 1), (1, 2), (1, 3), (1, 4))
-        with pytest.raises(DomainError):
-            quad_density(four, 1.0)
+    @pytest.mark.parametrize("quantity", ["density", "cdf"])
+    @pytest.mark.parametrize(
+        "scales,x", [((2.0, 5.0), 4.0), ((2.0, 3.0, 5.0), 8.0)], ids=["n2", "n3"]
+    )
+    def test_matches_hypoexp(self, scales, x, quantity):
+        spec = ConvolutionSpec.of(*((1.0, b) for b in scales))
+        closed = hypoexp_closed_form if quantity == "density" else hypoexp_closed_form_cdf
+        want = closed([1.0 / b for b in scales], x)
+        assert rel_err(laplace_reference(spec, x, quantity), want) < 1e-13
 
 
 class TestHypoexpClosedForms:
