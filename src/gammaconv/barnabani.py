@@ -232,24 +232,23 @@ def _approx_weights(params: GnbdParams, ctrl: SeriesControl) -> np.ndarray:
     """GNBD masses at k = 0..K, cut where the tail is negligible.
 
     The table starts at the mean + 14 sd of the GNBD (kappa_1 and kappa_2
-    of `gnbd_cumulants`) and doubles until its masses are within rel_tol/10
-    of one or it reaches ctrl.max_terms.  It is then cut at the first index
-    past which its masses, summed from the table's end, are at most
-    `_TABLE_TAIL` times those past k = 0, not times all: at a tiny total
-    shape rho the mass at k = 0 is near 1 but its kernel carries a factor
-    of about rho, so the density rests on the masses past it.  The masses
-    are elementwise in k, so the kept ones are the same at any table
-    length, but for the last bits of those whose log-gamma arguments fall
-    below 15 where a longer table has more than 256 such (`specfun.log_gamma`
-    then takes them as one array).
+    of `gnbd_cumulants`) and doubles, appending the masses past its end,
+    until its masses are within rel_tol/10 of one or it reaches
+    ctrl.max_terms.  It is then cut at the first index past which its
+    masses, summed from the table's end, are at most `_TABLE_TAIL` times
+    those past k = 0, not times all: at a tiny total shape rho the mass at
+    k = 0 is near 1 but its kernel carries a factor of about rho, so the
+    density rests on the masses past it.  The masses are elementwise in k
+    (`specfun.log_gamma`), so a table built by appending is, bit for bit,
+    the one `gnbd_pmf` gives at its final length.
     """
     cum = gnbd_cumulants(params)
     k_max = min(int(cum.k1 + 14.0 * math.sqrt(max(cum.k2, 1e-12)) + 100.0), ctrl.max_terms)
-    while True:
-        w = gnbd_pmf(params, np.arange(k_max + 1))
-        if 1.0 - w.sum() <= 0.1 * ctrl.rel_tol or k_max >= ctrl.max_terms:
-            break
-        k_max = min(2 * k_max, ctrl.max_terms)
+    w = gnbd_pmf(params, np.arange(k_max + 1))
+    while 1.0 - w.sum() > 0.1 * ctrl.rel_tol and k_max < ctrl.max_terms:
+        k_new = min(2 * k_max, ctrl.max_terms)
+        w = np.concatenate((w, gnbd_pmf(params, np.arange(k_max + 1, k_new + 1))))
+        k_max = k_new
     past = np.append(np.cumsum(w[::-1])[::-1], 0.0)
     return w[: int(np.argmax(past <= _TABLE_TAIL * past[1]))]
 

@@ -3,7 +3,9 @@
 Everything here is a pure function: log-gamma on arrays (`log_gamma`),
 the Stirling error, the deviance x log(x/m) + m - x, psi (`digamma`),
 the gamma kernel e^-u u^a / Gamma(a + 1) and the regularized incomplete
-gamma functions P and Q (`incomplete_gamma`), and Kummer's 1F1.  Kummer values can overflow a double
+gamma functions P and Q (`incomplete_gamma`), and Kummer's 1F1.  log-gamma
+and the Stirling error take one elementwise rule at every entry, so a value
+is the same, bit for bit, in any array.  Kummer values can overflow a double
 (large arguments), so they are returned as log floats.  The 1F1 is summed
 in one of two regimes, chosen from (a, b, z) (`kummer_1f1_terms`): the
 large-z form of DLMF 13.7.2 with a computed remainder bound, or the power
@@ -86,98 +88,71 @@ def stirling_series(z):
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
+#: j = 0..15: the steps of `stirling_error`'s recurrence, up to z + 16 > 15.
+_STEPS = np.arange(16.0)[:, None]
+
+#: Entries `stirling_error` takes the steps of at once (16 x 4,096 floats).
+_BLOCK = 4096
+
 
 def stirling_error(z: np.ndarray) -> np.ndarray:
     """s(z) = lgamma(z + 1) - (z log z - z + log(2 pi z) / 2) at z > 0,
     elementwise; equally lgamma(z) - ((z - 1/2) log z - z + log(2 pi)/2).
 
-    Past z = 15 from the Stirling series (`stirling_series`); below it from
-    lgamma itself (`_lgamma_small`), where every term is under 30, one
-    entry at a time: an arange holds at most 16 there.
+    Past z = 15 the Stirling series (`stirling_series`); at z <= 15 the
+    exact recurrence s(z) = s(z + 16) + sum_(j<16) t(z + j), t(y) = y
+    log1p(1/y) - 1 + log1p(1/y)/2 (y log1p(1/y) < 1 rounds to half the ulp
+    of (y + 1/2) log1p(1/y)), summed by halves with t(z) last: within about
+    2.5e-15.  Every entry takes the same steps in any array.
     """
-    small = z <= 15.0
-    if not small.any():
+    return _stirling_error(z, np.nonzero(z <= 15.0)[0])
+
+
+def _stirling_error(z: np.ndarray, small: np.ndarray) -> np.ndarray:
+    """`stirling_error`, given the indices of its entries at most 15."""
+    if not small.shape[0]:
         return stirling_series(z)
-    out = np.empty_like(z)
-    out[small] = [_stirling_error_small(v) for v in z[small].tolist()]
-    out[~small] = stirling_series(z[~small])
+    shifted = z.copy()
+    shifted[small] += 16.0
+    out = stirling_series(shifted)
+    for start in range(0, small.shape[0], _BLOCK):
+        block = small[start : start + _BLOCK]
+        zs = z[block]
+        # Row j holds the step at y = z + j.
+        y = _STEPS + zs
+        log_ratio = np.log1p(np.reciprocal(y))
+        y *= log_ratio
+        y -= 1.0
+        log_ratio *= 0.5
+        y += log_ratio
+        y[1:8] += y[9:]
+        y[1:5] += y[5:9]
+        y[1:3] += y[3:5]
+        y[1] += y[2]
+        out[block] = (y[1] + out[block]) + y[0]
     return out
 
 
-#: lgamma(n) at n = 0..16: inf, then log (n - 1)!, each correctly rounded
-#: (math.lgamma is off by up to a few ulps at small integers).
-_LGAMMA_INTEGERS = (math.inf,) + tuple(math.log(math.factorial(n)) for n in range(16))
-
-
-def _lgamma_small(z: float) -> float:
-    """lgamma(z) at 0 <= z <= 16: `_LGAMMA_INTEGERS` at the integers, log
-    math.gamma elsewhere (correctly rounded about twice as often as
-    math.lgamma, and off by a few units of rounding of max(1, |lgamma|))."""
-    return _LGAMMA_INTEGERS[int(z)] if z.is_integer() else math.log(math.gamma(z))
-
-
-def _stirling_error_small(z: float) -> float:
-    """s(z) of `stirling_error` at one z in (0, 15]."""
-    return _lgamma_small(z + 1.0) - ((z + 0.5) * math.log(z) - z + _HALF_LOG_2PI)
-
-
-#: How many entries below 15 `log_gamma` takes one at a time (math.gamma);
-#: past that it takes them as one array, shifted up by 16.  An arange holds
-#: 16 such, so a call on up to 16 aranges takes them one at a time.
-_LGAMMA_ONE_BY_ONE = 256
+#: lgamma(n) at n = 0..15: inf, then log (n - 1)!, each correctly rounded.
+_LGAMMA_INTEGERS = np.array([math.inf] + [math.log(math.factorial(n)) for n in range(15)])
 
 
 def log_gamma(z) -> np.ndarray:
-    """lgamma elementwise at z >= 0 (inf at 0).
-
-    Past z = 15, (z - 1/2) log z - z + log(2 pi)/2 + s(z), s the Stirling
-    error (`_stirling_log_gamma`): off by a few ulps of the value.  Below
-    it, up to `_LGAMMA_ONE_BY_ONE` entries are taken one at a time (log n!
-    at the integers, log math.gamma elsewhere: off by a few ulps of
-    max(1, |value|)); more than that, as lgamma(z + 16) -
-    log(z (z + 1) ... (z + 15)), off by up to about 3e-14, the rounding of
-    lgamma(z + 16) (a fitted GNBD near the negative binomial takes
-    thousands there).
-    """
+    """lgamma elementwise at z >= 0: (z - 1/2) log z - z + log(2 pi)/2 +
+    s(z), s the Stirling error (`stirling_error`), off by at most 6 ulps of
+    max(1, |lgamma|); at the integers 0..15 log (z - 1)!, correctly rounded
+    (inf at 0, 0 at 1 and 2).  Every entry is the same in any array."""
     z = np.asarray(z, dtype=float)
-    below = z <= 15.0
-    small = np.flatnonzero(below)
-    if small.shape[0] <= _LGAMMA_ONE_BY_ONE:
-        # The few small entries are taken at 15, then replaced.
-        out = _stirling_log_gamma(np.where(below, 15.0, z) if small.shape[0] else z)
-        out[small] = [_lgamma_small(v) for v in z[small].tolist()]
-        return out
-    out = np.empty_like(z)
-    out[~below] = _stirling_log_gamma(z[~below])
-    zs = z[small]
-    # (z + j)(z + 15 - j) = z (z + 15) + j (15 - j), j < 8.
-    t = zs * (zs + 15.0)
-    factors = t.copy()
-    for j in range(1, 8):
-        factors *= t + j * (15 - j)
-    with np.errstate(divide="ignore"):
-        out[small] = _stirling_log_gamma(zs + 16.0) - np.log(factors)
-    return out
-
-
-def _stirling_log_gamma(z: np.ndarray) -> np.ndarray:
-    """lgamma at z >= 15, in place: (z - 1/2) log z - z + log(2 pi)/2 +
-    s(z), s the Stirling series to five terms (`stirling_series` takes
-    seven): the first left out, below 2.3e-16, is a tenth of an ulp of
-    lgamma(15).  Elementwise, so an entry is the same in any array."""
-    u = 1.0 / z
-    u2 = u * u
-    s = u2 * (1.0 / 1188.0)
-    for c in (-1.0 / 1680.0, 1.0 / 1260.0, -1.0 / 360.0):
-        s += c
-        s *= u2
-    s += 1.0 / 12.0
-    s *= u
-    out = z - 0.5
-    out *= np.log(z)
-    out -= z
-    out += _HALF_LOG_2PI
-    out += s
+    small = np.nonzero(z <= 15.0)[0]
+    # At z = 0 the steps read 0 inf; the integers' values replace it.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(z)
+        out *= z - 0.5
+        out -= z
+        out += _HALF_LOG_2PI
+        out += _stirling_error(z, small)
+    whole = small[z[small] == np.floor(z[small])]
+    out[whole] = _LGAMMA_INTEGERS[z[whole].astype(np.intp)]
     return out
 
 
@@ -286,7 +261,7 @@ def gamma_kernel(a: float, u: float) -> float:
     if a <= 170.0 and (u < 64.0 or u < 700.0 and a * math.log(u) < 709.0):
         gamma = math.gamma(a + 1.0) if a < 1.0 else a * math.gamma(a)
         return math.exp(-u) * u**a / gamma
-    s = stirling_series(a) if a > 15.0 else _stirling_error_small(a)
+    s = stirling_series(a) if a > 15.0 else float(stirling_error(np.array([a]))[0])
     return math.exp(-s - _deviance(a, u)) / math.sqrt(2.0 * math.pi * a)
 
 

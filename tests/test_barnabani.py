@@ -257,6 +257,31 @@ class TestApproxTable:
             tail = 2.0**-54 * past[1]
             assert size == table.shape[0] or past[size] <= tail < past[size - 1]
 
+    def test_table_grows_by_appending(self, monkeypatch):
+        # Gamma(2,4) + Gamma(2,3) + Gamma(2,0.2) fits a GNBD near the
+        # negative binomial, whose lgamma arguments m + (beta_g - 1) k + 1
+        # stay below 15 far out: 672 of them in the first table, 1,318 at
+        # its final length.  The doubled table appends the masses past the
+        # first and equals, bit for bit, the table built at its final length
+        # in one call.
+        spec = canonicalize(ConvolutionSpec.of((2.0, 4.0), (2.0, 3.0), (2.0, 0.2)))
+        params = barnabani._fit_for_spec(spec)
+        starts = []
+        real = barnabani.gnbd_pmf
+
+        def recorded(p, k):
+            starts.append(int(k[0]))
+            return real(p, k)
+
+        monkeypatch.setattr(barnabani, "gnbd_pmf", recorded)
+        masses = barnabani._approx_weights(params, barnabani.CONTROL_APPROX)
+        monkeypatch.undo()
+        assert starts == [0, 647]
+        cum = gnbd_cumulants(params)
+        whole = doubled_table(params, int(cum.k1 + 14.0 * math.sqrt(cum.k2) + 100.0))
+        assert whole.shape[0] == 1_293
+        assert masses.tobytes() == whole[: masses.shape[0]].tobytes()
+
     def test_stages_are_prefixes_of_the_table(self, monkeypatch):
         # The fitted law is its whole table at any upto.  A row far in the
         # right tail (u = 5,000) moves through prefixes of it up to its end,

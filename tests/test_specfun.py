@@ -241,30 +241,68 @@ class TestGammaFunctions:
         ))
 
     def test_log_gamma_one_by_one_and_stirling(self):
-        # Arrays with few entries below 15, as the exact routes pass: off
-        # by a few ulps of max(1, |lgamma|) everywhere, near 1 and 2 too.
+        # Arrays of a few entries, as the exact routes pass: off by a few
+        # ulps of max(1, |lgamma|) everywhere, near 1 and 2 too.
         z = self.log_gamma_points()
         for chunk in np.array_split(z, 40):
-            assert (chunk <= 15.0).sum() <= specfun._LGAMMA_ONE_BY_ONE
             got = specfun.log_gamma(chunk)
             for g, v in zip(got.tolist(), chunk.tolist()):
                 want = _mp_ref(mp.loggamma, v)
                 assert abs(g - want) <= 6 * EPS * max(1.0, abs(want)), v
 
     def test_log_gamma_many_small_entries(self):
-        # Past _LGAMMA_ONE_BY_ONE entries below 15 (a fitted GNBD near the
-        # negative binomial): shifted up by 16 as one array, within 4e-14.
+        # Hundreds of entries below 15 in one array (a fitted GNBD near the
+        # negative binomial): each as accurate as alone.
         rng = np.random.default_rng(7)
         z = np.concatenate((rng.uniform(1e-8, 15.0, 400), [1.0 + 1e-9, 2.0 - 1e-9, 7.0, 300.0]))
         got = specfun.log_gamma(z)
         for g, v in zip(got.tolist(), z.tolist()):
             want = _mp_ref(mp.loggamma, v)
-            assert abs(g - want) <= 4e-14 * max(1.0, abs(want)), v
+            assert abs(g - want) <= 6 * EPS * max(1.0, abs(want)), v
 
     def test_log_gamma_of_zero_is_inf(self):
-        # _log_f1_family's table of lgamma(i) starts at i = 0.
+        # gnbd_pmf reads lgamma(k + 1) from k = 0 and ShellTable.grow reads
+        # it from its first shell, k = 0: exact zeros at 1 and 2.
         assert specfun.log_gamma(np.arange(3.0)).tolist() == [math.inf, 0.0, 0.0]
         assert specfun.log_gamma(np.zeros(100))[0] == math.inf
+
+    def test_stirling_error_and_log_gamma_are_elementwise(self):
+        # One rule at every entry: each value is the same, bit for bit,
+        # alone and inside arrays of any length that mix entries below and
+        # above 15 (and 0, in log_gamma's domain only); 10,000 entries take
+        # the steps in two blocks.  Past 15 the Stirling error is the series
+        # itself.
+        rng = np.random.default_rng(20261021)
+        small = np.concatenate((
+            np.exp(rng.uniform(math.log(1e-8), math.log(15.0), 300)),
+            np.arange(1.0, 16.0), np.arange(0.5, 15.0), [1e-300, 15.0],
+        ))
+        large = np.concatenate((
+            np.exp(rng.uniform(math.log(15.0), math.log(1e6), 300)),
+            np.arange(16.0, 40.0), [np.nextafter(15.0, 16.0), 1e300],
+        ))
+        assert specfun.stirling_error(large).tobytes() == specfun.stirling_series(large).tobytes()
+        for fn, zero in ((specfun.stirling_error, []), (specfun.log_gamma, [0.0])):
+            assert fn(np.empty(0)).shape == (0,)
+            pool = np.concatenate((small, large, zero))
+            alone = {v: fn(np.array([v]))[0] for v in pool.tolist()}
+            for n in (16, 17, 300, 5000, 10_000):
+                z = rng.permutation(np.concatenate((
+                    rng.choice(small, n // 2), rng.choice(large, n - n // 2 - len(zero)), zero,
+                )))
+                want = np.array([alone[v] for v in z.tolist()])
+                assert fn(z).tobytes() == want.tobytes(), (fn.__name__, n)
+
+    def test_stirling_error_below_15_matches_mpmath(self):
+        # The recurrence's 16 steps, each within about an ulp of 1.
+        rng = np.random.default_rng(20261022)
+        z = np.exp(rng.uniform(math.log(1e-8), math.log(15.0), 500))
+        got = specfun.stirling_error(z)
+        for g, v in zip(got.tolist(), z.tolist()):
+            want = _mp_ref(
+                lambda x: mp.loggamma(x + 1) - (x * mp.log(x) - x + mp.log(2 * mp.pi * x) / 2), v
+            )
+            assert abs(g - want) <= 4e-15, v
 
     def test_digamma_at_the_reflected_1f1s_c(self):
         # psi corrects lgamma(c) at c = b - a for the reflected large-z 1F1;
