@@ -20,7 +20,7 @@ from scipy import special as sp
 from scipy import stats
 
 import gammaconv
-from gammaconv import barnabani, bench, cli, mathai, methods, moschopoulos, renewal, specfun
+from gammaconv import barnabani, bench, cli, mathai, methods, moschopoulos, renewal
 from gammaconv.errors import ConvergenceError, DomainError, FitFailureError, GammaConvError
 from gammaconv.model import ConvolutionSpec, EvalResult, canonicalize
 from gammaconv.specfun import DEFAULT_CONTROL, SeriesControl
