@@ -20,7 +20,7 @@ from scipy import special as sp
 from scipy import stats
 
 import gammaconv
-from gammaconv import barnabani, bench, cli, mathai, methods, moschopoulos, renewal
+from gammaconv import barnabani, bench, cli, mathai, methods, moschopoulos, renewal, specfun
 from gammaconv.errors import ConvergenceError, DomainError, FitFailureError, GammaConvError
 from gammaconv.model import ConvolutionSpec, EvalResult, canonicalize
 from gammaconv.specfun import DEFAULT_CONTROL, SeriesControl
@@ -587,6 +587,26 @@ class TestWeightLaw:
                 kept = want > 1e-300
                 err = np.abs(got[kept] - want[kept]) / want[kept]
                 assert np.all(err < 32 * 2.2e-16 / 2 * (1.0 + np.abs(np.log(want[kept]))))
+
+    @pytest.mark.parametrize("z", [
+        np.exp(np.linspace(math.log(1e-3), math.log(15.0), 37)),
+        np.arange(16.0, 1000.0, 3.0),
+        np.concatenate((np.arange(200.0, 10.0, -7.0), [15.0, 15.5, 0.25])),
+        np.array([]),
+    ], ids=["all-small", "all-large", "mixed", "empty"])
+    def test_stirling_error_equals_masked_form(self, z):
+        # The masked two-branch evaluation, kept as the reference: each
+        # entry at most 15 alone, the rest by the written-out series.
+        # Taking every entry in one array must not change a bit.
+        want = np.empty_like(z)
+        small = z <= 15.0
+        want[small] = [specfun.stirling_error(np.array([v]))[0] for v in z[small].tolist()]
+        u = 1.0 / z[~small]
+        u2 = u * u
+        want[~small] = u * (1.0 / 12.0 - u2 * (1.0 / 360.0 - u2 * (1.0 / 1260.0 - u2 * (
+            1.0 / 1680.0 - u2 * (1.0 / 1188.0 - u2 * (691.0 / 360360.0 - u2 / 156.0))))))
+        got = specfun.stirling_error(z)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_cut_density_stays_within_rel_tol_of_the_full_stage(self):
         # The density over the point's cut stage against the same mixture
