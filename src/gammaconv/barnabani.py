@@ -287,7 +287,7 @@ def cdf_approx(
 ) -> EvalResult:
     """Approximate CDF sum_k gnbd_pmf(k) G(y; rho + k, b1).
 
-    Below y/b1 = 64 the row starts over its prefix of the table that ends
-    where the point's kernel dies (`methods.mixture_point`), and runs on
+    The row starts over its prefix of the table that ends where the
+    point's kernel dies (`methods.mixture_point`), and runs on
     within the table only if the tail bound asks for it."""
     return mixture_point("cdf", spec, y, ctrl, weights, approx_law, cut=True)

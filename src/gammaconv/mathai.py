@@ -292,10 +292,10 @@ def cdf_n(
     kernel sums over the cumulative weights plus G(y/b1; gamma + R + 1)
     itself, the one incomplete-gamma value (the row's kernels continued),
     which the bound takes too.
-    Pass a prebuilt law as `weights` to share it across calls.  Below
-    y/b1 = 64 the row starts over its prefix, built or of `weights`,
-    that ends where the point's kernel dies (`methods.mixture_point`),
-    and moves on only if the tail bound asks for it.
+    Pass a prebuilt law as `weights` to share it across calls.  The row
+    starts over its prefix, built or of `weights`, that ends where the
+    point's kernel dies (`methods.mixture_point`), and moves on only if
+    the tail bound asks for it.
     """
     if ctrl is None:
         ctrl = DEFAULT_CONTROL if len(canonicalize(spec)) <= 2 else CONTROL_N

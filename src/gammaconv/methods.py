@@ -17,6 +17,7 @@ which answers many points of one spec as rows over one weight law.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
@@ -40,6 +41,7 @@ __all__ = [
     "Method",
     "check_point",
     "log_gamma_pdf",
+    "log_weight_constant",
     "WeightLaw",
     "NBSumLaw",
     "nb_sum_law",
@@ -80,14 +82,19 @@ def check_point(
         if rho < 1.0:
             raise DomainError(f"density diverges at x = 0 for total shape {rho} < 1")
         beta1 = float(spec.scales[0])
-        log_c = float(np.sum(spec.shapes * (math.log(beta1) - np.log(spec.scales))))
-        return spec, EvalResult(math.exp(log_c) / beta1, 1, 0.0)
+        return spec, EvalResult(math.exp(log_weight_constant(spec)) / beta1, 1, 0.0)
     if len(spec) == 1:
         (c,) = spec.components
         if quantity == "cdf":
             return spec, EvalResult(incomplete_gamma(c.shape, x / c.scale)[0], 1, 0.0)
         return spec, EvalResult(math.exp(log_gamma_pdf(x, c.shape, c.scale)), 1, 0.0)
     return spec, None
+
+
+def log_weight_constant(spec: ConvolutionSpec) -> float:
+    """log C = sum a_i log(b1/b_i) of a canonical spec, C the first mass
+    of its exact weight law."""
+    return float(np.sum(spec.shapes * (math.log(spec.scales[0]) - np.log(spec.scales))))
 
 
 def log_gamma_pdf(x: float, shape: float, scale: float) -> float:
@@ -126,7 +133,7 @@ class WeightLaw:
     instead (`NBSumLaw.grow`).  Each row of the mixture sums
     (`mixture_rows`) reads its own prefix of a law: of its cached x-free
     tables (`kernel_table`, and from u = 64 on the CDF's
-    `log_cdf_weights`), and `prefix_total` and `log_mass_past` at the
+    `log_cdf_weights`), and `prefix_total(s)` and `log_mass_past` at the
     row's size.
     """
 
@@ -140,6 +147,21 @@ class WeightLaw:
     def prefix_total(self, size: int) -> float:
         """sum(masses[:size]), summed as np.sum sums that prefix."""
         return self.total if size == self.masses.shape[0] else float(self.masses[:size].sum())
+
+    def prefix_totals(self, sizes: list[int]) -> list[float]:
+        """`prefix_total` at every size, bit for bit: past one size in one
+        `np.add.reduceat` over the masses between two zeros, where each
+        segment [0, size] is reduced as np.sum reduces the prefix alone,
+        its pairwise sum added to a leading 0."""
+        if len(sizes) == 1:
+            return [self.prefix_total(sizes[0])]
+        bounds = np.zeros(2 * len(sizes), dtype=np.intp)
+        bounds[1::2] = np.add(sizes, 1)
+        return np.add.reduceat(self._zero_padded, bounds)[::2].tolist()
+
+    @cached_property
+    def _zero_padded(self) -> np.ndarray:
+        return np.concatenate(([0.0], self.masses, [0.0]))
 
     def log_mass_past(self, size: int) -> float:
         """log of a bound on the mass past the prefix of `size` masses:
@@ -454,40 +476,53 @@ def _density_rows(
 _CDF_KERNEL_SUM_FROM = 64.0
 
 
-def _kernel_cut(spec: ConvolutionSpec, x: float, quantity: str) -> float:
-    """The last index of a point's first row over a weight law:
-    max(u - rho, 0) + 8 sqrt(u) + 32 at u = x/b1, for the density at every
-    u and for the CDF below `_CDF_KERNEL_SUM_FROM`; inf elsewhere (and at
-    a point that is not finite and >= 0, which the entry check rejects).
+def _kernel_cut(spec: ConvolutionSpec, x: float) -> float:
+    """The last index of a point's first row over a weight law, for the
+    density and the CDF alike: max(u - rho, 0) + 8 sqrt(u) + 32 at
+    u = x/b1; inf at a point that is not finite and >= 0, which the entry
+    check rejects.
 
     At integer a, P(a, u) is the chance that a Poisson(u) count reaches
     a, and the density kernel g(x; a, b1) is the Poisson(u) mass at a - 1
     over b1 (times b1, at most that chance at a - 1).  By a Chernoff
-    bound both are below e^-32 (e^-40 below u = 64) once a passes
-    u + 8 sqrt(u) + 31.  A row too short for the point's tolerance (a
-    value far below that: deep in the left tail, or a law whose mass sits
-    far past the point) moves on in `converge_rows`.  From
-    `_CDF_KERNEL_SUM_FROM` on, the CDF rows of a grid share one law's
-    x-free tables (`WeightLaw.log_cdf_weights`), so those rows are not
-    cut.  The cut grows with x, so a request's farthest point has its
-    farthest cut."""
+    bound both are below e^-32 once a passes u + 8 sqrt(u) + 31.  A row
+    too short for the point's tolerance (a value far below that: deep in
+    the left tail, or a law whose mass sits far past the point) moves on
+    in `converge_rows`.  The cut grows with x, so a request's farthest
+    point has its farthest cut."""
     u = x / spec.components[0].scale
-    if not 0.0 <= u < (_CDF_KERNEL_SUM_FROM if quantity == "cdf" else math.inf):
+    if not 0.0 <= u < math.inf:
         return math.inf
     return int(max(u - spec.total_shape, 0.0) + 8.0 * math.sqrt(u) + 32.0)
 
 
-#: The largest u/(rho + L) at which a CDF row of L masses takes
-#: P(rho + L, u) as the continuation of its own kernels; past it
-#: `specfun.incomplete_gamma` answers.  Every row of the workloads stays
-#: below 0.72.
-_CONTINUE_TO = 0.75
+def _geometric_count(r: float) -> int:
+    """E(r) = ceil(log(2^-53 (1 - r)) / log r), 0 < r < 1: the kernels
+    k_(a+j)(u) past the first E, whose ratios u/(a + j) fall from
+    r = u/a, sum to at most k_a(u) r^E / (1 - r), below 2^-53 of P(a, u)."""
+    return math.ceil(math.log(2.0**-53 * (1.0 - r)) / math.log(r))
 
-#: How many kernels k_(rho+m)(u), m >= L, a row continues by: their ratios
-#: u/(rho + m) fall from r = u/(rho + L), so those past the first E sum to
-#: at most k_(rho+L)(u) r^E / (1 - r), and E = 133 holds that below 2^-53
-#: of P(rho + L, u) up to r = `_CONTINUE_TO`.
-_CONTINUATION = math.ceil(math.log(2.0**-53 * (1.0 - _CONTINUE_TO)) / math.log(_CONTINUE_TO))
+
+#: The fewest kernels a CDF row continues by: E(0.75) = 133.  Every row
+#: up to r = 0.75 takes this one count, so most rows of a call share one
+#: width.
+_CONTINUATION = _geometric_count(0.75)
+
+#: The largest r = u/(rho + L) at which a CDF row of L masses takes
+#: P(rho + L, u) as the continuation of its own kernels, by E(r) of them
+#: (775 at the cap); past it `specfun.incomplete_gamma` answers.
+_CONTINUE_TO = 0.95
+
+
+def _continuation(u: float, shape: float) -> int:
+    """How many kernels k_(a+j)(u) past its last a CDF row sums to take
+    P(a, u), a = `shape`: E(r) at r = u/a (`_geometric_count`), at least
+    `_CONTINUATION`; 0 past `_CONTINUE_TO`, where
+    `specfun.incomplete_gamma` answers instead."""
+    r = u / shape
+    if r > _CONTINUE_TO:
+        return 0
+    return _CONTINUATION if r <= 0.75 else _geometric_count(r)
 
 
 def _cdf_rows(
@@ -510,9 +545,10 @@ def _cdf_rows(
 
     W_m the masses up to index m, a running sum and so the same in every
     prefix, and P(rho + L, u) and W_(L-1) the tail bound's own values
-    (W_(L-1) summed as np.sum sums, the closer rounding).  P(rho + L, u)
-    is the row's own kernels continued past its last, k_(rho+m)(u) for
-    L <= m < L + `_CONTINUATION`, wherever u/(rho + L) is at most
+    (W_(L-1) summed as np.sum sums, the closer rounding; every row's at
+    once, `WeightLaw.prefix_totals`).  P(rho + L, u)
+    is the row's own kernels continued past its last, by the row's own
+    count (`_continuation`) wherever u/(rho + L) is at most
     `_CONTINUE_TO`; elsewhere `specfun.incomplete_gamma`.  Below u =
     `_CDF_KERNEL_SUM_FROM` a row takes its kernels from one anchor
     k_rho(u) (`specfun.gamma_kernel`) times the running product of
@@ -526,39 +562,42 @@ def _cdf_rows(
     rho, beta1 = law.rho, law.beta1
     values, tails, high = [0.0] * len(ys), [0.0] * len(ys), []
     shapes = cumulative = None
+    prefixes = law.prefix_totals(sizes)
     for i, (y, size) in enumerate(zip(ys, sizes)):
         u = y / beta1
         if u >= _CDF_KERNEL_SUM_FROM:
             high.append(i)
             continue
-        if shapes is None:
+        count = _continuation(u, rho + size)
+        if shapes is None or shapes.shape[0] < size + count - 1:
             width = max(sizes)
-            shapes = _anchor_shapes(rho, width + _CONTINUATION)
+            shapes = _anchor_shapes(rho, width + count)
             cumulative = np.add.accumulate(law.masses[:width])
-        going = u / (rho + size) <= _CONTINUE_TO
-        kernels = np.empty(size + _CONTINUATION if going else size)
+        kernels = np.empty(size + count)
         kernels[0] = gamma_kernel(rho, u)
         np.divide(u, shapes[: kernels.shape[0] - 1], out=kernels[1:])
         np.multiply.accumulate(kernels, out=kernels)
-        p = float(np.add.reduce(kernels[size:])) if going else incomplete_gamma(rho + size, u)[0]
-        values[i], tails[i] = _cdf_value(law, size, float(kernels[:size] @ cumulative[:size]), p)
+        p = float(np.add.reduce(kernels[size:])) if count else incomplete_gamma(rho + size, u)[0]
+        total = float(kernels[:size] @ cumulative[:size])
+        values[i], tails[i] = _cdf_value(law, size, prefixes[i], total, p)
     if high:
         high_ys, high_sizes = [ys[i] for i in high], [sizes[i] for i in high]
         for i, size, total, p in zip(high, high_sizes, *_saddle_rows(law, high_ys, high_sizes)):
-            values[i], tails[i] = _cdf_value(law, size, total, p)
+            values[i], tails[i] = _cdf_value(law, size, prefixes[i], total, p)
     return values, tails
 
 
-def _cdf_value(law: WeightLaw, size: int, total: float, p: float) -> tuple[float, float]:
-    """A CDF row's value and tail bound from its kernel sum
-    sum_(m<L) W_m k_(rho+m)(u) and p = P(rho + L, u), L = size
+def _cdf_value(
+    law: WeightLaw, size: int, prefix: float, total: float, p: float
+) -> tuple[float, float]:
+    """A CDF row's value and tail bound from W_(L-1) = `prefix`, its
+    kernel sum sum_(m<L) W_m k_(rho+m)(u) and p = P(rho + L, u), L = size
     (`_cdf_rows`).
 
     A fitted law holds the whole law but for a sliver (below 2^-54 of its
     mass for the GNBD), so where its whole table's P(rho + L, u) rounds to
     1, every kernel does and the CDF is 1; sum(masses) itself is off 1 by
     the rounding of the masses, to either side."""
-    prefix = law.prefix_total(size)
     if p == 1.0 and size == law.masses.shape[0] and not isinstance(law, NBSumLaw):
         return 1.0, max(1.0 - prefix, 0.0)
     return min(total + prefix * p, 1.0), max(1.0 - prefix, 0.0) * p
@@ -570,8 +609,9 @@ def _saddle_rows(
     """The kernel sums and P(rho + L, u) of the CDF rows from u = 64 on
     (`_cdf_rows`): a block of rows at a time over the law's saddle-point
     kernels (`_saddle_terms`), each row summed over its own prefix
-    (`_row_bounds`); P continued from each row's last kernel, all such
-    rows at once (`_continued_kernels`), or `specfun.incomplete_gamma`."""
+    (`_row_bounds`); P continued from each row's last kernel by the row's
+    own count (`_continuation`), all such rows at once
+    (`_continued_kernels`), or `specfun.incomplete_gamma`."""
     rho = law.rho
     totals, lasts = [], []
     for block in _blocks(len(ys), max(sizes)):
@@ -580,15 +620,16 @@ def _saddle_rows(
         totals += np.add.reduceat(terms.ravel(), bounds)[own].tolist()
         lasts.append(last)
     us = [y / law.beta1 for y in ys]
-    going = [u / (rho + size) <= _CONTINUE_TO for u, size in zip(us, sizes)]
+    counts = [_continuation(u, rho + size) for u, size in zip(us, sizes)]
     ps = [
-        0.0 if go else incomplete_gamma(rho + size, u)[0]
-        for u, size, go in zip(us, sizes, going)
+        0.0 if count else incomplete_gamma(rho + size, u)[0]
+        for u, size, count in zip(us, sizes, counts)
     ]
-    rows = [j for j, go in enumerate(going) if go]
+    rows = [j for j, count in enumerate(counts) if count]
     if rows:
         past = _continued_kernels(
-            [us[j] for j in rows], [rho + sizes[j] for j in rows], np.concatenate(lasts)[rows]
+            [us[j] for j in rows], [rho + sizes[j] for j in rows],
+            np.concatenate(lasts)[rows], [counts[j] for j in rows],
         )
         for j, value in zip(rows, past):
             ps[j] = value
@@ -631,20 +672,26 @@ def _saddle_terms(
         return np.exp(law.log_cdf_weights[:width] - deviance), last
 
 
-def _continued_kernels(us: list[float], shapes: list[float], kernels: np.ndarray) -> list[float]:
-    """sum_(1<=j<=E) k_(a-1+j)(u), E = `_CONTINUATION`, for each row's u,
-    next shape a and last kernel k_(a-1)(u): the running products of
-    u/(a - 1 + j), a row of them per point, each row summed as np.sum
-    sums it alone, so that a row is the same to the bit in any call."""
-    ratios = np.add.outer(shapes, _STEPS)
+def _continued_kernels(
+    us: list[float], shapes: list[float], kernels: np.ndarray, counts: list[int]
+) -> list[float]:
+    """sum_(1<=j<=E) k_(a-1+j)(u), E = counts[i], for each row's u, next
+    shape a and last kernel k_(a-1)(u): the running products of
+    u/(a - 1 + j), a row of them per point, each row summed over its own
+    E entries alone (`_row_bounds`), so that a row is the same to the bit
+    in any call."""
+    width = max(counts)
+    ratios = np.add.outer(shapes, _STEPS[:width])
     np.divide(np.array(us)[:, None], ratios, out=ratios)
     np.multiply.accumulate(ratios, axis=1, out=ratios)
     ratios *= kernels[:, None]
-    return np.add.reduce(ratios, axis=1).tolist()
+    bounds, own = _row_bounds(counts, width)
+    return np.add.reduceat(ratios.ravel(), bounds)[own].tolist()
 
 
-#: 0, 1, 2, ...: the steps j of `_continued_kernels`' shapes a + j.
-_STEPS = np.arange(float(_CONTINUATION))
+#: 0, 1, 2, ...: the steps j of `_continued_kernels`' shapes a + j, as many
+#: as the longest continuation.
+_STEPS = np.arange(float(_geometric_count(_CONTINUE_TO)))
 
 
 def mixture_rows(
@@ -746,7 +793,7 @@ def _first_rows(
     that is shorter than the law, and upto is the farthest cut; without
     it every row takes the whole law, and upto is inf.  Over a law that
     is not a `WeightLaw` (`mathai.ShellTable`) there are no sizes."""
-    cuts = [_kernel_cut(spec, x, quantity) if cut else math.inf for x in xs]
+    cuts = [_kernel_cut(spec, x) if cut else math.inf for x in xs]
     law = first_law(spec, ctrl, upto=max(cuts)) if weights is None else weights
     if not isinstance(law, WeightLaw):
         return law, []
@@ -827,6 +874,10 @@ class Method(NamedTuple):
     cuts: tuple[str, ...] = ()
 
 
+#: log of the smallest normal double, below which the recursion's
+#: constant C is refused (`moschopoulos.build_weights`).
+_LOG_TINY = math.log(sys.float_info.min)
+
 #: The recursion's price per mass in `_auto_exact`, fitted to timed builds.
 _RECURSION_STEP = 1_000.0
 _RECURSION_SQUARE = 2.8
@@ -838,18 +889,22 @@ def _auto_exact(spec: ConvolutionSpec, quantity: str, points: Sequence[float]) -
     law the request needs more cheaply: (n - 2) K^2 / 2 multiply-adds by
     convolution (`nb_sum_law` computes the kept half only) against
     K (_RECURSION_STEP + _RECURSION_SQUARE K); from n = 8 the recursion can
-    be the cheaper.
+    be the cheaper.  Never the recursion where its constant C (the law's
+    first mass, `log_weight_constant`) is below the smallest normal
+    double: `moschopoulos.build_weights` refuses such a spec.
 
     The law's cumulant size, K = kappa_1 + 12 sqrt(kappa_2) + 32 at the
     default cap (infinite cumulants give the cap; both routes then raise
     before building), is the size the cost fit was made at.  nbsum's
     law is K cut at the farthest point's `_kernel_cut`, as `evaluate`
-    builds it; the recursion's is K for the density, which
-    `moschopoulos.density` does not cut, and the same cut K for the CDF.
-    Without points both are K."""
+    builds it, for either quantity; so is the recursion's CDF law, while
+    its density law is K: `moschopoulos.density` does not cut.  Without
+    points both are K."""
+    if log_weight_constant(spec) < _LOG_TINY:
+        return "nbsum"
     mean, var, _ = nb_sum_cumulants(spec)
     full = min(mean + 12.0 * math.sqrt(var), DEFAULT_CONTROL.max_terms) + 32.0
-    k = min(full, _kernel_cut(spec, max(points), quantity) + 1.0) if points else full
+    k = min(full, _kernel_cut(spec, max(points)) + 1.0) if points else full
     k_rec = k if quantity == "cdf" else full
     cheaper = (len(spec) - 2) * k * k / 2 <= k_rec * (_RECURSION_STEP + _RECURSION_SQUARE * k_rec)
     return "nbsum" if cheaper else "moschopoulos"
@@ -867,7 +922,7 @@ def lookup(
     "auto" stands for mathai when the spec has at most two components;
     past that for nbsum, unless the recursion is predicted to build the
     first weight law the request needs more cheaply (`_auto_exact`,
-    which sizes nbsum's law by the points), then for moschopoulos.  Both
+    which sizes the laws by the points' cuts), then for moschopoulos.  Both
     are exact at the default control.  Without points the laws are
     priced at their cumulant size.  The mathai CDF is `mathai.cdf_n` at
     every n.  Every CDF over a weight law, the approximation's included,
@@ -929,8 +984,7 @@ def evaluate(
     bit.  Where the route cuts each point's row at its kernel
     (`Method.cuts`: the nbsum density and the CDFs over a weight law) a
     row starts over its prefix to the point's cut, and an exact law is
-    built only to the farthest cut, the one at the largest point; a CDF
-    with a point from u = 64 on gets the whole first law.  The route's
+    built only to the farthest cut, the one at the largest point.  The route's
     per-point function is still called at every point, with the request's
     `Answers` as `weights`.  The mathai densities run per point: at n >= 3
     over one shell table (`mathai.ShellTable`), grown in place as the

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,14 +37,21 @@ WEIGHT_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GammaComponent:
-    """One gamma summand: shape alpha > 0, scale beta > 0."""
+    """One gamma summand: shape alpha > 0, scale beta > 0.
+
+    DomainError for a shape that is not finite or is below the smallest
+    normal double (sys.float_info.min, about 2.2e-308): the Stirling
+    error of a subnormal shape overflows.  Likewise for a scale that is
+    not positive and finite."""
 
     shape: float
     scale: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.shape) and self.shape > 0):
-            raise DomainError(f"shape must be positive and finite, got {self.shape}")
+        if not (math.isfinite(self.shape) and self.shape >= sys.float_info.min):
+            raise DomainError(
+                f"shape must be finite and at least {sys.float_info.min:g}, got {self.shape}"
+            )
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise DomainError(f"scale must be positive and finite, got {self.scale}")
 

@@ -14,8 +14,10 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
-from .methods import NBSumLaw, WeightLaw, finite_cumulants, mixture_point
+from .errors import ConvergenceError, DomainError
+from .methods import (
+    _LOG_TINY, NBSumLaw, WeightLaw, finite_cumulants, log_weight_constant, mixture_point,
+)
 from .model import ConvolutionSpec, EvalResult, canonicalize
 from .specfun import DEFAULT_CONTROL, SeriesControl
 
@@ -89,14 +91,21 @@ def _recurse(
 
 
 def build_weights(spec: ConvolutionSpec, upto: int) -> WeightDistribution:
-    """Populate delta_0..delta_upto via the exact recursion."""
+    """Populate delta_0..delta_upto via the exact recursion.
+
+    Raises ConvergenceError, before any step, where C is below the
+    smallest normal double: the deltas, masses over C, would overflow."""
     spec = canonicalize(spec)
     if upto < 0:
         raise DomainError(f"upto must be >= 0, got {upto}")
-    shapes = spec.shapes
-    scales = spec.scales
-    c = math.exp(float(np.sum(shapes * (math.log(scales[0]) - np.log(scales)))))
-    return _recurse(c, np.ones(1), np.zeros(1), spec, upto)
+    log_c = log_weight_constant(spec)
+    if log_c < _LOG_TINY:
+        raise ConvergenceError(
+            f"recursion constant C = exp({log_c:.6g}) is below the smallest normal double, "
+            "so its weights would overflow; use nbsum",
+            terms_used=0,
+        )
+    return _recurse(math.exp(log_c), np.ones(1), np.zeros(1), spec, upto)
 
 
 def extend_weights(
@@ -159,9 +168,9 @@ def cdf(
     since G decreases in the shape argument.  `methods.mixture_rows` sums
     the series by parts: kernel sums over the cumulative weights plus
     G(y/b1; rho + K + 1) itself, the one incomplete-gamma value (the row's
-    kernels continued), which the bound takes too.  Below y/b1 = 64 the row starts over its prefix,
-    built or of `weights`, that ends where the point's kernel dies
-    (`methods.mixture_point`), and the recursion runs on past the weights
-    only if the tail bound asks for it.
+    kernels continued), which the bound takes too.  The row starts over
+    its prefix, built or of `weights`, that ends where the point's kernel
+    dies (`methods.mixture_point`), and the recursion runs on past the
+    weights only if the tail bound asks for it.
     """
     return mixture_point("cdf", spec, y, ctrl, weights, first_weights, cut=True)

@@ -312,7 +312,7 @@ class TestApproxTable:
         ctrl = barnabani.CONTROL_APPROX
         y = 30.0 * float(spec.scales[0])
         got = cdf_approx(spec, y)
-        assert methods._kernel_cut(spec, y, "cdf") + 1 < got.terms_used
+        assert methods._kernel_cut(spec, y) + 1 < got.terms_used
         law = barnabani.approx_law(spec, ctrl)
         uncut = methods.converge_rows("cdf", [y], ctrl, law, [law.masses.shape[0]])[0]
         assert 0.0 < got.value and rel_err(got.value, uncut.value) <= 1e-15

@@ -272,6 +272,38 @@ class TestExtremeSpecs:
         assert code == 3
         assert "Traceback" not in err
 
+    # n = 8 past the crossover, where auto's price favours the recursion,
+    # but its constant C = prod (b1/b_i)^a_i is e^-4460: the recursion's
+    # weights C delta_k would take deltas past the double range.
+    OVERFLOW_SPEC = ("--shape", ",".join(["900"] * 8),
+                     "--scale", "1,2,2.01,2.02,2.03,2.04,2.05,2.06", "--at", "13500,15000")
+
+    @pytest.mark.parametrize("quantity", ["density", "cdf"])
+    def test_auto_answers_where_the_recursion_would_overflow(self, capsys, quantity):
+        code, out, err = run_cli(capsys, "eval", quantity, *self.OVERFLOW_SPEC,
+                                 "--method", "auto", "--format", "json")
+        assert code == EXIT_OK and err == ""
+        rows = json.loads(out)
+        assert {row["method"] for row in rows} == {"nbsum"}
+        assert all(7_262 <= row["terms_used"] <= 10_001 for row in rows)
+        assert all(math.isfinite(row["value"]) and row["value"] > 0.0 for row in rows)
+
+    @pytest.mark.parametrize("quantity", ["density", "cdf"])
+    def test_recursion_refuses_an_underflowing_constant(self, capsys, quantity):
+        code, out, err = run_cli(capsys, "eval", quantity, *self.OVERFLOW_SPEC,
+                                 "--method", "moschopoulos")
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "smallest normal double" in err and "nan" not in err
+
+    def test_subnormal_shapes_are_a_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "density", "--shape", "1e-310,1e-311,1e-312",
+            "--scale", "1,2,3", "--at", "1e-300,1", "--method", "mathai",
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert len(err.splitlines()) == 1 and "shape" in err
+
     @pytest.mark.parametrize("method", ["mathai", "auto"])
     def test_large_shape_density(self, capsys, method):
         # The 1F1 term peak lies below k = 0 here (peak = -1).

@@ -404,6 +404,58 @@ class TestMixture:
                 want = self.mp_cdf_sum(masses, spec.total_shape, u)
                 assert abs(row.value - want) <= 4e-15 * max(want, tiny), (spec, u)
 
+    @staticmethod
+    def mp_cdf_by_recurrence(masses, rho, u):
+        """sum_k w_k P(rho + k, u) over the float masses at 40 digits, and
+        P(rho + L, u), L the masses' count: one gammainc at the row's end,
+        then down the shapes by P(a, u) = P(a + 1, u) + k_a(u) and
+        k_(a-1)(u) = k_a(u) a/u, every step a sum of positive terms."""
+        with mp.workdps(40):
+            u = mp.mpf(u)
+            a = mp.mpf(rho) + len(masses)
+            p = p_end = mp.gammainc(a, 0, u, regularized=True)
+            kernel = mp.exp(a * mp.log(u) - u - mp.loggamma(a + 1))
+            total = mp.mpf(0)
+            for w in reversed(masses.tolist()):
+                kernel *= a / u
+                a -= 1
+                p += kernel
+                total += w * p
+            return total, p_end
+
+    def test_cdf_rows_past_three_quarters_continue_in_arrays(self, monkeypatch):
+        # rho = 100, b1 = 0.3.  At y = 886 and 1,312.4 (u = 2,953 and 4,375)
+        # each row's cut leaves r = u/(rho + L) at 0.86 and 0.89, past the
+        # 0.75 that the fewest kernels cover: they continue by 264 and 323.
+        # y = 60 (r = 0.58) continues by 133 in the same call, and y = 15
+        # (u = 50) from its anchor kernel.  No row takes incomplete_gamma.
+        spec = canonicalize(ConvolutionSpec.of(*[(20.0, b) for b in (0.3, 1.0, 3.0, 10.0, 30.0)]))
+        rho, b1 = spec.total_shape, float(spec.scales[0])
+        ys = [886.0, 15.0, 1312.4, 60.0]
+
+        def refused(a, u):
+            raise AssertionError(f"incomplete_gamma({a}, {u})")
+
+        monkeypatch.setattr(methods, "incomplete_gamma", refused)
+        rows = methods.evaluate("nbsum", "cdf", spec, ys)
+        assert rows == [methods.nbsum_cdf(spec, y) for y in ys]
+        rs = [y / b1 / (rho + row.terms_used) for y, row in zip(ys, rows)]
+        assert 0.75 < rs[0] < rs[2] <= methods._CONTINUE_TO and rs[3] < 0.75
+        for y, row in zip(ys, rows):
+            u, size = y / b1, row.terms_used
+            law = methods.nb_sum_law(spec, count=size)
+            want, p_end = self.mp_cdf_by_recurrence(law.masses, rho, u)
+            assert abs(row.value - want) <= 4e-15 * want, y
+            if u < methods._CDF_KERNEL_SUM_FROM:
+                continue
+            # P(rho + L, u) itself carries the rounding of the row's last
+            # saddle-point kernel, whose deviance a log1p(d/u) - d cancels
+            # parts near 500 and 600 here; its share of the value is held
+            # to 4e-15.
+            _, (p,) = methods._saddle_rows(law, [y], [size])
+            assert abs(p - p_end) <= 2e-13 * p_end
+            assert law.total * abs(p - p_end) <= 4e-15 * want
+
 
 class TestCdfTailBound:
     def test_bound_covers_a_four_times_longer_law(self):
@@ -518,6 +570,23 @@ class TestWeightLaw:
                                     [pmf[:count] for pmf in pmfs])
             kept = want >= 1e-300
             assert np.all(np.abs(masses[kept] - want[kept]) <= 2e-15 * want[kept])
+
+    def test_prefix_totals_are_np_sums_of_each_prefix(self):
+        # The CDF rows take every row's W_(L-1) in one reduceat; each must
+        # be np.sum of its prefix alone, bit for bit, in any order, about
+        # the pairwise sum's 8- and 128-entry blocks, past numpy's 8,192-
+        # entry buffer and at the whole table.
+        rng = np.random.default_rng(20261022)
+        masses = rng.random(10_001) ** 4
+        masses /= masses.sum()
+        law = methods.WeightLaw(masses, 2.5, 1.0)
+        sizes = [*range(1, 20), 127, 128, 129, 8191, 8192, 8193, 10_001,
+                 *rng.integers(1, 10_002, 200).tolist()]
+        rng.shuffle(sizes)
+        want = [float(masses[:size].sum()) for size in sizes]
+        assert law.prefix_totals(sizes) == want
+        assert want == [law.prefix_total(size) for size in sizes]
+        assert [law.prefix_totals([size])[0] for size in sizes[:20]] == want[:20]
 
     @pytest.mark.parametrize("first", [
         lambda spec: methods.nb_sum_law(spec, count=300),
@@ -686,14 +755,14 @@ class TestRegistry:
         # crossover, so without points auto takes the recursion.  Bulk
         # points cut nbsum's stage to at most about 1,600 masses; the
         # recursion's density stage is not cut.  CDF stages are cut alike
-        # below u = 64, and a CDF point from u = 64 on leaves both uncut.
+        # at every u, so the same bulk points take nbsum for the CDF too.
         spec = canonicalize(ConvolutionSpec.of(*[(1.0, 2.0**j) for j in range(7)], (1.0, 500.0)))
         mean = float(spec.shapes @ spec.scales)
         points = [0.5 * mean, mean, 2.0 * mean]
         assert methods.lookup("auto", spec).name == "moschopoulos"
         assert methods.lookup("auto", spec, "density", points).name == "nbsum"
         assert methods.lookup("auto", spec, "cdf", [10.0, 60.0]).name == "nbsum"
-        assert methods.lookup("auto", spec, "cdf", points).name == "moschopoulos"
+        assert methods.lookup("auto", spec, "cdf", points).name == "nbsum"
         rows = cli_rows(capsys, "auto", "density", spec, points)
         assert {row["method"] for row in rows} == {"nbsum"}
         want = [moschopoulos.density(spec, x).value for x in points]
@@ -871,7 +940,7 @@ class TestEvaluate:
         rows = methods.evaluate("nbsum", "density", spec, points)
         assert rows == [methods.nbsum_density(spec, x) for x in points]
         full = methods.nb_sum_law(spec, DEFAULT_CONTROL).masses.shape[0]
-        first = [min(full, methods._kernel_cut(spec, x, "density") + 1) for x in points]
+        first = [min(full, methods._kernel_cut(spec, x) + 1) for x in points]
         sizes = [row.terms_used for row in rows]
         assert sizes[1] == first[1] < sizes[3] and first[3] < sizes[3] < full
         assert sizes[4] == first[4] < full
@@ -885,8 +954,8 @@ class TestEvaluate:
     def test_shared_stage_ends_at_the_farthest_cut(self, monkeypatch, quantity, points):
         # b1 = 1, so u = x; the mean is 136.5.  No row here extends its
         # stage, so the request builds exactly one: to the cut of its
-        # largest point, but a CDF with a point from u = 64 on builds the
-        # law's whole first stage.
+        # largest point, short of the law's whole first stage, for the
+        # density and for a CDF on either side of u = 64.
         builds = []
         real = methods.nb_sum_law
 
@@ -899,9 +968,46 @@ class TestEvaluate:
         full = real(spec, DEFAULT_CONTROL).masses.shape[0]
         monkeypatch.setattr(methods, "nb_sum_law", counted)
         rows = methods.evaluate("nbsum", quantity, spec, points)
-        want = min(full, methods._kernel_cut(spec, max(points), quantity) + 1)
+        want = methods._kernel_cut(spec, max(points)) + 1
         assert builds == [want] and max(row.terms_used for row in rows) == want
-        assert (want == full) == (quantity == "cdf" and max(points) >= 64.0)
+        assert want < full
+
+    @pytest.mark.parametrize("route", ["nbsum", "moschopoulos", "approx"])
+    @pytest.mark.parametrize("y", [100.0, 160.0, 260.0])
+    def test_cdf_past_64_builds_to_its_own_cut(self, monkeypatch, route, y):
+        # b1 = 1, so u = y, from 64 on; the mean is 136.5.  A per-point CDF
+        # builds its exact law to the point's cut (the approximation's
+        # table is whole) and converges on that prefix, within 1e-15 of
+        # the row over the whole uncut first law.
+        spec = canonicalize(ConvolutionSpec.of((0.5, 1.0), (4.0, 5.0), (3.0, 12.0), (2.0, 40.0)))
+        cut = methods._kernel_cut(spec, y)
+        builds = []
+        if route == "nbsum":
+            fn, ctrl, whole = methods.nbsum_cdf, DEFAULT_CONTROL, methods.nb_sum_law
+            real = methods.nb_sum_law
+
+            def counted(spec, ctrl=None, count=None, upto=math.inf):
+                builds.append(upto)
+                return real(spec, ctrl, count, upto)
+
+            monkeypatch.setattr(methods, "nb_sum_law", counted)
+        elif route == "moschopoulos":
+            fn, ctrl, whole = moschopoulos.cdf, DEFAULT_CONTROL, moschopoulos.first_weights
+            real = moschopoulos.build_weights
+
+            def counted(spec, upto):
+                builds.append(upto)
+                return real(spec, upto)
+
+            monkeypatch.setattr(moschopoulos, "build_weights", counted)
+        else:
+            fn, ctrl, whole = barnabani.cdf_approx, barnabani.CONTROL_APPROX, barnabani.approx_law
+        got = fn(spec, y)
+        assert builds == ([] if route == "approx" else [cut])
+        law = whole(spec, ctrl)
+        assert got.terms_used == cut + 1 < law.masses.shape[0]
+        uncut = methods.converge_rows("cdf", [y], ctrl, law, [law.masses.shape[0]])[0]
+        assert rel_err(got.value, uncut.value) <= 1e-15
 
     def test_one_weight_build_per_request(self, capsys, monkeypatch):
         builds = []

@@ -1,5 +1,7 @@
 """Tests for parameter records and canonicalization."""
 
+import sys
+
 import pytest
 
 from gammaconv.errors import DomainError
@@ -19,10 +21,14 @@ class TestGammaComponent:
         assert c.shape == 2.0
         assert c.scale == 0.5
 
-    @pytest.mark.parametrize("shape", [0.0, -1.0, float("nan"), float("inf")])
+    # Subnormal shapes too: their Stirling error overflows.
+    @pytest.mark.parametrize("shape", [0.0, -1.0, float("nan"), float("inf"), 1e-310, 5e-324])
     def test_bad_shape(self, shape):
         with pytest.raises(DomainError):
             GammaComponent(shape, 1.0)
+
+    def test_smallest_normal_shape_is_accepted(self):
+        assert GammaComponent(sys.float_info.min, 1.0).shape == sys.float_info.min
 
     @pytest.mark.parametrize("scale", [0.0, -2.0, float("nan"), float("inf")])
     def test_bad_scale(self, scale):
