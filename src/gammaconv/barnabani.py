@@ -274,8 +274,11 @@ def density_approx(
 ) -> EvalResult:
     """Approximate density sum_k gnbd_pmf(k) g(x; rho + k, b1).
 
-    Pass a prebuilt law (`approx_law`) as `weights` to share one fit and
-    one GNBD table across calls."""
+    The row starts over its prefix of the table that ends where the
+    point's kernel dies (`methods.mixture_point`), and runs on within the
+    table only if the tail bound asks for it.  Pass a prebuilt law
+    (`approx_law`) as `weights` to share one fit and one GNBD table
+    across calls."""
     return mixture_point("density", spec, x, ctrl, weights, approx_law)
 
 
@@ -290,4 +293,4 @@ def cdf_approx(
     The row starts over its prefix of the table that ends where the
     point's kernel dies (`methods.mixture_point`), and runs on
     within the table only if the tail bound asks for it."""
-    return mixture_point("cdf", spec, y, ctrl, weights, approx_law, cut=True)
+    return mixture_point("cdf", spec, y, ctrl, weights, approx_law)

@@ -155,7 +155,7 @@ def _cmd_eval(args) -> int:
         return EXIT_USAGE
     spec = canonicalize(ConvolutionSpec.of(*zip(args.shape, args.scale)))
     points = [float(point) for point in (args.at if args.at is not None else args.grid)]
-    chosen = methods.lookup(args.method, spec, args.quantity, points)
+    chosen = methods.lookup(args.method, spec, points)
     given = {"rel_tol": args.tol, "max_terms": args.max_terms}
     ctrl = dataclasses.replace(
         chosen.control, **{k: v for k, v in given.items() if v is not None}

@@ -784,16 +784,16 @@ class Answers(dict):
 
 
 def _first_rows(
-    quantity: str, spec: ConvolutionSpec, xs: list[float], ctrl: SeriesControl,
-    weights: object, first_law: Callable[..., object], cut: bool,
+    spec: ConvolutionSpec, xs: list[float], ctrl: SeriesControl,
+    weights: object, first_law: Callable[..., object],
 ) -> tuple[object, list[int]]:
     """The law the rows at xs start over, `weights` or else
-    first_law(spec, ctrl, upto) of the canonical spec, and each row's
-    first size.  With `cut` a row ends at its point's `_kernel_cut` where
-    that is shorter than the law, and upto is the farthest cut; without
-    it every row takes the whole law, and upto is inf.  Over a law that
-    is not a `WeightLaw` (`mathai.ShellTable`) there are no sizes."""
-    cuts = [_kernel_cut(spec, x) if cut else math.inf for x in xs]
+    first_law(spec, ctrl, upto) of the canonical spec with upto the
+    farthest point's `_kernel_cut`, and each row's first size: the law's
+    prefix to its point's cut, or the whole law where that is shorter.
+    Over a law that is not a `WeightLaw` (`mathai.ShellTable`) there are
+    no sizes."""
+    cuts = [_kernel_cut(spec, x) for x in xs]
     law = first_law(spec, ctrl, upto=max(cuts)) if weights is None else weights
     if not isinstance(law, WeightLaw):
         return law, []
@@ -803,7 +803,6 @@ def _first_rows(
 def mixture_point(
     quantity: str, spec: ConvolutionSpec, x: float, ctrl: SeriesControl,
     weights: WeightLaw | Answers | None, first_law: Callable[..., WeightLaw],
-    cut: bool = False,
 ) -> EvalResult:
     """The per-point body of every weight-law route: the point's result
     where `weights` holds the request's `Answers`; otherwise the entry
@@ -811,8 +810,7 @@ def mixture_point(
     is None over first_law(spec, ctrl, upto) of the canonical spec, run to
     convergence as the one-row case of `converge_rows`.
 
-    With `cut` (the nbsum density and the CDF routes over a weight law)
-    the row starts over its prefix that ends at the point's `_kernel_cut`
+    The row starts over its prefix that ends at the point's `_kernel_cut`
     (`_first_rows`), of `weights` or of a law built to that cut: a law is
     a prefix of every longer one, so both give the same row.
     """
@@ -821,7 +819,7 @@ def mixture_point(
     spec, done = check_point(spec, x, quantity)
     if done is not None:
         return done
-    law, sizes = _first_rows(quantity, spec, [x], ctrl, weights, first_law, cut)
+    law, sizes = _first_rows(spec, [x], ctrl, weights, first_law)
     return converge_rows(quantity, [x], ctrl, law, sizes)[0]
 
 
@@ -835,7 +833,7 @@ def nbsum_density(
     `nb_sum_law`: the moschopoulos series with its weights convolved in
     place of recursed, its first row cut at the point's kernel
     (`mixture_point`).  Pass a prebuilt law as `weights` to share it."""
-    return mixture_point("density", spec, x, ctrl, weights, nb_sum_law, cut=True)
+    return mixture_point("density", spec, x, ctrl, weights, nb_sum_law)
 
 
 def nbsum_cdf(
@@ -847,7 +845,7 @@ def nbsum_cdf(
     """The exact CDF as a mixture over the weight law built by
     `nb_sum_law`, its first row cut at the point's kernel
     (`mixture_point`); `mathai.cdf_n` is this at mathai's control."""
-    return mixture_point("cdf", spec, y, ctrl, weights, nb_sum_law, cut=True)
+    return mixture_point("cdf", spec, y, ctrl, weights, nb_sum_law)
 
 
 class Method(NamedTuple):
@@ -858,12 +856,9 @@ class Method(NamedTuple):
     cdf_law(spec, ctrl, upto).  Every per-point function with a `WeightLaw`
     runs `mixture_point`, and `evaluate` answers its points as rows over
     one law (`converge_rows`); for the mathai density at n >= 3 the law is a
-    `mathai.ShellTable`, the series' x-free shells.  `cuts` names the
-    quantities whose per-point function cuts its first rows at the
-    point's kernel (the nbsum density, and every CDF over a weight law:
-    the exact ones and the approximation's); their exact law builders
-    stop at the farthest cut, `upto`.  The approximation's density is not
-    cut: its rows would move on at many points."""
+    `mathai.ShellTable`, the series' x-free shells.  Every row over a
+    `WeightLaw` starts at its point's kernel cut, so an exact law builder
+    stops at the farthest cut, `upto`."""
 
     name: str
     density: Callable[..., EvalResult]
@@ -871,7 +866,6 @@ class Method(NamedTuple):
     control: SeriesControl
     density_law: Callable[..., object] | None = None
     cdf_law: Callable[..., WeightLaw] | None = None
-    cuts: tuple[str, ...] = ()
 
 
 #: log of the smallest normal double, below which the recursion's
@@ -883,7 +877,7 @@ _RECURSION_STEP = 1_000.0
 _RECURSION_SQUARE = 2.8
 
 
-def _auto_exact(spec: ConvolutionSpec, quantity: str, points: Sequence[float]) -> str:
+def _auto_exact(spec: ConvolutionSpec, points: Sequence[float]) -> str:
     """The exact route `auto` takes for a canonical spec of three or more
     components: nbsum unless the recursion is predicted to build the first
     law the request needs more cheaply: (n - 2) K^2 / 2 multiply-adds by
@@ -895,69 +889,54 @@ def _auto_exact(spec: ConvolutionSpec, quantity: str, points: Sequence[float]) -
 
     The law's cumulant size, K = kappa_1 + 12 sqrt(kappa_2) + 32 at the
     default cap (infinite cumulants give the cap; both routes then raise
-    before building), is the size the cost fit was made at.  nbsum's
-    law is K cut at the farthest point's `_kernel_cut`, as `evaluate`
-    builds it, for either quantity; so is the recursion's CDF law, while
-    its density law is K: `moschopoulos.density` does not cut.  Without
-    points both are K."""
+    before building), is the size the cost fit was made at.  Both routes'
+    laws are K cut at the farthest point's `_kernel_cut`, as `evaluate`
+    builds them, for the density and the CDF alike; without points they
+    are K."""
     if log_weight_constant(spec) < _LOG_TINY:
         return "nbsum"
     mean, var, _ = nb_sum_cumulants(spec)
     full = min(mean + 12.0 * math.sqrt(var), DEFAULT_CONTROL.max_terms) + 32.0
     k = min(full, _kernel_cut(spec, max(points)) + 1.0) if points else full
-    k_rec = k if quantity == "cdf" else full
-    cheaper = (len(spec) - 2) * k * k / 2 <= k_rec * (_RECURSION_STEP + _RECURSION_SQUARE * k_rec)
+    cheaper = (len(spec) - 2) * k * k / 2 <= k * (_RECURSION_STEP + _RECURSION_SQUARE * k)
     return "nbsum" if cheaper else "moschopoulos"
 
 
-def lookup(
-    method: str,
-    spec: ConvolutionSpec,
-    quantity: str = "density",
-    points: Sequence[float] = (),
-) -> Method:
-    """The method `method` names for a canonical spec, to evaluate
-    `quantity` at `points`.
+def lookup(method: str, spec: ConvolutionSpec, points: Sequence[float] = ()) -> Method:
+    """The method `method` names for a canonical spec, to evaluate at
+    `points`.
 
     "auto" stands for mathai when the spec has at most two components;
     past that for nbsum, unless the recursion is predicted to build the
     first weight law the request needs more cheaply (`_auto_exact`,
-    which sizes the laws by the points' cuts), then for moschopoulos.  Both
-    are exact at the default control.  Without points the laws are
+    which sizes both laws by the points' cuts), then for moschopoulos.
+    Both are exact at the default control.  Without points the laws are
     priced at their cumulant size.  The mathai CDF is `mathai.cdf_n` at
-    every n.  Every CDF over a weight law, the approximation's included,
-    cuts its points' rows (`Method.cuts`).  The functions are read off
-    their modules at each call, so one that a test or tracer has replaced
-    there is the one that runs.
+    every n.  The functions are read off their modules at each call, so
+    one that a test or tracer has replaced there is the one that runs.
     (Imported here because the method modules import this one.)
     """
     from . import barnabani, mathai, moschopoulos
 
     n = len(spec)
     if method == "auto":
-        method = "mathai" if n <= 2 else _auto_exact(spec, quantity, points)
+        method = "mathai" if n <= 2 else _auto_exact(spec, points)
     if method == "nbsum":
-        return Method(
-            method, nbsum_density, nbsum_cdf, DEFAULT_CONTROL, nb_sum_law, nb_sum_law,
-            ("density", "cdf"),
-        )
+        return Method(method, nbsum_density, nbsum_cdf, DEFAULT_CONTROL, nb_sum_law, nb_sum_law)
     if method == "mathai" and n <= 2:
         fns = mathai.density2, mathai.cdf_n, DEFAULT_CONTROL
-        return Method(method, *fns, cdf_law=nb_sum_law, cuts=("cdf",))
+        return Method(method, *fns, cdf_law=nb_sum_law)
     if method == "mathai":
         fns = mathai.density_n, mathai.cdf_n, mathai.CONTROL_N
-        return Method(method, *fns, mathai.ShellTable, nb_sum_law, ("cdf",))
+        return Method(method, *fns, mathai.ShellTable, nb_sum_law)
     if method == "moschopoulos":
         law = moschopoulos.first_weights
-        return Method(
-            method, moschopoulos.density, moschopoulos.cdf, DEFAULT_CONTROL, law, law,
-            ("cdf",),
-        )
+        return Method(method, moschopoulos.density, moschopoulos.cdf, DEFAULT_CONTROL, law, law)
     if method == "approx":
         law = barnabani.approx_law
         return Method(
             method, barnabani.density_approx, barnabani.cdf_approx,
-            barnabani.CONTROL_APPROX, law, law, ("cdf",),
+            barnabani.CONTROL_APPROX, law, law,
         )
     raise DomainError(f"unknown method {method!r}; use one of {METHODS}")
 
@@ -973,7 +952,7 @@ def evaluate(
 
     Every point passes the entry check once, first, so a bad point raises
     before any weight law is built.  `method` is a name or "auto",
-    resolved for the canonical spec, quantity and points by `lookup`.
+    resolved for the canonical spec and points by `lookup`.
     Where the weight law does not depend on the point (the moschopoulos
     and nbsum series, the approximation, the mathai CDF) the request runs
     as rows: its first law is built once (`_first_rows`), and
@@ -981,19 +960,17 @@ def evaluate(
     over it, in blocks of rows, moving the rows that need more terms on
     together.  Each row is the mixture over its own prefix of the law, so
     each result equals the per-point call on that point alone, bit for
-    bit.  Where the route cuts each point's row at its kernel
-    (`Method.cuts`: the nbsum density and the CDFs over a weight law) a
-    row starts over its prefix to the point's cut, and an exact law is
-    built only to the farthest cut, the one at the largest point.  The route's
-    per-point function is still called at every point, with the request's
-    `Answers` as `weights`.  The mathai densities run per point: at n >= 3
-    over one shell table (`mathai.ShellTable`), grown in place as the
-    points need; at n = 2 (a closed 1F1 form) alone.  `ctrl` defaults to
-    the method's own control.
+    bit.  Each row starts over its prefix to its point's kernel cut, and
+    an exact law is built only to the farthest cut, the one at the
+    largest point.  The route's per-point function is still called at
+    every point, with the request's `Answers` as `weights`.  The mathai
+    densities run per point: at n >= 3 over one shell table
+    (`mathai.ShellTable`), grown in place as the points need; at n = 2 (a
+    closed 1F1 form) alone.  `ctrl` defaults to the method's own control.
     """
     spec = canonicalize(spec)
     xs = [float(x) for x in points]
-    chosen = lookup(method, spec, quantity, xs)
+    chosen = lookup(method, spec, xs)
     ctrl = chosen.control if ctrl is None else ctrl
     settled = [check_point(spec, x, quantity)[1] for x in xs]
     fn = getattr(chosen, quantity)
@@ -1001,7 +978,7 @@ def evaluate(
     open_xs = [x for x, done in zip(xs, settled) if done is None]
     if build is None or not open_xs:
         return [fn(spec, x, ctrl) for x in xs]
-    law, sizes = _first_rows(quantity, spec, open_xs, ctrl, None, build, quantity in chosen.cuts)
+    law, sizes = _first_rows(spec, open_xs, ctrl, None, build)
     if not isinstance(law, WeightLaw):
         return [fn(spec, x, ctrl, weights=law) for x in xs]
     rows = iter(converge_rows(quantity, open_xs, ctrl, law, sizes))

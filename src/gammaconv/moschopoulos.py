@@ -146,12 +146,10 @@ def density(
     achievable kernel value falls below rel_tol relative to the partial
     sum.  Pass a prebuilt law as `weights` (a `build_weights` snapshot) to
     amortize the recursion across calls (`methods.evaluate` builds one per
-    request and answers its points as rows over it).  Unlike `cdf` and
-    `methods.nbsum_density`, the first weights are not cut at the point:
-    this is the paper's per-point series, whose cost the acceptance tests
-    bracket from below against `mathai.density2` on the (alpha = 20,
-    scales 4/0.3) bulk grid, where a cut would make it about 1.8x
-    cheaper.
+    request and answers its points as rows over it).  As in `cdf`, the
+    row starts over its prefix, built or of `weights`, that ends where the
+    point's kernel dies (`methods.mixture_point`), and the recursion runs
+    on past the weights only if the tail bound asks for it.
     """
     return mixture_point("density", spec, x, ctrl, weights, first_weights)
 
@@ -173,4 +171,4 @@ def cdf(
     dies (`methods.mixture_point`), and the recursion runs on past the
     weights only if the tail bound asks for it.
     """
-    return mixture_point("cdf", spec, y, ctrl, weights, first_weights, cut=True)
+    return mixture_point("cdf", spec, y, ctrl, weights, first_weights)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -313,6 +314,65 @@ class TestExtremeSpecs:
         _, ref_out, _ = run_cli(capsys, *argv, "--method", "moschopoulos")
         got, want = float(parse_csv(out)[0]["value"]), float(parse_csv(ref_out)[0]["value"])
         assert abs(got / want - 1.0) < 1e-8
+
+
+class TestSeededSweep:
+    # Random specs across the model's range, at points from the far left
+    # tail to 1e3 x the mean: every request is answered or cleanly refused
+    # (usage 2, non-convergence 3, fit failure 4), with one stderr line and
+    # no NaN.  The requests run through cli.main in one child process, with
+    # numpy's warnings as errors as in this test config: a GNBD fit check
+    # at a weight mean in the millions takes arrays of about 150 MB, and
+    # freeing them here would raise glibc's mmap threshold for every later
+    # test of this process.
+    CHILD = (
+        "import contextlib, io, json, sys\n"
+        "from gammaconv import cli\n"
+        "for argv in json.load(sys.stdin):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = cli.main(argv)\n"
+        "    print(json.dumps([code, out.getvalue(), err.getvalue()]))\n"
+    )
+
+    def test_every_request_is_answered_or_refused(self):
+        rng = random.Random(20261022)
+        routes = [(method, quantity) for method in (*methods.METHODS, "auto")
+                  for quantity in ("density", "cdf")]
+        requests = []
+        for i in range(100):
+            method, quantity = routes[i % len(routes)]
+            n = rng.randint(1, 5)
+            shapes = [10.0 ** rng.uniform(-3.0, 4.0) for _ in range(n)]
+            scales = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(n)]
+            mean = sum(a * b for a, b in zip(shapes, scales))
+            points = [f * mean for f in (1e-6, 0.5, 2.0, 1e3)]
+            requests.append([
+                "eval", quantity, "--method", method, "--format", "json",
+                "--shape", ",".join(map(repr, shapes)), "--scale", ",".join(map(repr, scales)),
+                "--at", ",".join(map(repr, points)),
+            ])
+        src = str(Path(gammaconv.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        child = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+             "-c", self.CHILD],
+            input=json.dumps(requests), env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0 and child.stderr == ""
+        answers = [json.loads(line) for line in child.stdout.splitlines()]
+        assert len(answers) == len(requests)
+        for argv, (code, out, err) in zip(requests, answers):
+            assert code in (0, 2, 3, 4)
+            if code != EXIT_OK:
+                assert out == "" and len(err.splitlines()) == 1 and "nan" not in err.lower()
+                continue
+            assert err == ""
+            values = [row["value"] for row in json.loads(out)]
+            assert all(math.isfinite(v) and v >= 0.0 for v in values)
+            if argv[1] == "cdf":
+                assert values == sorted(values) and values[-1] <= 1.0
 
 
 class TestFigureError:

@@ -253,7 +253,7 @@ class TestMixture:
         spec = canonicalize(self.TINY)
         exact = method != "approx"
         for x in (1e-3, 1.0, 100.0) if exact else (1e-3, 1.0):
-            chosen = methods.lookup(method, spec, quantity, [x])
+            chosen = methods.lookup(method, spec, [x])
             try:
                 result = getattr(chosen, quantity)(spec, x)
             except GammaConvError:
@@ -752,21 +752,23 @@ class TestRegistry:
 
     def test_auto_prices_the_stage_the_points_need(self, capsys):
         # At n = 8 the cumulant stage holds about 6,700 masses, past the
-        # crossover, so without points auto takes the recursion.  Bulk
-        # points cut nbsum's stage to at most about 1,600 masses; the
-        # recursion's density stage is not cut.  CDF stages are cut alike
-        # at every u, so the same bulk points take nbsum for the CDF too.
+        # crossover, so without points auto takes the recursion.  Both
+        # routes' stages are cut at the farthest point's kernel, for the
+        # density and the CDF alike: bulk points cut them to at most about
+        # 1,600 masses and take nbsum, while a point at 8,000 leaves the
+        # stage past the crossover and takes the recursion for either.
         spec = canonicalize(ConvolutionSpec.of(*[(1.0, 2.0**j) for j in range(7)], (1.0, 500.0)))
         mean = float(spec.shapes @ spec.scales)
         points = [0.5 * mean, mean, 2.0 * mean]
         assert methods.lookup("auto", spec).name == "moschopoulos"
-        assert methods.lookup("auto", spec, "density", points).name == "nbsum"
-        assert methods.lookup("auto", spec, "cdf", [10.0, 60.0]).name == "nbsum"
-        assert methods.lookup("auto", spec, "cdf", points).name == "nbsum"
-        rows = cli_rows(capsys, "auto", "density", spec, points)
-        assert {row["method"] for row in rows} == {"nbsum"}
-        want = [moschopoulos.density(spec, x).value for x in points]
-        assert max(rel_err(row["value"], w) for row, w in zip(rows, want)) <= 1e-12
+        assert methods.lookup("auto", spec, [10.0, 60.0]).name == "nbsum"
+        assert methods.lookup("auto", spec, points).name == "nbsum"
+        assert methods.lookup("auto", spec, [3000.0, 8000.0]).name == "moschopoulos"
+        for quantity, fn in (("density", moschopoulos.density), ("cdf", moschopoulos.cdf)):
+            rows = cli_rows(capsys, "auto", quantity, spec, points)
+            assert {row["method"] for row in rows} == {"nbsum"}
+            want = [fn(spec, x).value for x in points]
+            assert max(rel_err(row["value"], w) for row, w in zip(rows, want)) <= 1e-12
 
     def test_unknown_method(self):
         with pytest.raises(DomainError):
@@ -972,18 +974,18 @@ class TestEvaluate:
         assert builds == [want] and max(row.terms_used for row in rows) == want
         assert want < full
 
-    @pytest.mark.parametrize("route", ["nbsum", "moschopoulos", "approx"])
-    @pytest.mark.parametrize("y", [100.0, 160.0, 260.0])
-    def test_cdf_past_64_builds_to_its_own_cut(self, monkeypatch, route, y):
-        # b1 = 1, so u = y, from 64 on; the mean is 136.5.  A per-point CDF
-        # builds its exact law to the point's cut (the approximation's
-        # table is whole) and converges on that prefix, within 1e-15 of
-        # the row over the whole uncut first law.
+    @staticmethod
+    def builds_to_its_own_cut(monkeypatch, quantity, route, y):
+        # b1 = 1, so u = y, from 64 on; the mean is 136.5.  A per-point
+        # density or CDF builds its exact law to the point's cut (the
+        # approximation's table is whole) and converges on that prefix,
+        # within 1e-15 of the row over the whole uncut first law.
         spec = canonicalize(ConvolutionSpec.of((0.5, 1.0), (4.0, 5.0), (3.0, 12.0), (2.0, 40.0)))
         cut = methods._kernel_cut(spec, y)
         builds = []
         if route == "nbsum":
-            fn, ctrl, whole = methods.nbsum_cdf, DEFAULT_CONTROL, methods.nb_sum_law
+            fn = getattr(methods, f"nbsum_{quantity}")
+            ctrl, whole = DEFAULT_CONTROL, methods.nb_sum_law
             real = methods.nb_sum_law
 
             def counted(spec, ctrl=None, count=None, upto=math.inf):
@@ -992,7 +994,8 @@ class TestEvaluate:
 
             monkeypatch.setattr(methods, "nb_sum_law", counted)
         elif route == "moschopoulos":
-            fn, ctrl, whole = moschopoulos.cdf, DEFAULT_CONTROL, moschopoulos.first_weights
+            fn = getattr(moschopoulos, quantity)
+            ctrl, whole = DEFAULT_CONTROL, moschopoulos.first_weights
             real = moschopoulos.build_weights
 
             def counted(spec, upto):
@@ -1001,13 +1004,24 @@ class TestEvaluate:
 
             monkeypatch.setattr(moschopoulos, "build_weights", counted)
         else:
-            fn, ctrl, whole = barnabani.cdf_approx, barnabani.CONTROL_APPROX, barnabani.approx_law
+            fn = getattr(barnabani, f"{quantity}_approx")
+            ctrl, whole = barnabani.CONTROL_APPROX, barnabani.approx_law
         got = fn(spec, y)
         assert builds == ([] if route == "approx" else [cut])
         law = whole(spec, ctrl)
         assert got.terms_used == cut + 1 < law.masses.shape[0]
-        uncut = methods.converge_rows("cdf", [y], ctrl, law, [law.masses.shape[0]])[0]
+        uncut = methods.converge_rows(quantity, [y], ctrl, law, [law.masses.shape[0]])[0]
         assert rel_err(got.value, uncut.value) <= 1e-15
+
+    @pytest.mark.parametrize("route", ["nbsum", "moschopoulos", "approx"])
+    @pytest.mark.parametrize("y", [100.0, 160.0, 260.0])
+    def test_cdf_past_64_builds_to_its_own_cut(self, monkeypatch, route, y):
+        self.builds_to_its_own_cut(monkeypatch, "cdf", route, y)
+
+    @pytest.mark.parametrize("route", ["nbsum", "moschopoulos", "approx"])
+    @pytest.mark.parametrize("y", [100.0, 160.0, 260.0])
+    def test_density_past_64_builds_to_its_own_cut(self, monkeypatch, route, y):
+        self.builds_to_its_own_cut(monkeypatch, "density", route, y)
 
     def test_one_weight_build_per_request(self, capsys, monkeypatch):
         builds = []
@@ -1026,15 +1040,19 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("quantity", ["density", "cdf"])
     def test_mixed_grid_matches_per_point(self, quantity):
-        # x = 0 is answered by the entry check, 3 and 8 converge on the
-        # first table, 200 and 500 need it grown past their kernel peaks.
+        # x = 0 is answered by the entry check, 3 and 8 converge on their
+        # cuts, short of the first table; 200 and 500 cut past its end, and
+        # their densities need it grown past their kernel peaks.
         spec = ConvolutionSpec.of((2.0, 1.0), (2.0, 2.0))
         points = [0.0, 3.0, 500.0, 8.0, 200.0]
         fn = route_fn("moschopoulos", 2, quantity)
         got = methods.evaluate("moschopoulos", quantity, spec, points)
         assert got == [fn(spec, x) for x in points]
+        first = moschopoulos.first_weights(canonicalize(spec), DEFAULT_CONTROL).masses.shape[0]
+        for i in (1, 3):
+            assert got[i].terms_used == methods._kernel_cut(canonicalize(spec), points[i]) + 1 < first
         if quantity == "density":
-            assert len({r.terms_used for r in got}) == 4
+            assert first < got[4].terms_used < got[2].terms_used
 
     def test_nan_last_point_exits_before_any_row(self, capsys):
         code = cli.main(["eval", "density", "--shape", "1,2,3", "--scale", "1,2,3",
